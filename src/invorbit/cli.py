@@ -275,6 +275,10 @@ def run_scenario(
     except (ValueError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
+    except ArithmeticError as err:
+        # e.g. an orbit from a huge start overflowing a squared distance
+        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
+        return EXIT_ERROR
     report = {
         "tool": {"name": "invorbit", "version": __version__},
         "command": cmd,

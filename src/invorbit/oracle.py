@@ -11,13 +11,34 @@ The falsification sweep extends this over a grid of symmetric distance
 matrices, keeping only those that pass the axioms, and reports any
 counterexample it finds.  The solver is cross-validated against the same
 enumeration.
+
+Counting lemma.  Because T and S are bijections, (Tx, Sy) runs over every
+ordered pair exactly once as (x, y) does, so on a finite carrier
+
+    sum of d(Tx, Sy) over all pairs  =  sum of d(x, y) over all pairs.
+
+A holder of the constant form with R > K >= 1 has d(Tx, Sy) >= R d(x, y)
+on every pair (the L term only raises the bound on nonnegative
+distances), so the sum of all distances is at most zero: every distance is
+zero.  The same holds for a rate function above K**2 >= 1.  Axiom D1 then
+forbids two points, so no admitted carrier with n >= 2 has a hypothesis
+holder, and every holder a sweep finds is a one-point carrier.
+
+All three entry points share one enumeration kernel.  Per carrier size it
+lists the bijections as index tuples, once; per space it reads the
+distances and diagonal residuals into tables, once; per (T, S, hypothesis)
+it walks the ordered pairs in the order `audit` uses and stops at the
+first violation, through the per-pair test `audit` itself uses.  Holders
+are re-audited by `audit` on the equivalent `MapPair`, so the kernel and
+the reference audit cannot drift apart unnoticed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import permutations, product
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CarrierTooLarge
 from .solver import (
@@ -25,6 +46,8 @@ from .solver import (
     MapPair,
     RLHypothesis,
     audit,
+    check_hypothesis,
+    expansion_violation,
     permutation_map,
     solve,
 )
@@ -34,6 +57,7 @@ from .spaces import (
     Space,
     SpaceKind,
     check_axioms,
+    d_sharp,
     table_space,
 )
 
@@ -88,6 +112,117 @@ def _freeze(table: dict) -> tuple:
     return tuple(sorted(table.items(), key=lambda kv: repr(kv[0])))
 
 
+# ---------------------------------------------------------------------------
+# Enumeration kernel
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=DEFAULT_N_MAX)
+def _bijection_pairs(n: int) -> tuple[tuple[tuple, tuple, tuple, tuple], ...]:
+    """Every ordered bijection pair (T, S) of range(n), as index tuples.
+
+    Each comes with its pair walk, the (x, y, Tx, Sy) index quadruples in
+    the order `audit` visits an exhaustive source, and its common fixed
+    indices.
+    """
+    perms = list(permutations(range(n)))
+    index_pairs = list(product(range(n), repeat=2))
+    return tuple(
+        (
+            t,
+            s,
+            tuple((i, j, t[i], s[j]) for i, j in index_pairs),
+            tuple(i for i in range(n) if t[i] == i and s[i] == i),
+        )
+        for t in perms
+        for s in perms
+    )
+
+
+@dataclass(frozen=True)
+class _Tables:
+    """A finite space's distances and diagonal residuals, indexed by position."""
+
+    dist: tuple[tuple[float, ...], ...]
+    sharp: tuple[tuple[float, ...], ...]
+
+
+def _tables(space: Space) -> _Tables:
+    pts = space.carrier.points
+    return _Tables(
+        tuple(tuple(space.dist(x, y) for y in pts) for x in pts),
+        tuple(tuple(d_sharp(space, x, y) for y in pts) for x in pts),
+    )
+
+
+@dataclass(frozen=True)
+class _Holder:
+    hyp: Hypothesis
+    t_table: dict
+    s_table: dict
+    maps: MapPair
+    fixed_points: tuple[Point, ...]
+
+
+def _holders(
+    space: Space, tables: _Tables, hyps: Iterable[Hypothesis]
+) -> Iterator[_Holder]:
+    """Audit every (T, S, hypothesis) instance; yield the hypothesis holders.
+
+    Instances run T-major, then S, then `hyps` in order, and each walks the
+    ordered pairs in the order of `audit` on an exhaustive source, so the
+    first violation and any PhiBelowKSquared arise where `audit` finds them.
+    Each holder is confirmed by `audit` on the equivalent `MapPair`.
+    """
+    # Built and checked one at a time, so an invalid hypothesis raises the
+    # error `audit` raised on the first instance.
+    checked_hyps = []
+    for hyp in hyps:
+        check_hypothesis(space, hyp)
+        checked_hyps.append(hyp)
+    pts = space.carrier.points
+    dist = tables.dist
+    sharp_rows = tables.sharp
+
+    def sharp(i: int, j: int) -> float:
+        return sharp_rows[i][j]
+
+    for t, s, walk, fixed in _bijection_pairs(len(pts)):
+        for hyp in checked_hyps:
+            for i, j, a, b in walk:
+                if expansion_violation(
+                    hyp, sharp, i, j, a, b, dist[i][j], dist[a][b]
+                ) is not None:
+                    break
+            else:
+                t_table = {x: pts[k] for x, k in zip(pts, t)}
+                s_table = {x: pts[k] for x, k in zip(pts, s)}
+                maps = pair_from_tables(t_table, s_table)
+                if not audit(space, maps, hyp, Exhaustive()).passed:
+                    raise RuntimeError(
+                        f"the enumeration kernel and audit disagree on T = {t}, "
+                        f"S = {s} under {hyp!r}"
+                    )
+                yield _Holder(hyp, t_table, s_table, maps, tuple(pts[i] for i in fixed))
+
+
+def _counterexample(holder: _Holder) -> Counterexample:
+    return Counterexample(
+        _freeze(holder.t_table),
+        _freeze(holder.s_table),
+        tuple(sorted(holder.fixed_points, key=repr)),
+    )
+
+
+def _finite_points(space: Space, n_max: int, purpose: str) -> tuple[Point, ...]:
+    if not space.is_finite:
+        raise CarrierTooLarge(f"{purpose} needs a finite carrier")
+    pts = space.carrier.points
+    if len(pts) > n_max:
+        raise CarrierTooLarge(f"carrier size {len(pts)} exceeds n_max={n_max}")
+    return pts
+
+
 def audit_theorem_finite(
     space: Space, hyp: Hypothesis, n_max: int = DEFAULT_N_MAX
 ) -> TheoremAudit:
@@ -97,33 +232,14 @@ def audit_theorem_finite(
     point set must be a singleton unless distinct zero-distance labels
     blur uniqueness; anything else is recorded as a counterexample.
     """
-    if not space.is_finite:
-        raise CarrierTooLarge("theorem auditing needs a finite carrier")
-    pts = space.carrier.points
-    if len(pts) > n_max:
-        raise CarrierTooLarge(f"carrier size {len(pts)} exceeds n_max={n_max}")
-    tables = bijection_tables(pts)
-    zero_pair = has_zero_distance_pair(space)
-    checked = 0
+    pts = _finite_points(space, n_max, "theorem auditing")
     holders = 0
     counterexamples: list[Counterexample] = []
-    for t_table in tables:
-        for s_table in tables:
-            checked += 1
-            maps = pair_from_tables(t_table, s_table)
-            report = audit(space, maps, hyp, Exhaustive(), limit=1)
-            if not report.passed:
-                continue
-            holders += 1
-            fps = common_fixed_points(space, maps)
-            if len(fps) != 1 and not zero_pair:
-                counterexamples.append(
-                    Counterexample(
-                        _freeze(t_table),
-                        _freeze(s_table),
-                        tuple(sorted(fps, key=repr)),
-                    )
-                )
+    for holder in _holders(space, _tables(space), [hyp]):
+        holders += 1
+        if len(holder.fixed_points) != 1 and not has_zero_distance_pair(space):
+            counterexamples.append(_counterexample(holder))
+    checked = len(_bijection_pairs(len(pts)))
     return TheoremAudit(checked, holders, tuple(counterexamples))
 
 
@@ -140,23 +256,13 @@ def cross_validate(
     set each time; the conjunction over all runs is returned.  Vacuously
     true when no bijection pair holds the hypothesis.
     """
-    if not space.is_finite:
-        raise CarrierTooLarge("cross validation needs a finite carrier")
-    pts = space.carrier.points
-    if len(pts) > n_max:
-        raise CarrierTooLarge(f"carrier size {len(pts)} exceeds n_max={n_max}")
+    pts = _finite_points(space, n_max, "cross validation")
     starts = list(pts) if x0 is None else [x0]
-    tables = bijection_tables(pts)
-    for t_table in tables:
-        for s_table in tables:
-            maps = pair_from_tables(t_table, s_table)
-            if not audit(space, maps, hyp, Exhaustive(), limit=1).passed:
-                continue
-            expected = common_fixed_points(space, maps)
-            for start in starts:
-                report = solve(space, maps, hyp, start, max_steps=max_steps)
-                if report.candidate not in expected:
-                    return False
+    for holder in _holders(space, _tables(space), [hyp]):
+        for start in starts:
+            report = solve(space, holder.maps, hyp, start, max_steps=max_steps)
+            if report.candidate not in holder.fixed_points:
+                return False
     return True
 
 
@@ -200,7 +306,8 @@ def falsification_sweep(
     dropped.  Admitted spaces are audited across all ordered bijection
     pairs with constants R drawn from {K + offset} and {K * factor} and L
     from `l_values`.  A report with no counterexamples means every
-    hypothesis holder had exactly one common fixed point.
+    hypothesis holder had exactly one common fixed point.  By the counting
+    lemma (module docstring) every holder has n = 1.
     """
     matrices_checked = 0
     spaces_admitted = 0
@@ -211,38 +318,27 @@ def falsification_sweep(
         if n > n_max:
             raise CarrierTooLarge(f"sweep size {n} exceeds n_max={n_max}")
         labels = tuple(range(n))
-        tables = bijection_tables(labels)
+        n_pairs = len(_bijection_pairs(n))
         for matrix in _symmetric_matrices(n, entries):
             matrices_checked += 1
             base = table_space(labels, matrix, k_const=1.0, kind=SpaceKind.B_METRIC_LIKE)
+            tables = None  # read once, shared by every admitting K
             for k in k_values:
                 space = replace(base, k_const=float(k))
                 if not check_axioms(space, Exhaustive()).passed:
                     continue
                 spaces_admitted += 1
-                zero_pair = has_zero_distance_pair(space)
+                if tables is None:
+                    tables = _tables(base)
                 r_values = sorted(
                     {k + o for o in r_offsets} | {k * f for f in r_factors}
                 )
-                for t_table in tables:
-                    for s_table in tables:
-                        maps = pair_from_tables(t_table, s_table)
-                        for r in r_values:
-                            for l in l_values:
-                                instances_checked += 1
-                                hyp = RLHypothesis(float(r), float(l))
-                                if not audit(space, maps, hyp, Exhaustive(), limit=1).passed:
-                                    continue
-                                holders += 1
-                                fps = common_fixed_points(space, maps)
-                                if len(fps) != 1 and not zero_pair:
-                                    counterexamples.append(
-                                        Counterexample(
-                                            _freeze(t_table),
-                                            _freeze(s_table),
-                                            tuple(sorted(fps, key=repr)),
-                                        )
-                                    )
+                hyps = (RLHypothesis(float(r), float(l)) for r in r_values for l in l_values)
+                instances_checked += n_pairs * len(r_values) * len(l_values)
+                for holder in _holders(space, tables, hyps):
+                    holders += 1
+                    if len(holder.fixed_points) != 1 and not has_zero_distance_pair(space):
+                        counterexamples.append(_counterexample(holder))
     return SweepReport(
         matrices_checked,
         spaces_admitted,

@@ -9,6 +9,7 @@ turns the declarative parts into live objects.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Any
 
@@ -268,9 +269,26 @@ def normalize_scenario(doc: dict) -> dict:
     return out
 
 
+def _finite_float(literal: str) -> float:
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ScenarioError(f"non-finite number {literal}")
+    return value
+
+
 def load_scenario(path: str | Path) -> dict:
+    """Parse, validate and normalize a scenario file.
+
+    Python's JSON parser accepts Infinity, NaN and literals such as 1e999
+    that overflow to infinity; all are rejected, since an infinite bound
+    passes every inequality it appears in.
+    """
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(
+            Path(path).read_text(),
+            parse_float=_finite_float,
+            parse_constant=_finite_float,
+        )
     except json.JSONDecodeError as err:
         raise ScenarioError(f"not valid JSON: {err}") from err
     if not isinstance(doc, dict):

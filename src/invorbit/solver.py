@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from itertools import product
 from typing import Callable, Iterable, Sequence, Union
 
@@ -271,78 +272,46 @@ def _resolve_pairs(space: Space, pairs: PairSource) -> list[tuple[Point, Point]]
     return list(pairs)
 
 
-def audit_rl(
-    space: Space,
-    maps: MapPair,
-    hyp: RLHypothesis,
-    pairs: PairSource,
-    limit: int | None = None,
-) -> AuditReport:
-    """Check the constant-coefficient expansion inequality on ordered pairs.
-
-    Pairs are ordered: x always goes through T and y through S, with no
-    symmetrization.  `limit` stops collecting after that many violations
-    (the pass flag is already decided), which keeps large sweeps cheap.
-    """
-    if not hyp.r_const > space.k_const:
+def check_hypothesis(space: Space, hyp: Hypothesis) -> None:
+    """Raise ValueError unless a constant-coefficient R exceeds the space's K."""
+    if isinstance(hyp, RLHypothesis) and not hyp.r_const > space.k_const:
         raise ValueError("r_const must exceed the space's k_const")
-    d = space.dist
-    violations: list[AuditViolation] = []
-    checked = 0
-    for x, y in _resolve_pairs(space, pairs):
-        checked += 1
-        tx = maps.t_forward(x)
-        sy = maps.s_forward(y)
-        lhs = d(tx, sy)
+
+
+def expansion_violation(
+    hyp: Hypothesis,
+    sharp: Callable[[Point, Point], float],
+    x: Point,
+    y: Point,
+    tx: Point,
+    sy: Point,
+    dxy: float,
+    lhs: float,
+) -> float | None:
+    """Test the expansion inequality d(Tx, Sy) >= coeff * d(x, y) on one pair.
+
+    `dxy` is d(x, y), `lhs` is d(Tx, Sy), and `sharp` gives the diagonal
+    residuals of the constant form, evaluated only when L > 0.  Returns the
+    right-hand side when it exceeds `lhs` beyond slack, else None.  Pairs at
+    distance zero are vacuously compliant under the rate form (phi is only
+    defined for positive arguments), and a rate at or below its codomain
+    floor raises PhiBelowKSquared.
+    """
+    if isinstance(hyp, RLHypothesis):
         coeff = hyp.r_const
         if hyp.l_const > 0:
-            coeff += hyp.l_const * min(
-                d_sharp(space, x, tx),
-                d_sharp(space, y, sy),
-                d_sharp(space, x, sy),
-                d_sharp(space, y, tx),
-            )
-        rhs = coeff * d(x, y)
-        if exceeds(rhs, lhs):
-            violations.append(AuditViolation(x, y, lhs, rhs))
-            if limit is not None and len(violations) >= limit:
-                break
-    return AuditReport(checked, tuple(violations), not violations)
-
-
-def audit_phi(
-    space: Space,
-    maps: MapPair,
-    hyp: PhiHypothesis,
-    pairs: PairSource,
-    limit: int | None = None,
-) -> AuditReport:
-    """Check the rate-function expansion inequality on ordered pairs.
-
-    Pairs at distance zero are vacuously compliant (the rate function is
-    only defined for positive arguments).  Any probed value at or below
-    the codomain floor aborts with PhiBelowKSquared.
-    """
-    d = space.dist
-    violations: list[AuditViolation] = []
-    checked = 0
-    for x, y in _resolve_pairs(space, pairs):
-        checked += 1
-        t = d(x, y)
-        if t <= 0.0:
-            continue
-        rate = hyp.phi(t)
+            coeff += hyp.l_const * min(sharp(x, tx), sharp(y, sy), sharp(x, sy), sharp(y, tx))
+        rhs = coeff * dxy
+    else:
+        if dxy <= 0.0:
+            return None
+        rate = hyp.phi(dxy)
         if rate <= hyp.k_squared:
             raise PhiBelowKSquared(
-                f"phi({t}) = {rate} is not above the floor {hyp.k_squared}"
+                f"phi({dxy}) = {rate} is not above the floor {hyp.k_squared}"
             )
-        lhs = d(maps.t_forward(x), maps.s_forward(y))
-        rhs = rate * t
-        if exceeds(rhs, lhs):
-            violations.append(AuditViolation(x, y, lhs, rhs))
-            if limit is not None and len(violations) >= limit:
-                break
-    return AuditReport(checked, tuple(violations), not violations)
+        rhs = rate * dxy
+    return rhs if exceeds(rhs, lhs) else None
 
 
 def audit(
@@ -352,9 +321,33 @@ def audit(
     pairs: PairSource,
     limit: int | None = None,
 ) -> AuditReport:
-    if isinstance(hyp, RLHypothesis):
-        return audit_rl(space, maps, hyp, pairs, limit)
-    return audit_phi(space, maps, hyp, pairs, limit)
+    """Check the expansion inequality of either hypothesis form on ordered pairs.
+
+    Pairs are ordered: x always goes through T and y through S, with no
+    symmetrization.  `limit` stops collecting after that many violations
+    (the pass flag is already decided), which keeps large sweeps cheap.
+    """
+    check_hypothesis(space, hyp)
+    d = space.dist
+    sharp = partial(d_sharp, space)
+    violations: list[AuditViolation] = []
+    checked = 0
+    for x, y in _resolve_pairs(space, pairs):
+        checked += 1
+        tx = maps.t_forward(x)
+        sy = maps.s_forward(y)
+        lhs = d(tx, sy)
+        rhs = expansion_violation(hyp, sharp, x, y, tx, sy, d(x, y), lhs)
+        if rhs is not None:
+            violations.append(AuditViolation(x, y, lhs, rhs))
+            if limit is not None and len(violations) >= limit:
+                break
+    return AuditReport(checked, tuple(violations), not violations)
+
+
+# The per-form names predate `audit`, which serves both forms.
+audit_rl = audit
+audit_phi = audit
 
 
 # ---------------------------------------------------------------------------

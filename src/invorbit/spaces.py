@@ -338,10 +338,19 @@ def check_axioms(space: Space, strategy: Strategy) -> AxiomReport:
     subtract_mid = kind is SpaceKind.PARTIAL_METRIC
     for x, y, z in triples:
         lhs = d(x, y)
-        rhs = factor * (d(x, z) + d(z, y))
+        detour = d(x, z) + d(z, y)
+        rhs = factor * detour
         if subtract_mid:
             rhs -= d(z, z)
-        if exceeds(lhs, rhs):
+            broken = exceeds(lhs, rhs)
+        elif detour > 0.0:
+            # The ratio min_valid_k maximizes: at subnormal scale K * detour
+            # can round back onto lhs, where the ratio still separates K
+            # from K * (1 - 1e-9).
+            broken = exceeds(lhs / detour, factor)
+        else:
+            broken = exceeds(lhs, rhs)
+        if broken:
             violations.append(AxiomViolation(tri_id, (x, y, z), lhs, rhs))
 
     return AxiomReport(

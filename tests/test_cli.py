@@ -1,14 +1,18 @@
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from invorbit.cli import run_batch, run_scenario
 from invorbit.report import canonical_json
-from invorbit.scenario import SCENARIO_SCHEMA, normalize_scenario
+from invorbit.errors import ScenarioError
+from invorbit.scenario import SCENARIO_SCHEMA, load_scenario, normalize_scenario
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 
 
 def _write(tmp_path, name, doc):
@@ -253,6 +257,39 @@ def test_batch_with_no_scenarios_is_an_error(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
     assert run_batch(empty, tmp_path / "out", seed=None) == 1
+
+
+def test_arithmetic_failure_does_not_abort_the_batch(tmp_path):
+    # From x0 = 1e200 the squared distance of the b-metric overflows.
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    doc = json.loads((SCENARIOS / "b_metric_solve.json").read_text())
+    doc["run"]["x0"] = 1e200
+    _write(batch, "a_overflow.json", doc)
+    (batch / "b_good.json").write_text((SCENARIOS / "sqrt_square_solve.json").read_text())
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "invorbit", "--batch", str(batch), "--out", str(out)],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "error: OverflowError" in proc.stderr
+    assert (out / "b_good" / "report.json").exists()
+
+
+@pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN", "1e999"])
+def test_non_finite_numbers_are_rejected_at_load(tmp_path, literal):
+    path = tmp_path / "scenario.json"
+    path.write_text(
+        '{"space": {"family": "sqrt_square", "k_const": %s},'
+        ' "run": {"command": "axioms", "n_samples": 10}}' % literal
+    )
+    with pytest.raises(ScenarioError, match="non-finite"):
+        load_scenario(path)
+    assert run_scenario(path, tmp_path / "out") == 1
 
 
 # ---------------------------------------------------------------------------
