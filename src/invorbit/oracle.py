@@ -118,38 +118,18 @@ def _freeze(table: dict) -> tuple:
 
 
 @lru_cache(maxsize=DEFAULT_N_MAX)
-def _bijection_pairs(n: int) -> tuple[tuple[tuple, tuple, tuple, tuple], ...]:
-    """Every ordered bijection pair (T, S) of range(n), as index tuples.
-
-    Each comes with its pair walk, the (x, y, Tx, Sy) index quadruples in
-    the order `audit` visits an exhaustive source, and its common fixed
-    indices.
-    """
-    perms = list(permutations(range(n)))
-    index_pairs = list(product(range(n), repeat=2))
+def _bijections(n: int) -> tuple[tuple[tuple[int, ...], frozenset[int]], ...]:
+    """Every bijection of range(n) as an index tuple, with its fixed indices."""
     return tuple(
-        (
-            t,
-            s,
-            tuple((i, j, t[i], s[j]) for i, j in index_pairs),
-            tuple(i for i in range(n) if t[i] == i and s[i] == i),
-        )
-        for t in perms
-        for s in perms
+        (t, frozenset(i for i in range(n) if t[i] == i))
+        for t in permutations(range(n))
     )
 
 
-@dataclass(frozen=True)
-class _Tables:
+def _tables(space: Space) -> tuple[tuple, tuple]:
     """A finite space's distances and diagonal residuals, indexed by position."""
-
-    dist: tuple[tuple[float, ...], ...]
-    sharp: tuple[tuple[float, ...], ...]
-
-
-def _tables(space: Space) -> _Tables:
     pts = space.carrier.points
-    return _Tables(
+    return (
         tuple(tuple(space.dist(x, y) for y in pts) for x in pts),
         tuple(tuple(d_sharp(space, x, y) for y in pts) for x in pts),
     )
@@ -165,7 +145,7 @@ class _Holder:
 
 
 def _holders(
-    space: Space, tables: _Tables, hyps: Iterable[Hypothesis]
+    space: Space, dist: tuple, sharp_rows: tuple, hyps: Iterable[Hypothesis]
 ) -> Iterator[_Holder]:
     """Audit every (T, S, hypothesis) instance; yield the hypothesis holders.
 
@@ -181,29 +161,42 @@ def _holders(
         check_hypothesis(space, hyp)
         checked_hyps.append(hyp)
     pts = space.carrier.points
-    dist = tables.dist
-    sharp_rows = tables.sharp
 
     def sharp(i: int, j: int) -> float:
         return sharp_rows[i][j]
 
-    for t, s, walk, fixed in _bijection_pairs(len(pts)):
-        for hyp in checked_hyps:
-            for i, j, a, b in walk:
-                if expansion_violation(
-                    hyp, sharp, i, j, a, b, dist[i][j], dist[a][b]
-                ) is not None:
-                    break
-            else:
-                t_table = {x: pts[k] for x, k in zip(pts, t)}
-                s_table = {x: pts[k] for x, k in zip(pts, s)}
-                maps = pair_from_tables(t_table, s_table)
-                if not audit(space, maps, hyp, Exhaustive()).passed:
-                    raise RuntimeError(
-                        f"the enumeration kernel and audit disagree on T = {t}, "
-                        f"S = {s} under {hyp!r}"
-                    )
-                yield _Holder(hyp, t_table, s_table, maps, tuple(pts[i] for i in fixed))
+    n = len(pts)
+    bijections = _bijections(n)
+    index_pairs = tuple(product(range(n), repeat=2))  # `audit`'s pair order
+    for t, t_fixed in bijections:
+        # The walk's S-independent part: x, y, Tx, d(x, y) and the row of Tx.
+        t_walk = tuple((i, j, t[i], dist[i][j], dist[t[i]]) for i, j in index_pairs)
+        for s, s_fixed in bijections:
+            for hyp in checked_hyps:
+                for i, j, a, dxy, a_row in t_walk:
+                    b = s[j]
+                    if expansion_violation(
+                        hyp, sharp, i, j, a, b, dxy, a_row[b]
+                    ) is not None:
+                        break
+                else:
+                    yield _holder(space, hyp, t, s, t_fixed & s_fixed)
+
+
+def _holder(
+    space: Space, hyp: Hypothesis, t: tuple, s: tuple, fixed: frozenset
+) -> _Holder:
+    """The holder (T, S) as maps, confirmed by `audit` on the same instance."""
+    pts = space.carrier.points
+    t_table = {x: pts[k] for x, k in zip(pts, t)}
+    s_table = {x: pts[k] for x, k in zip(pts, s)}
+    maps = pair_from_tables(t_table, s_table)
+    if not audit(space, maps, hyp, Exhaustive()).passed:
+        raise RuntimeError(
+            f"the enumeration kernel and audit disagree on T = {t}, "
+            f"S = {s} under {hyp!r}"
+        )
+    return _Holder(hyp, t_table, s_table, maps, tuple(pts[i] for i in sorted(fixed)))
 
 
 def _counterexample(holder: _Holder) -> Counterexample:
@@ -235,11 +228,12 @@ def audit_theorem_finite(
     pts = _finite_points(space, n_max, "theorem auditing")
     holders = 0
     counterexamples: list[Counterexample] = []
-    for holder in _holders(space, _tables(space), [hyp]):
+    zero_pair = has_zero_distance_pair(space)
+    for holder in _holders(space, *_tables(space), [hyp]):
         holders += 1
-        if len(holder.fixed_points) != 1 and not has_zero_distance_pair(space):
+        if len(holder.fixed_points) != 1 and not zero_pair:
             counterexamples.append(_counterexample(holder))
-    checked = len(_bijection_pairs(len(pts)))
+    checked = len(_bijections(len(pts))) ** 2
     return TheoremAudit(checked, holders, tuple(counterexamples))
 
 
@@ -258,7 +252,7 @@ def cross_validate(
     """
     pts = _finite_points(space, n_max, "cross validation")
     starts = list(pts) if x0 is None else [x0]
-    for holder in _holders(space, _tables(space), [hyp]):
+    for holder in _holders(space, *_tables(space), [hyp]):
         for start in starts:
             report = solve(space, holder.maps, hyp, start, max_steps=max_steps)
             if report.candidate not in holder.fixed_points:
@@ -318,7 +312,7 @@ def falsification_sweep(
         if n > n_max:
             raise CarrierTooLarge(f"sweep size {n} exceeds n_max={n_max}")
         labels = tuple(range(n))
-        n_pairs = len(_bijection_pairs(n))
+        n_pairs = len(_bijections(n)) ** 2
         for matrix in _symmetric_matrices(n, entries):
             matrices_checked += 1
             base = table_space(labels, matrix, k_const=1.0, kind=SpaceKind.B_METRIC_LIKE)
@@ -330,14 +324,15 @@ def falsification_sweep(
                 spaces_admitted += 1
                 if tables is None:
                     tables = _tables(base)
+                    zero_pair = has_zero_distance_pair(base)
                 r_values = sorted(
                     {k + o for o in r_offsets} | {k * f for f in r_factors}
                 )
                 hyps = (RLHypothesis(float(r), float(l)) for r in r_values for l in l_values)
                 instances_checked += n_pairs * len(r_values) * len(l_values)
-                for holder in _holders(space, tables, hyps):
+                for holder in _holders(space, *tables, hyps):
                     holders += 1
-                    if len(holder.fixed_points) != 1 and not has_zero_distance_pair(space):
+                    if len(holder.fixed_points) != 1 and not zero_pair:
                         counterexamples.append(_counterexample(holder))
     return SweepReport(
         matrices_checked,

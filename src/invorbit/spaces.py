@@ -342,15 +342,16 @@ def check_axioms(space: Space, strategy: Strategy) -> AxiomReport:
         rhs = factor * detour
         if subtract_mid:
             rhs -= d(z, z)
-            broken = exceeds(lhs, rhs)
-        elif detour > 0.0:
-            # The ratio min_valid_k maximizes: at subnormal scale K * detour
-            # can round back onto lhs, where the ratio still separates K
-            # from K * (1 - 1e-9).
-            broken = exceeds(lhs / detour, factor)
-        else:
-            broken = exceeds(lhs, rhs)
-        if broken:
+        # Also the ratio min_valid_k maximizes: at subnormal scale K * detour
+        # can round back onto lhs, where the ratio still separates K from
+        # K * (1 - 1e-9).  The product test stays for ratios that overflow.
+        # A ratio above K means K * detour < lhs exactly, so rhs <= lhs.
+        if exceeds(lhs, rhs) or (
+            not subtract_mid
+            and detour > 0.0
+            and rhs <= lhs
+            and exceeds(lhs / detour, factor)
+        ):
             violations.append(AxiomViolation(tri_id, (x, y, z), lhs, rhs))
 
     return AxiomReport(

@@ -95,6 +95,15 @@ def test_enumeration_covers_all_ordered_bijection_pairs(n):
     assert len(bijection_tables(pts)) == math.factorial(n)
 
 
+def test_kernel_caches_bijections_not_pairs():
+    # Five points beyond the default cap: 120 bijections are kept, and the
+    # 14,400 ordered pairs are walked as they are enumerated.
+    s = _abs_table((0.0, 1.0, 2.0, 3.0, 4.0))
+    audit = iv.audit_theorem_finite(s, iv.RLHypothesis(2.0, 0.0), n_max=5)
+    assert audit.instances_checked == 120**2
+    assert len(oracle._bijections(5)) == 120
+
+
 def test_carrier_size_cap_is_enforced():
     s = _abs_table((0.0, 1.0, 2.0, 3.0, 4.0))
     with pytest.raises(iv.CarrierTooLarge):
@@ -200,7 +209,7 @@ def _reference_theorem_audit(space, hyp):
 def _kernel_verdicts(space, hyps):
     held = {
         (oracle._freeze(h.t_table), oracle._freeze(h.s_table), h.hyp)
-        for h in oracle._holders(space, oracle._tables(space), hyps)
+        for h in oracle._holders(space, *oracle._tables(space), hyps)
     }
     tables = bijection_tables(space.carrier.points)
     return [

@@ -141,6 +141,20 @@ def test_zero_distance_between_distinct_labels_breaks_d1():
     assert any(v.axiom_id == "D1" for v in report.violations)
 
 
+@pytest.mark.parametrize("tiny", [1e-310, 1e-300])
+def test_triangle_violation_with_overflowing_ratio_is_caught(tiny):
+    # d(0,1) / (d(0,2) + d(2,1)) overflows to inf; the triple still breaks D3.
+    big = 1.0 if tiny < 1e-300 else 1e10
+    s = iv.table_space(
+        (0, 1, 2), [[0, big, tiny], [big, 0, tiny], [tiny, tiny, 0]], k_const=2.0
+    )
+    report = iv.check_axioms(s, iv.Exhaustive())
+    assert any(
+        v.axiom_id == "D3" and v.witness == (0, 1, 2) for v in report.violations
+    )
+    assert iv.min_valid_k(s) == math.inf
+
+
 def test_max_table_is_a_partial_metric():
     values = (1.0, 2.0, 3.0)
     matrix = [[max(a, b) for b in values] for a in values]
