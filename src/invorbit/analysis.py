@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from itertools import repeat
+from typing import Iterable, Sequence
 
 from .errors import HypothesisNotMet, NegativeDistance
 from .numerics import exceeds, tail_window
@@ -118,29 +119,35 @@ class SandwichBounds:
 
 
 def limit_sandwich_check(
-    space: Space, seq: Sequence[Point], x: Point, y: Point, tol: float
-) -> SandwichBounds:
-    """Bound the tail average of D(x_n, y) by [D(x,y)/K, K*D(x,y)].
+    space: Space, seq: Sequence[Point], x: Point, ys: Iterable[Point], tol: float
+) -> list[SandwichBounds]:
+    """Bound the tail average of D(x_n, y) by [D(x,y)/K, K*D(x,y)], per y.
 
     Requires the stronger entry condition D(x_n, x) -> 0 (not merely
     convergence in the self-distance sense); the tail of the prefix must
-    already sit below `tol`, otherwise HypothesisNotMet is raised.
+    already sit below `tol`, otherwise HypothesisNotMet is raised.  The
+    condition does not depend on y, so it is tested once per sequence;
+    each y then gets its own tail average.
     """
     if not seq:
         raise ValueError("sequence prefix must be nonempty")
     if tol <= 0:
         raise ValueError("tol must be positive")
     d = space.dist
+    k = space.k_const
     w = tail_window(len(seq))
     tail = seq[len(seq) - w :]
-    worst = max(d(p, x) for p in tail)
+    worst = max(map(d, tail, repeat(x)))
     if worst >= tol:
         raise HypothesisNotMet(
             f"tail distance to the limit point is {worst}, not below {tol}"
         )
-    estimate = math.fsum(d(p, y) for p in tail) / len(tail)
-    dxy = d(x, y)
-    lower = dxy / space.k_const
-    upper = space.k_const * dxy
-    holds = (lower - tol) <= estimate <= (upper + tol)
-    return SandwichBounds(lower, estimate, upper, holds)
+    out = []
+    for y in ys:
+        estimate = math.fsum(map(d, tail, repeat(y))) / len(tail)
+        dxy = d(x, y)
+        lower = dxy / k
+        upper = k * dxy
+        holds = (lower - tol) <= estimate <= (upper + tol)
+        out.append(SandwichBounds(lower, estimate, upper, holds))
+    return out

@@ -190,22 +190,16 @@ def _run_lemmas(scenario: dict, out_dir: Path) -> tuple[dict, int]:
     tol = run["tol"]
     candidate = trace.points[-1]
     samples = sample_points(space, LEMMA_SANDWICH_SAMPLES, run["seed"])
-    sandwich_failures = []
-    hypothesis_met = True
     try:
-        for y in samples:
-            bounds = limit_sandwich_check(space, trace.points, candidate, y, tol)
-            if not bounds.holds:
-                sandwich_failures.append(
-                    {
-                        "y": y,
-                        "lower": bounds.lower,
-                        "estimate": bounds.estimate,
-                        "upper": bounds.upper,
-                    }
-                )
+        checks = limit_sandwich_check(space, trace.points, candidate, samples, tol)
+        hypothesis_met = True
     except HypothesisNotMet:
-        hypothesis_met = False
+        checks, hypothesis_met = [], False
+    sandwich_failures = [
+        {"y": y, "lower": b.lower, "estimate": b.estimate, "upper": b.upper}
+        for y, b in zip(samples, checks)
+        if not b.holds
+    ]
     cauchy_ok = trace.cauchy.verdict is CauchyOutcome.CAUCHY_CERTIFIED
     passed = polygon.holds and cauchy_ok and hypothesis_met and not sandwich_failures
     results = {

@@ -9,11 +9,12 @@ rather than fixed, hence the small writer here.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
+import re
+from itertools import chain, count, repeat
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 
 def format_float(x: float) -> str:
@@ -59,14 +60,29 @@ def emit_report(report: dict, path: str | Path) -> bytes:
     return data
 
 
-def _cell(value: Any) -> str:
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return format(value, ".17g")
-    return str(value)
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+
+def _cells(values: Iterable[Any]) -> Iterator[str]:
+    """CSV text of each value: floats as .17g, anything else via str.
+
+    A nonzero float equal to the last float of its column is the same
+    double, so that text is reused; zeros are excluded because -0.0 == 0.0.
+    Non-float text is quoted as csv's default dialect would: a cell holding
+    a comma, a quote, CR or LF is wrapped in quotes with its quotes doubled.
+    """
+    prev = text = None
+    for value in values:
+        if isinstance(value, float):
+            if value != prev or not value:
+                prev = value
+                text = format(value, ".17g")  # nan, inf, -inf included
+            yield text
+        else:
+            cell = str(value)
+            if _NEEDS_QUOTES.search(cell):
+                cell = '"' + cell.replace('"', '""') + '"'
+            yield cell
 
 
 def write_trace_csv(points, distances, ratios, path: str | Path) -> None:
@@ -74,11 +90,14 @@ def write_trace_csv(points, distances, ratios, path: str | Path) -> None:
 
     Row n's ratio is distances[n] / distances[n-1]; the cells are blank
     where a value is undefined (the first row and the trailing edge).
+    Rows end in CRLF, as csv's default dialect writes them, and are
+    streamed, not built up front.
     """
+    dists = chain(_cells(distances), repeat(""))
+    ratios = chain(("",), _cells(ratios), repeat(""))
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["step", "point", "dist_to_next", "ratio"])
-        for n, point in enumerate(points):
-            dist = _cell(distances[n]) if n < len(distances) else ""
-            ratio = _cell(ratios[n - 1]) if 1 <= n <= len(ratios) else ""
-            writer.writerow([n, _cell(point), dist, ratio])
+        handle.write("step,point,dist_to_next,ratio\r\n")
+        handle.writelines(
+            f"{step},{point},{dist},{ratio}\r\n"
+            for step, point, dist, ratio in zip(count(), _cells(points), dists, ratios)
+        )

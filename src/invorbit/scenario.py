@@ -66,7 +66,11 @@ SCENARIO_SCHEMA: dict = {
                 "sample_bound": {"type": "number", "exclusiveMinimum": 0},
                 "lower": {"type": "number"},
                 "upper": {"type": ["number", "null"]},
-                "labels": {"type": "array", "minItems": 1},
+                "labels": {
+                    "type": "array",
+                    "minItems": 1,
+                    "items": {"type": ["string", "number", "boolean", "null"]},
+                },
                 "matrix": {
                     "type": "array",
                     "items": {"type": "array", "items": {"type": "number"}},
@@ -301,6 +305,23 @@ def load_scenario(path: str | Path) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _distinct_labels(labels: list) -> tuple:
+    """Table labels, rejecting two that share a string form.
+
+    `coerce_point` finds a finite point by its string form, so labels such
+    as 1 and "1", or true and "True", cannot be told apart.
+    """
+    by_str: dict[str, int] = {}
+    for i, label in enumerate(labels):
+        j = by_str.setdefault(str(label), i)
+        if j != i:
+            raise ScenarioError(
+                f"table labels {labels[j]!r} and {label!r} collide: finite "
+                "points are addressed by their string form"
+            )
+    return tuple(labels)
+
+
 def build_space(scenario: dict) -> Space:
     spec = scenario["space"]
     family = spec["family"]
@@ -325,7 +346,7 @@ def build_space(scenario: dict) -> Space:
         space = square_diff_space(k, spec["sample_bound"])
     elif family == "table":
         space = table_space(
-            tuple(spec["labels"]),
+            _distinct_labels(spec["labels"]),
             spec["matrix"],
             k,
             SpaceKind(spec["kind"]),

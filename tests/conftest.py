@@ -1,6 +1,18 @@
+import os
+from pathlib import Path
+
 import pytest
 
 import invorbit as iv
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.fixture
+def cli_env():
+    """Environment for `python -m invorbit` subprocesses, with src/ importable."""
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), path]))}
 
 
 def make_pair(t, s, t_label="custom", s_label="custom"):

@@ -128,9 +128,7 @@ def test_criterion_5_sandwich_suite():
     harmonic = [1.0 / n for n in range(1, 1_400_001)]
     held = 0
     for seq in (geometric, harmonic):
-        for y in ys:
-            if iv.limit_sandwich_check(space, seq, 0.0, y, tol).holds:
-                held += 1
+        held += sum(b.holds for b in iv.limit_sandwich_check(space, seq, 0.0, ys, tol))
     ok = held == 200
     _report(5, ok, f"{held}/200 sandwich bounds hold at tol={tol}")
 
@@ -186,7 +184,11 @@ def test_criterion_8_specialized_kind_golden_runs(tmp_path):
         code = run_scenario(SCENARIOS / f"{name}.json", out)
         body = (out / "report.json").read_bytes()
         reports[name] = (code, json.loads(body))
-        matched.append(body == (GOLDENS / f"{name}.report.json").read_bytes())
+        matched.append(
+            body == (GOLDENS / f"{name}.report.json").read_bytes()
+            and (out / "trace.csv").read_bytes()
+            == (GOLDENS / f"{name}.trace.csv").read_bytes()
+        )
     same_shape = (
         len({tuple(sorted(rep["results"])) for _, rep in reports.values()}) == 1
     )
@@ -203,7 +205,7 @@ def test_criterion_8_specialized_kind_golden_runs(tmp_path):
     )
 
 
-def test_criterion_9_determinism_across_invocations(tmp_path):
+def test_criterion_9_determinism_across_invocations(tmp_path, cli_env):
     identical = []
     for name in ("sqrt_square_solve", "sqrt_square_audit", "oracle_sweep"):
         bodies = []
@@ -218,7 +220,9 @@ def test_criterion_9_determinism_across_invocations(tmp_path):
                 "--out",
                 str(out),
             ]
-            proc = subprocess.run(cmd, capture_output=True, text=True, cwd=ROOT)
+            proc = subprocess.run(
+                cmd, capture_output=True, text=True, cwd=ROOT, env=cli_env
+            )
             assert proc.returncode in (0, 2), proc.stderr
             bodies.append((out / "report.json").read_bytes())
         identical.append(bodies[0] == bodies[1])

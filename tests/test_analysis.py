@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import invorbit as iv
+from invorbit.numerics import tail_window
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +130,7 @@ def test_slow_decay_stays_inconclusive(lam):
 def test_sandwich_around_unit_point(sqrt_square):
     # D(x_n, 1) = (1 + sqrt(x_n))**2 tends to 1 = D(0, 1); bounds [0.5, 2].
     seq = [4.0 / 9.0 ** n for n in range(60)]
-    bounds = iv.limit_sandwich_check(sqrt_square, seq, 0.0, 1.0, tol=1e-6)
+    [bounds] = iv.limit_sandwich_check(sqrt_square, seq, 0.0, [1.0], tol=1e-6)
     assert bounds.lower == 0.5
     assert bounds.upper == 2.0
     assert bounds.estimate == pytest.approx(1.0, abs=1e-4)
@@ -138,7 +139,7 @@ def test_sandwich_around_unit_point(sqrt_square):
 
 def test_sandwich_degenerate_at_origin(sqrt_square):
     seq = [4.0 / 9.0 ** n for n in range(60)]
-    bounds = iv.limit_sandwich_check(sqrt_square, seq, 0.0, 0.0, tol=1e-6)
+    [bounds] = iv.limit_sandwich_check(sqrt_square, seq, 0.0, [0.0], tol=1e-6)
     assert bounds.lower == 0.0 and bounds.upper == 0.0
     assert bounds.holds
 
@@ -146,7 +147,7 @@ def test_sandwich_degenerate_at_origin(sqrt_square):
 def test_sandwich_harmonic_sequence(sqrt_square):
     # D(x_n, 4) = (2 + sqrt(1/n))**2 tends to 4; bounds [2, 8].
     seq = [1.0 / n for n in range(1, 5001)]
-    bounds = iv.limit_sandwich_check(sqrt_square, seq, 0.0, 4.0, tol=1e-3)
+    [bounds] = iv.limit_sandwich_check(sqrt_square, seq, 0.0, [4.0], tol=1e-3)
     assert bounds.lower == 2.0 and bounds.upper == 8.0
     assert bounds.estimate == pytest.approx(4.0, abs=0.2)
     assert bounds.holds
@@ -156,13 +157,52 @@ def test_sandwich_gate_requires_vanishing_tail(sqrt_square):
     # The entry condition is D(x_n, x) -> 0, stronger than convergence:
     # a constant sequence at 1 has D(x_n, 1) = 4 forever.
     with pytest.raises(iv.HypothesisNotMet):
-        iv.limit_sandwich_check(sqrt_square, [1.0] * 50, 1.0, 2.0, tol=1e-6)
+        iv.limit_sandwich_check(sqrt_square, [1.0] * 50, 1.0, [2.0], tol=1e-6)
 
 
 def test_sandwich_holds_for_sampled_targets(sqrt_square):
     seq = [4.0 / 9.0 ** n for n in range(60)]
-    for y in iv.sample_points(sqrt_square, 50, seed=11):
-        assert iv.limit_sandwich_check(sqrt_square, seq, 0.0, y, tol=1e-6).holds
+    ys = iv.sample_points(sqrt_square, 50, seed=11)
+    bounds = iv.limit_sandwich_check(sqrt_square, seq, 0.0, ys, tol=1e-6)
+    assert len(bounds) == 50
+    assert all(b.holds for b in bounds)
+
+
+def _per_y_sandwich(space, seq, x, y, tol):
+    """The unbatched check, one target at a time, as a reference."""
+    d = space.dist
+    tail = seq[len(seq) - tail_window(len(seq)) :]
+    worst = max(d(p, x) for p in tail)
+    if worst >= tol:
+        raise iv.HypothesisNotMet(f"tail distance {worst}")
+    estimate = math.fsum(d(p, y) for p in tail) / len(tail)
+    lower = d(x, y) / space.k_const
+    upper = space.k_const * d(x, y)
+    return iv.SandwichBounds(lower, estimate, upper, lower - tol <= estimate <= upper + tol)
+
+
+@pytest.mark.parametrize("k_const", [2.0, 1.0])
+def test_batched_sandwich_matches_per_y_checks(k_const):
+    # At K = 1 the bound [D(x,y), D(x,y)] leaves no room for the harmonic
+    # tail's bias, so the batch mixes held and failed targets.
+    space = iv.sqrt_square_space(k_const)
+    ys = iv.sample_points(space, 40, seed=7) + [0.0]
+    geometric = [4.0 / 9.0 ** n for n in range(60)]
+    harmonic = [1.0 / n for n in range(1, 5001)]
+    verdicts = set()
+    for seq, tol in ((geometric, 1e-6), (harmonic, 1e-3)):
+        batched = iv.limit_sandwich_check(space, seq, 0.0, ys, tol)
+        assert batched == [_per_y_sandwich(space, seq, 0.0, y, tol) for y in ys]
+        verdicts.update(b.holds for b in batched)
+    assert verdicts == ({True} if k_const == 2.0 else {True, False})
+
+
+def test_batched_sandwich_gate_raises_like_the_per_y_check(sqrt_square):
+    ys = iv.sample_points(sqrt_square, 10, seed=3)
+    with pytest.raises(iv.HypothesisNotMet):
+        _per_y_sandwich(sqrt_square, [1.0] * 50, 1.0, ys[0], 1e-6)
+    with pytest.raises(iv.HypothesisNotMet):
+        iv.limit_sandwich_check(sqrt_square, [1.0] * 50, 1.0, ys, tol=1e-6)
 
 
 # ---------------------------------------------------------------------------

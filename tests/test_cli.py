@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import subprocess
@@ -7,9 +8,14 @@ from pathlib import Path
 import pytest
 
 from invorbit.cli import run_batch, run_scenario
-from invorbit.report import canonical_json
+from invorbit.report import canonical_json, write_trace_csv
 from invorbit.errors import ScenarioError
-from invorbit.scenario import SCENARIO_SCHEMA, load_scenario, normalize_scenario
+from invorbit.scenario import (
+    SCENARIO_SCHEMA,
+    build_space,
+    load_scenario,
+    normalize_scenario,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -40,6 +46,68 @@ def test_non_finite_floats_become_strings():
 def test_keys_are_sorted():
     out = canonical_json({"b": 1, "a": 2})
     assert out.index('"a"') < out.index('"b"')
+
+
+# ---------------------------------------------------------------------------
+# trace CSV writer
+# ---------------------------------------------------------------------------
+
+
+def _reference_trace_csv(points, distances, ratios, path):
+    """The csv.writer loop that the streaming writer replaced."""
+
+    def cell(value):
+        if isinstance(value, float):
+            if math.isnan(value):
+                return "nan"
+            if math.isinf(value):
+                return "inf" if value > 0 else "-inf"
+            return format(value, ".17g")
+        return str(value)
+
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["step", "point", "dist_to_next", "ratio"])
+        for n, point in enumerate(points):
+            dist = cell(distances[n]) if n < len(distances) else ""
+            ratio = cell(ratios[n - 1]) if 1 <= n <= len(ratios) else ""
+            writer.writerow([n, cell(point), dist, ratio])
+
+
+_SUBNORMAL_STALL = [2.0**-e for e in range(1060, 1076)] + [5e-324] * 6 + [1e-310] * 3
+_SIGNED_ZEROS = [0.0, -0.0, 0.0, -0.0, -0.0, 0.0, 0.0]
+_NON_FINITE = [math.nan, math.nan, math.inf, math.inf, -math.inf, -math.inf, math.nan]
+_INT_VS_FLOAT = [1, 1.0, 1.0, 1, 10**20, 1e20, 1e20, 10**20, True, 1.0]
+_LABELS = ["a,b", 'say "hi"', "two\nlines", "cr\rhere", "", None, "plain", "plain"]
+
+
+@pytest.mark.parametrize(
+    "points, distances, ratios",
+    [
+        (_SUBNORMAL_STALL, _SUBNORMAL_STALL[1:], [1.0] * 23),
+        (_SIGNED_ZEROS, _SIGNED_ZEROS[::-1], _SIGNED_ZEROS),
+        (_NON_FINITE, _NON_FINITE[1:], _NON_FINITE[2:]),
+        (_INT_VS_FLOAT, _INT_VS_FLOAT[::-1], _INT_VS_FLOAT[3:]),
+        (_LABELS, _LABELS[2:], _LABELS),
+        (_LABELS + _NON_FINITE, [0.5] * 3, [0.25] * 2),
+        (_SIGNED_ZEROS, [2e-323] * 12, [4e-323] * 12),
+        ([], [1.0], [1.0]),
+    ],
+    ids=[
+        "subnormal_stall",
+        "signed_zeros",
+        "non_finite",
+        "int_vs_float",
+        "labels",
+        "short_columns",
+        "long_columns",
+        "empty",
+    ],
+)
+def test_trace_csv_matches_the_csv_writer(tmp_path, points, distances, ratios):
+    write_trace_csv(points, distances, ratios, tmp_path / "new.csv")
+    _reference_trace_csv(points, distances, ratios, tmp_path / "reference.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +149,36 @@ def test_r_must_exceed_k_is_an_error(tmp_path):
         "assumptions": {"complete": True},
     }
     assert run_scenario(_write(tmp_path, "bad.json", doc), tmp_path / "out") == 1
+
+
+def _table_doc(labels, **run):
+    return {
+        "space": {
+            "family": "table",
+            "labels": labels,
+            "matrix": [[int(i != j) for j in labels] for i in labels],
+            "k_const": 1.0,
+            "kind": "b_metric",
+        },
+        "run": {"command": "axioms", **run},
+    }
+
+
+@pytest.mark.parametrize("labels", [[1, "1"], [True, "True"], ["2", "a", 2]])
+def test_colliding_table_labels_are_rejected(tmp_path, capsys, labels):
+    with pytest.raises(ScenarioError, match="collide"):
+        build_space(normalize_scenario(_table_doc(labels)))
+    # A permutation map used to fail here with a misleading coverage error.
+    doc = _table_doc(labels, command="audit")
+    doc["maps"] = {
+        "t": {"kind": "permutation", "table": {"1": "1"}},
+        "s": {"kind": "identity"},
+    }
+    doc["hypothesis"] = {"form": "rl", "r_const": 1.5}
+    assert run_scenario(_write(tmp_path, "collide.json", doc), tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert f"{labels[0]!r} and {labels[-1]!r} collide" in err
+    assert "cover" not in err
 
 
 def test_normalization_is_idempotent():
@@ -259,7 +357,7 @@ def test_batch_with_no_scenarios_is_an_error(tmp_path):
     assert run_batch(empty, tmp_path / "out", seed=None) == 1
 
 
-def test_arithmetic_failure_does_not_abort_the_batch(tmp_path):
+def test_arithmetic_failure_does_not_abort_the_batch(tmp_path, cli_env):
     # From x0 = 1e200 the squared distance of the b-metric overflows.
     batch = tmp_path / "batch"
     batch.mkdir()
@@ -273,10 +371,32 @@ def test_arithmetic_failure_does_not_abort_the_batch(tmp_path):
         capture_output=True,
         text=True,
         cwd=ROOT,
+        env=cli_env,
     )
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert "error: OverflowError" in proc.stderr
+    assert (out / "b_good" / "report.json").exists()
+
+
+def test_non_scalar_labels_do_not_abort_the_batch(tmp_path, cli_env):
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    _write(batch, "a_nested.json", _table_doc([[1], [2]]))
+    (batch / "b_good.json").write_text((SCENARIOS / "sqrt_square_solve.json").read_text())
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "invorbit", "--batch", str(batch), "--out", str(out)],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        env=cli_env,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert "$.space.labels[0]" in proc.stderr
     assert (out / "b_good" / "report.json").exists()
 
 
