@@ -79,6 +79,7 @@ from .spaces import (
     max_partial_space,
     min_valid_k,
     restrict_to_points,
+    sample,
     sample_pairs,
     sample_points,
     sample_triples,

@@ -95,7 +95,7 @@ def write_trace_csv(points, distances, ratios, path: str | Path) -> None:
     """
     dists = chain(_cells(distances), repeat(""))
     ratios = chain(("",), _cells(ratios), repeat(""))
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write("step,point,dist_to_next,ratio\r\n")
         handle.writelines(
             f"{step},{point},{dist},{ratio}\r\n"

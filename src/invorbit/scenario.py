@@ -289,7 +289,7 @@ def load_scenario(path: str | Path) -> dict:
     """
     try:
         doc = json.loads(
-            Path(path).read_text(),
+            Path(path).read_text(encoding="utf-8"),
             parse_float=_finite_float,
             parse_constant=_finite_float,
         )

@@ -311,7 +311,8 @@ def expansion_violation(
                 f"phi({dxy}) = {rate} is not above the floor {hyp.k_squared}"
             )
         rhs = rate * dxy
-    return rhs if exceeds(rhs, lhs) else None
+    # exceeds(rhs, lhs) implies rhs > lhs, the cheaper exact test.
+    return rhs if rhs > lhs and exceeds(rhs, lhs) else None
 
 
 def audit(

@@ -25,8 +25,9 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice, product
-from typing import Any, Callable, Sequence, Union
+from itertools import chain, islice, product
+from struct import unpack
+from typing import Any, Callable, Iterator, Sequence, Union
 
 from .errors import ExhaustiveOnInfiniteCarrier, NoFiniteK
 from .numerics import TOL_POINT, differs, exceeds, tail_window
@@ -36,6 +37,7 @@ DistanceFn = Callable[[Point, Point], float]
 
 GRID_POINTS = 33
 POOL_SIZE = 1024
+DRAW_CHUNK = 1 << 11  # Mersenne words per bulk draw
 
 
 class SpaceKind(Enum):
@@ -139,9 +141,6 @@ class Space:
         if self.k_const < 1.0:
             raise ValueError("k_const must be >= 1")
 
-    def d(self, x: Point, y: Point) -> float:
-        return self.dist(x, y)
-
     def points_equal(self, x: Point, y: Point) -> bool:
         return self.carrier.equal(x, y)
 
@@ -200,39 +199,56 @@ def _pool_and_anchors(space: Space, rng: random.Random) -> tuple[list, list]:
     return pool, anchors
 
 
-def sample_points(space: Space, n: int, seed: int) -> list[Point]:
+def _draws(rng: random.Random, pool: list, count: int) -> Iterator[list]:
+    """At least `count` draws of pool[rng.randrange(len(pool))], in chunks.
+
+    For a pool of size s, randrange(s) keeps the top s.bit_length() bits
+    of one 32-bit Mersenne word and redraws while that value is >= s.
+    getrandbits(32 * m) returns m such words, least significant first, so
+    keeping `w >> shift` for every word `w < s << shift` yields the same
+    indices.  Words are read in chunks of at most DRAW_CHUNK, which bounds
+    the transient memory; pools must hold fewer than 2**32 points.
+    """
+    shift = 32 - len(pool).bit_length()
+    limit = len(pool) << shift
+    while count > 0:
+        # At least half of all words are kept, so 2 * count words seldom fall short.
+        m = min(DRAW_CHUNK, 2 * count + 8)
+        words = unpack(f"<{m}I", rng.getrandbits(32 * m).to_bytes(4 * m, "little"))
+        got = [pool[w >> shift] for w in words if w < limit]
+        count -= len(got)
+        yield got
+
+
+def sample(space: Space, n: int, seed: int, arity: int) -> list:
+    """`n` points (arity 1) or ordered `arity`-tuples from a seeded pool.
+
+    Every anchor combination comes first, then tuples of pool draws, each
+    draw equivalent to one rng.randrange(len(pool)) call in tuple order.
+    """
     rng = random.Random(seed)
     pool, anchors = _pool_and_anchors(space, rng)
-    out = list(anchors[:n])
-    while len(out) < n:
-        out.append(pool[rng.randrange(len(pool))])
+    if arity == 1:
+        out = list(anchors[:n])
+    else:
+        out = list(islice(product(anchors, repeat=arity), n))
+    count = (n - len(out)) * arity
+    flat = islice(chain.from_iterable(_draws(rng, pool, count)), count)
+    out.extend(flat if arity == 1 else zip(*[flat] * arity))
     return out
 
 
+# The fixed-arity names stay public; cli, solver and check_axioms call them.
+def sample_points(space: Space, n: int, seed: int) -> list[Point]:
+    return sample(space, n, seed, 1)
+
+
 def sample_pairs(space: Space, n: int, seed: int) -> list[tuple[Point, Point]]:
-    """`n` ordered pairs: every anchor pair first, then seeded random draws."""
-    rng = random.Random(seed)
-    pool, anchors = _pool_and_anchors(space, rng)
-    pairs = list(islice(product(anchors, repeat=2), n))
-    while len(pairs) < n:
-        pairs.append((pool[rng.randrange(len(pool))], pool[rng.randrange(len(pool))]))
-    return pairs
+    return sample(space, n, seed, 2)
 
 
 def sample_triples(space: Space, n: int, seed: int) -> list[tuple[Point, Point, Point]]:
-    """`n` ordered triples: every anchor triple first, then seeded draws."""
-    rng = random.Random(seed)
-    pool, anchors = _pool_and_anchors(space, rng)
-    triples = list(islice(product(anchors, repeat=3), n))
-    while len(triples) < n:
-        triples.append(
-            (
-                pool[rng.randrange(len(pool))],
-                pool[rng.randrange(len(pool))],
-                pool[rng.randrange(len(pool))],
-            )
-        )
-    return triples
+    return sample(space, n, seed, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -292,25 +308,25 @@ def check_axioms(space: Space, strategy: Strategy) -> AxiomReport:
                 "exhaustive axiom checking needs a finite carrier"
             )
         pts = space.carrier.points
-        singles = list(pts)
         pairs = list(product(pts, repeat=2))
         triples = list(product(pts, repeat=3))
     elif isinstance(strategy, Sampled):
         triples = sample_triples(space, strategy.n, strategy.seed)
         pairs = [(x, y) for x, y, _ in triples]
-        singles = list(dict.fromkeys(p for t in triples for p in t))
     else:
         raise TypeError(f"unknown strategy: {strategy!r}")
 
     violations: list[AxiomViolation] = []
     sym_id = _SYMMETRY_ID[kind]
 
+    # Each slack test sits behind the exact comparison it implies:
+    # exceeds(a, b) needs a > b, and differs(a, b) needs a != b.
     for x, y in pairs:
         dxy = d(x, y)
-        if exceeds(0.0, dxy):
+        if dxy < 0.0 and exceeds(0.0, dxy):
             violations.append(AxiomViolation("nonneg", (x, y), dxy, 0.0))
         dyx = d(y, x)
-        if differs(dxy, dyx):
+        if dxy != dyx and differs(dxy, dyx):
             violations.append(AxiomViolation(sym_id, (x, y), dxy, dyx))
         if kind is SpaceKind.PARTIAL_METRIC:
             dxx = d(x, x)
@@ -321,13 +337,18 @@ def check_axioms(space: Space, strategy: Strategy) -> AxiomReport:
                 and not differs(dyy, dxy)
             ):
                 violations.append(AxiomViolation("P1", (x, y), dxy, dxx))
-            if exceeds(dxx, dxy):
+            if dxx > dxy and exceeds(dxx, dxy):
                 violations.append(AxiomViolation("P2", (x, y), dxx, dxy))
         else:
             if dxy == 0.0 and not space.points_equal(x, y):
                 violations.append(AxiomViolation(_ZERO_ID[kind], (x, y), dxy, 0.0))
 
     if kind is SpaceKind.B_METRIC:
+        singles = (
+            space.carrier.points
+            if isinstance(strategy, Exhaustive)
+            else dict.fromkeys(p for t in triples for p in t)
+        )
         for x in singles:
             dxx = d(x, x)
             if exceeds(dxx, 0.0):
@@ -345,12 +366,11 @@ def check_axioms(space: Space, strategy: Strategy) -> AxiomReport:
         # Also the ratio min_valid_k maximizes: at subnormal scale K * detour
         # can round back onto lhs, where the ratio still separates K from
         # K * (1 - 1e-9).  The product test stays for ratios that overflow.
-        # A ratio above K means K * detour < lhs exactly, so rhs <= lhs.
-        if exceeds(lhs, rhs) or (
-            not subtract_mid
-            and detour > 0.0
-            and rhs <= lhs
-            and exceeds(lhs / detour, factor)
+        # A ratio above K means K * detour < lhs exactly, so rhs <= lhs: both
+        # tests need lhs >= rhs, and the ratio test can fire at equality.
+        if lhs >= rhs and (
+            exceeds(lhs, rhs)
+            or (not subtract_mid and detour > 0.0 and exceeds(lhs / detour, factor))
         ):
             violations.append(AxiomViolation(tri_id, (x, y, z), lhs, rhs))
 

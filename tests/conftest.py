@@ -1,3 +1,4 @@
+import math
 import os
 from pathlib import Path
 
@@ -47,3 +48,26 @@ def quadruple_pair():
 def identity_pair():
     f, p = iv.identity_map()
     return iv.MapPair(f, f, p, p, "identity", "identity")
+
+
+@pytest.fixture
+def edge_values():
+    """Distances at the edges of the slack tests: nan, infinities, signed
+    zeros, subnormals, negatives, and neighbours one ulp apart."""
+    return (
+        math.nan,
+        math.inf,
+        -math.inf,
+        0.0,
+        -0.0,
+        5e-324,
+        -5e-324,
+        1e-310,
+        2.2250738585072014e-308,
+        1.0,
+        1.0 + 2**-52,
+        1.5,
+        2.0,
+        -1.0,
+        1e308,
+    )

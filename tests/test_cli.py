@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import subprocess
@@ -238,6 +239,84 @@ def test_oracle_scenario_passes(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["results"]["counterexamples"] == []
     assert report["results"]["instances_checked"] > 0
+
+
+# SHA-256 of report.json for two sampled runs, recorded before the samplers
+# drew in bulk: a changed draw order or a changed slack test breaks these.
+SQUARE_DIFF_K1_AXIOMS = {
+    "space": {"family": "square_diff", "k_const": 1.0},
+    "run": {"command": "axioms", "n_samples": 2000, "seed": 7},
+    "assumptions": {"complete": True},
+}
+SAMPLED_REPORT_SHA256 = [
+    (
+        "sqrt_square_audit",
+        "60ac431cf681fc8640825fa014b090d0067a592962d6fe671de5f686a93a1003",
+    ),
+    (
+        "square_diff_k1_axioms",
+        "5821e28abc840ccc7ededdf2760e9ecdfe9ae20ce370d53a4521e7a6cf5ca6d7",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "name, digest", SAMPLED_REPORT_SHA256, ids=[n for n, _ in SAMPLED_REPORT_SHA256]
+)
+def test_sampled_reports_are_pinned(tmp_path, name, digest):
+    if name == "sqrt_square_audit":
+        path = SCENARIOS / "sqrt_square_audit.json"
+    else:
+        path = _write(tmp_path, f"{name}.json", SQUARE_DIFF_K1_AXIOMS)
+    out = tmp_path / "out"
+    assert run_scenario(path, out) == 2
+    data = (out / "report.json").read_bytes()
+    violations = json.loads(data)["results"]["violations"]
+    assert len(violations) > 100
+    if name == "square_diff_k1_axioms":
+        assert all(len(v["witness"]) in (2, 3) for v in violations)
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_outputs_do_not_depend_on_the_locale(tmp_path, cli_env):
+    doc = {
+        "space": {
+            "family": "table",
+            "labels": ["α", "β"],
+            "matrix": [[0, 1], [1, 0]],
+            "k_const": 1.0,
+            "kind": "b_metric",
+        },
+        "maps": {
+            "t": {"kind": "permutation", "table": {"α": "β", "β": "α"}},
+            "s": {"kind": "identity"},
+        },
+        "hypothesis": {"form": "rl", "r_const": 1.5},
+        "run": {"command": "solve", "x0": "α", "max_steps": 10},
+        "assumptions": {"complete": True},
+    }
+    scenario = tmp_path / "alpha.json"
+    scenario.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+    locales = {
+        "utf8": {"PYTHONUTF8": "1"},
+        "c": {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"},
+    }
+    runs = {}
+    for name, extra in locales.items():
+        cwd = tmp_path / name
+        cwd.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-m", "invorbit", "--scenario", str(scenario), "--out", "out"],
+            cwd=cwd,
+            env={**cli_env, **extra},
+            capture_output=True,
+        )
+        files = [cwd / "out" / "report.json", cwd / "out" / "trace.csv"]
+        outputs = [f.read_bytes() if f.exists() else None for f in files]
+        runs[name] = (proc.returncode, proc.stdout, proc.stderr, *outputs)
+    assert runs["utf8"][0] == 2
+    assert "α".encode("utf-8") in runs["utf8"][4]
+    assert runs["c"] == runs["utf8"]
 
 
 def test_table_space_with_permutation_maps(tmp_path):

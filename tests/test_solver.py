@@ -1,6 +1,10 @@
+from itertools import product
+
 import pytest
 
 import invorbit as iv
+from invorbit.numerics import exceeds
+from invorbit.solver import expansion_violation
 
 
 # ---------------------------------------------------------------------------
@@ -319,3 +323,22 @@ def test_uniqueness_identifies_zero_distance_labels(identity_pair):
     assert iv.verify_uniqueness_argument(
         s, identity_pair, iv.RLHypothesis(1.5, 0.0), "a", "b"
     )
+
+
+@pytest.mark.parametrize(
+    "hyp, coeff",
+    [
+        (iv.RLHypothesis(1.5), 1.5),
+        (iv.RLHypothesis(1.0), 1.0),
+        (iv.PhiHypothesis(lambda t: 5.0, 4.0), 5.0),
+    ],
+    ids=["rl", "rl_unit", "phi"],
+)
+def test_expansion_guard_agrees_with_bare_slack_test(hyp, coeff, edge_values):
+    # The rhs > lhs guard may only skip pairs the slack test would pass.
+    for dxy, lhs in product(edge_values, repeat=2):
+        rhs = coeff * dxy
+        vacuous = isinstance(hyp, iv.PhiHypothesis) and dxy <= 0.0
+        bare = None if vacuous or not exceeds(rhs, lhs) else rhs
+        got = expansion_violation(hyp, None, 0, 1, 0, 1, dxy, lhs)
+        assert repr(got) == repr(bare), (dxy, lhs)

@@ -1,11 +1,14 @@
 import math
-from itertools import product
+import random
+from itertools import islice, product
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import invorbit as iv
+from invorbit.numerics import differs, exceeds
+from invorbit.spaces import _SYMMETRY_ID, _TRIANGLE_ID, _ZERO_ID, _pool_and_anchors
 
 
 # ---------------------------------------------------------------------------
@@ -291,3 +294,126 @@ def test_sampling_is_deterministic(sqrt_square):
         sqrt_square, 500, 3
     )
     assert iv.sample_pairs(sqrt_square, 500, 3) == iv.sample_pairs(sqrt_square, 500, 3)
+
+
+# The randrange loops the bulk sampler replaced, kept as its reference.
+
+
+def _randrange_points(space, n, seed):
+    rng = random.Random(seed)
+    pool, anchors = _pool_and_anchors(space, rng)
+    out = list(anchors[:n])
+    while len(out) < n:
+        out.append(pool[rng.randrange(len(pool))])
+    return out
+
+
+def _randrange_pairs(space, n, seed):
+    rng = random.Random(seed)
+    pool, anchors = _pool_and_anchors(space, rng)
+    pairs = list(islice(product(anchors, repeat=2), n))
+    while len(pairs) < n:
+        pairs.append((pool[rng.randrange(len(pool))], pool[rng.randrange(len(pool))]))
+    return pairs
+
+
+def _randrange_triples(space, n, seed):
+    rng = random.Random(seed)
+    pool, anchors = _pool_and_anchors(space, rng)
+    triples = list(islice(product(anchors, repeat=3), n))
+    while len(triples) < n:
+        triples.append(
+            (
+                pool[rng.randrange(len(pool))],
+                pool[rng.randrange(len(pool))],
+                pool[rng.randrange(len(pool))],
+            )
+        )
+    return triples
+
+
+def _uniform_table(size):
+    labels = tuple(f"p{i}" for i in range(size))
+    return iv.table_space(labels, [[float(i != j) for j in range(size)] for i in range(size)])
+
+
+@pytest.mark.parametrize(
+    "space, pool_size",
+    [(_uniform_table(size), size) for size in (1, 2, 3, 5)] + [(iv.sqrt_square_space(), 1024)],
+    ids=["pool1", "pool2", "pool3", "pool5", "pool1024"],
+)
+@pytest.mark.parametrize(
+    "arity, sampler, reference",
+    [
+        (1, iv.sample_points, _randrange_points),
+        (2, iv.sample_pairs, _randrange_pairs),
+        (3, iv.sample_triples, _randrange_triples),
+    ],
+    ids=["points", "pairs", "triples"],
+)
+def test_bulk_sampler_matches_randrange(space, pool_size, arity, sampler, reference):
+    pool, anchors = _pool_and_anchors(space, random.Random(0))
+    assert len(pool) == pool_size
+    tuples = len(anchors) ** arity
+    # Below, at and above the anchor count; the largest spans several chunks.
+    sizes = sorted({1, max(1, tuples - 1), tuples, tuples + 1, tuples + 2500})
+    for seed in range(24):
+        for n in sizes:
+            expected = reference(space, n, seed)
+            assert len(expected) == n
+            assert sampler(space, n, seed) == expected, (seed, n)
+            assert iv.sample(space, n, seed, arity) == expected, (seed, n)
+
+
+def _bare_violations(space):
+    """check_axioms on a finite carrier with every slack test unguarded."""
+    d, kind, pts = space.dist, space.kind, space.carrier.points
+    out = []
+    for x, y in product(pts, repeat=2):
+        dxy = d(x, y)
+        if exceeds(0.0, dxy):
+            out.append(("nonneg", (x, y), dxy, 0.0))
+        dyx = d(y, x)
+        if differs(dxy, dyx):
+            out.append((_SYMMETRY_ID[kind], (x, y), dxy, dyx))
+        if kind is iv.SpaceKind.PARTIAL_METRIC:
+            dxx, dyy = d(x, x), d(y, y)
+            if x != y and not differs(dxx, dxy) and not differs(dyy, dxy):
+                out.append(("P1", (x, y), dxy, dxx))
+            if exceeds(dxx, dxy):
+                out.append(("P2", (x, y), dxx, dxy))
+        elif dxy == 0.0 and x != y:
+            out.append((_ZERO_ID[kind], (x, y), dxy, 0.0))
+    if kind is iv.SpaceKind.B_METRIC:
+        for x in pts:
+            if exceeds(d(x, x), 0.0):
+                out.append(("D1", (x, x), d(x, x), 0.0))
+    b_kind = kind in (iv.SpaceKind.B_METRIC, iv.SpaceKind.B_METRIC_LIKE)
+    factor = space.k_const if b_kind else 1.0
+    partial = kind is iv.SpaceKind.PARTIAL_METRIC
+    for x, y, z in product(pts, repeat=3):
+        lhs = d(x, y)
+        detour = d(x, z) + d(z, y)
+        rhs = factor * detour
+        if partial:
+            rhs -= d(z, z)
+        if exceeds(lhs, rhs) or (
+            not partial and detour > 0.0 and rhs <= lhs and exceeds(lhs / detour, factor)
+        ):
+            out.append((_TRIANGLE_ID[kind], (x, y, z), lhs, rhs))
+    return out
+
+
+@pytest.mark.parametrize("kind", list(iv.SpaceKind))
+def test_axiom_guards_agree_with_bare_slack_tests(kind, edge_values):
+    rng = random.Random(f"guards:{kind.value}")
+    pts = (0, 1, 2)
+    for _ in range(400):
+        table = {(x, y): rng.choice(edge_values) for x, y in product(pts, repeat=2)}
+        if rng.random() < 0.5:
+            table.update({(y, x): v for (x, y), v in list(table.items()) if x < y})
+        k = rng.choice((1.0, 1.5, 2.0))
+        space = iv.Space(iv.FiniteCarrier(pts), lambda x, y: table[x, y], k, kind)
+        report = iv.check_axioms(space, iv.Exhaustive())
+        got = [(v.axiom_id, v.witness, v.lhs, v.rhs) for v in report.violations]
+        assert repr(got) == repr(_bare_violations(space)), table
