@@ -10,8 +10,10 @@ preimages).  Reports are byte-deterministic for a fixed seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
+import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -292,20 +294,66 @@ def run_scenario(
     return code
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not offered on this platform
+        return os.cpu_count() or 1
+
+
+def _run_captured(path: Path, out_dir: Path, seed: int | None) -> tuple[int, str, str]:
+    """Run one batch member; returns its exit code, stdout and stderr."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = run_scenario(path, out_dir, seed=seed)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def _batch_outcomes(paths: list[Path], out: Path, seed: int | None):
+    """Yield `_run_captured` of every path, in path order.
+
+    The scenarios are pure Python, so threads would take turns on the GIL:
+    they run on a process pool with one worker per usable CPU.  The workers
+    are forked, because a spawned worker imports invorbit again, which costs
+    about as much as a small batch.  With one worker, or no `fork`, they
+    run one after another in this process.
+    """
+    jobs = [(path, out / path.stem, seed) for path in paths]
+    workers = min(_usable_cpus(), len(jobs))
+    if workers > 1:
+        # imported here, so that `--scenario` runs do not pay for it
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool
+
+            context = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                futures = [pool.submit(_run_captured, *job) for job in jobs]
+                for path, future in zip(paths, futures):
+                    try:
+                        yield future.result()
+                    except BrokenProcessPool:
+                        yield EXIT_ERROR, "", f"error: {path}: its worker process died\n"
+            return
+    for job in jobs:
+        yield _run_captured(*job)
+
+
 def run_batch(batch_dir: str | Path, out_dir: str | Path, seed: int | None) -> int:
-    """Run every scenario file in a directory concurrently."""
+    """Run every scenario file in a directory; output comes in file order."""
     paths = sorted(Path(batch_dir).glob("*.json"))
     if not paths:
         print(f"error: no scenario files in {batch_dir}", file=sys.stderr)
         return EXIT_ERROR
-    out = Path(out_dir)
-    with ThreadPoolExecutor() as pool:
-        codes = list(
-            pool.map(
-                lambda p: run_scenario(p, out / p.stem, seed=seed),
-                paths,
-            )
-        )
+    codes = []
+    for code, stdout, stderr in _batch_outcomes(paths, Path(out_dir), seed):
+        sys.stdout.write(stdout)
+        sys.stdout.flush()
+        sys.stderr.write(stderr)
+        sys.stderr.flush()
+        codes.append(code)
     if EXIT_ERROR in codes:
         return EXIT_ERROR
     return EXIT_FINDINGS if EXIT_FINDINGS in codes else EXIT_OK
@@ -320,7 +368,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--scenario", help="path to a scenario JSON file")
-    parser.add_argument("--batch", help="directory of scenario files to run concurrently")
+    parser.add_argument(
+        "--batch",
+        help="directory of scenario files to run, one worker process per CPU",
+    )
     parser.add_argument("--out", default="out", help="output directory (default: out)")
     parser.add_argument(
         "--command",

@@ -285,16 +285,19 @@ def load_scenario(path: str | Path) -> dict:
 
     Python's JSON parser accepts Infinity, NaN and literals such as 1e999
     that overflow to infinity; all are rejected, since an infinite bound
-    passes every inequality it appears in.
+    passes every inequality it appears in.  A file that cannot be read, or
+    nests too deeply for the parser, is a `ScenarioError` as well.
     """
     try:
-        doc = json.loads(
-            Path(path).read_text(encoding="utf-8"),
-            parse_float=_finite_float,
-            parse_constant=_finite_float,
-        )
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as err:  # a directory, a missing file, no permission
+        raise ScenarioError(f"cannot read scenario file: {err}") from err
+    try:
+        doc = json.loads(text, parse_float=_finite_float, parse_constant=_finite_float)
     except json.JSONDecodeError as err:
         raise ScenarioError(f"not valid JSON: {err}") from err
+    except RecursionError as err:
+        raise ScenarioError("JSON nested too deeply to parse") from err
     if not isinstance(doc, dict):
         raise ScenarioError("scenario must be a JSON object")
     return normalize_scenario(doc)

@@ -1,14 +1,20 @@
+import contextlib
 import csv
 import hashlib
 import json
 import math
+import multiprocessing
+import os
+import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from invorbit.cli import run_batch, run_scenario
+from invorbit import cli
+from invorbit.cli import _STATUS, main, run_batch, run_scenario
 from invorbit.report import canonical_json, write_trace_csv
 from invorbit.errors import ScenarioError
 from invorbit.scenario import (
@@ -479,6 +485,162 @@ def test_non_scalar_labels_do_not_abort_the_batch(tmp_path, cli_env):
     assert (out / "b_good" / "report.json").exists()
 
 
+def test_batch_output_is_deterministic_and_in_file_order(tmp_path, cli_env):
+    batch = tmp_path / "batch"
+    shutil.copytree(SCENARIOS, batch)
+    (batch / "c_malformed.json").write_text("{")
+    out = tmp_path / "out"
+    cmd = [sys.executable, "-m", "invorbit", "--batch", str(batch), "--out", str(out)]
+    runs = [subprocess.run(cmd, capture_output=True, cwd=ROOT, env=cli_env) for _ in range(2)]
+    assert [run.returncode for run in runs] == [1, 1]
+    assert runs[0].stdout == runs[1].stdout
+    assert runs[0].stderr == runs[1].stderr
+    exit_of = {status: code for (_, code), status in _STATUS.items()}
+    expected = []
+    for path in sorted(SCENARIOS.glob("*.json")):  # the batch minus the malformed file
+        report_path = out / path.stem / "report.json"
+        report = json.loads(report_path.read_text())
+        status = report["status"]
+        expected.append(f"{report['command']}: {status} (exit {exit_of[status]}) -> {report_path}")
+    assert runs[0].stdout.decode() == "".join(line + "\n" for line in expected)
+    assert runs[0].stderr.decode().startswith("error: not valid JSON")
+    assert runs[0].stderr.decode().count("\n") == 1
+
+
+def _unreadable(directory: Path, kind: str) -> Path:
+    """A scenario path that cannot be loaded, of one kind."""
+    path = directory / f"{kind}.json"
+    if kind == "a_directory":
+        path.mkdir()
+    elif kind == "b_missing":
+        path.symlink_to(directory / "nowhere" / "scenario.json")
+    else:
+        path.write_text("[" * 200_000 + "]" * 200_000)
+    return path
+
+
+UNREADABLE = ("a_directory", "b_missing", "c_deep")
+
+
+@pytest.mark.parametrize("kind", UNREADABLE)
+def test_unreadable_scenario_is_an_error(tmp_path, capsys, kind):
+    path = _unreadable(tmp_path, kind)
+    with pytest.raises(ScenarioError):
+        load_scenario(path)
+    assert main(["--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_unreadable_scenarios_do_not_abort_the_batch(tmp_path, cli_env):
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    for kind in UNREADABLE:
+        _unreadable(batch, kind)
+    (batch / "d_good.json").write_text((SCENARIOS / "sqrt_square_solve.json").read_text())
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "invorbit", "--batch", str(batch), "--out", str(out)],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        env=cli_env,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    errors = proc.stderr.splitlines()
+    assert len(errors) == len(UNREADABLE)
+    assert all(line.startswith("error:") for line in errors)
+    assert "Is a directory" in errors[0]
+    assert "No such file" in errors[1]
+    assert "nested too deeply" in errors[2]
+    assert (out / "d_good" / "report.json").exists()
+
+
+@contextlib.contextmanager
+def _time_limit(seconds: int):
+    """Raise TimeoutError in the main thread if the block runs too long."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the batch pool needs the fork start method",
+)
+
+
+@needs_fork
+def test_a_dead_worker_fails_the_batch_without_hanging(tmp_path, monkeypatch, capsys):
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    names = ("a", "b", "c", "d", "e")
+    for name in names:
+        (batch / f"{name}.json").write_text((SCENARIOS / "sqrt_square_solve.json").read_text())
+    real = cli.run_scenario
+
+    def dies_on_b(path, out_dir, command=None, seed=None):
+        if Path(path).stem == "b":
+            os._exit(3)
+        return real(path, out_dir, command, seed)
+
+    # the forked workers inherit both patches
+    monkeypatch.setattr(cli, "run_scenario", dies_on_b)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    out = tmp_path / "out"
+    with _time_limit(60):
+        code = run_batch(batch, out, seed=None)
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    finished = captured.out.splitlines()
+    unfinished = captured.err.splitlines()
+    assert all(line.startswith("solve: certified (exit 0)") for line in finished)
+    assert all(line.startswith("error:") and "worker process died" in line for line in unfinished)
+    assert f"error: {batch / 'b.json'}: its worker process died" in unfinished
+    # every file is named by exactly one line: its status or its error
+    for name in names:
+        named = [line for line in finished if line.endswith(str(out / name / "report.json"))]
+        named += [line for line in unfinished if str(batch / f"{name}.json") in line]
+        assert len(named) == 1, name
+
+
+@needs_fork
+def test_a_one_file_batch_runs_in_process_like_the_pool(tmp_path, monkeypatch):
+    pids = []
+    real = cli.run_scenario
+
+    def recording(path, out_dir, command=None, seed=None):
+        pids.append(os.getpid())  # appends in forked workers stay there
+        return real(path, out_dir, command, seed)
+
+    monkeypatch.setattr(cli, "run_scenario", recording)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    alone, pooled = tmp_path / "alone", tmp_path / "pooled"
+    for batch, names in ((alone, ["sqrt_square_audit.json"]),
+                         (pooled, ["sqrt_square_audit.json", "sqrt_square_solve.json"])):
+        batch.mkdir()
+        for name in names:
+            (batch / name).write_text((SCENARIOS / name).read_text())
+    assert run_batch(alone, tmp_path / "out_alone", seed=None) == 2
+    assert pids == [os.getpid()]
+    assert run_batch(pooled, tmp_path / "out_pooled", seed=None) == 2
+    assert pids == [os.getpid()]
+    report = "sqrt_square_audit/report.json"
+    assert (tmp_path / "out_alone" / report).read_bytes() == (
+        tmp_path / "out_pooled" / report
+    ).read_bytes()
+
+
 @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN", "1e999"])
 def test_non_finite_numbers_are_rejected_at_load(tmp_path, literal):
     path = tmp_path / "scenario.json"
@@ -497,15 +659,11 @@ def test_non_finite_numbers_are_rejected_at_load(tmp_path, literal):
 
 
 def test_print_schema_emits_valid_json(capsys):
-    from invorbit.cli import main
-
     assert main(["--print-schema"]) == 0
     parsed = json.loads(capsys.readouterr().out)
     assert parsed["title"] == "invorbit scenario"
 
 
 def test_main_requires_a_scenario_or_batch(capsys):
-    from invorbit.cli import main
-
     assert main([]) == 1
     assert "required" in capsys.readouterr().err
