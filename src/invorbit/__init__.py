@@ -50,8 +50,6 @@ from .solver import (
     Termination,
     affine_phi,
     audit,
-    audit_phi,
-    audit_rl,
     identity_map,
     inverse_orbit,
     linear_map,
@@ -64,8 +62,6 @@ from .spaces import (
     AxiomReport,
     AxiomViolation,
     Carrier,
-    Convergence,
-    ConvergenceReport,
     Exhaustive,
     FiniteCarrier,
     IntervalCarrier,
@@ -74,11 +70,9 @@ from .spaces import (
     SpaceKind,
     abs_metric_space,
     check_axioms,
-    converges_to,
     d_sharp,
     max_partial_space,
     min_valid_k,
-    restrict_to_points,
     sample,
     sample_pairs,
     sample_points,

@@ -15,6 +15,7 @@ import io
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .analysis import (
@@ -28,13 +29,13 @@ from .numerics import TOL_AXIOM, TOL_FIX, TOL_POINT
 from .oracle import falsification_sweep
 from .report import canonical_json, emit_report, write_trace_csv
 from .scenario import (
-    _ORACLE_DEFAULTS,
     SCENARIO_SCHEMA,
     build_hypothesis,
     build_maps,
     build_space,
     coerce_point,
     load_scenario,
+    normalize_scenario,
 )
 from .solver import audit, inverse_orbit, solve
 from .spaces import Exhaustive, Sampled, check_axioms, sample_points
@@ -73,14 +74,18 @@ def _cauchy_json(verdict) -> dict:
     }
 
 
+def _start_point(space, run: dict):
+    if "x0" not in run:
+        raise InvorbitError(f"{run['command']} requires run.x0")
+    return coerce_point(space, run["x0"])
+
+
 def _run_solve(scenario: dict, out_dir: Path) -> tuple[dict, int]:
     space = build_space(scenario)
     maps = build_maps(scenario, space)
     hyp = build_hypothesis(scenario, space)
     run = scenario["run"]
-    if "x0" not in run:
-        raise InvorbitError("solve requires run.x0")
-    x0 = coerce_point(space, run["x0"])
+    x0 = _start_point(space, run)
     report = solve(space, maps, hyp, x0, max_steps=run["max_steps"])
     trace = report.trace
     write_trace_csv(
@@ -126,11 +131,7 @@ def _run_audit(scenario: dict, out_dir: Path) -> tuple[dict, int]:
 
 def _run_axioms(scenario: dict, out_dir: Path) -> tuple[dict, int]:
     space = build_space(scenario)
-    run = scenario["run"]
-    strategy = (
-        Exhaustive() if space.is_finite else Sampled(run["n_samples"], run["seed"])
-    )
-    report = check_axioms(space, strategy)
+    report = check_axioms(space, _pair_strategy(space, scenario["run"]))
     results = {
         "passed": report.passed,
         "checked_pairs": report.checked_pairs,
@@ -183,9 +184,7 @@ def _run_lemmas(scenario: dict, out_dir: Path) -> tuple[dict, int]:
     space = build_space(scenario)
     maps = build_maps(scenario, space)
     run = scenario["run"]
-    if "x0" not in run:
-        raise InvorbitError("lemmas requires run.x0")
-    x0 = coerce_point(space, run["x0"])
+    x0 = _start_point(space, run)
     trace = inverse_orbit(space, maps, x0, max_steps=run["max_steps"])
     chain = trace.points[: min(POLYGON_CHAIN_LIMIT, len(trace.points))]
     polygon = polygon_bound(space, chain)
@@ -218,12 +217,18 @@ def _run_lemmas(scenario: dict, out_dir: Path) -> tuple[dict, int]:
     return results, EXIT_OK if passed else EXIT_FINDINGS
 
 
-_RUNNERS = {
-    "solve": _run_solve,
-    "audit": _run_audit,
-    "axioms": _run_axioms,
-    "oracle": _run_oracle,
-    "lemmas": _run_lemmas,
+class Command(NamedTuple):
+    run: Callable[[dict, Path], tuple[dict, int]]
+    passed: str  # the report status at exit 0
+    failed: str  # the report status at exit 2
+
+
+COMMANDS = {
+    "solve": Command(_run_solve, "certified", "not_certified"),
+    "audit": Command(_run_audit, "passed", "violations_found"),
+    "axioms": Command(_run_axioms, "passed", "violations_found"),
+    "oracle": Command(_run_oracle, "passed", "counterexamples_found"),
+    "lemmas": Command(_run_lemmas, "passed", "gaps_found"),
 }
 
 
@@ -231,18 +236,9 @@ _RUNNERS = {
 # Runner
 # ---------------------------------------------------------------------------
 
-_STATUS = {
-    ("solve", EXIT_OK): "certified",
-    ("solve", EXIT_FINDINGS): "not_certified",
-    ("audit", EXIT_OK): "passed",
-    ("audit", EXIT_FINDINGS): "violations_found",
-    ("axioms", EXIT_OK): "passed",
-    ("axioms", EXIT_FINDINGS): "violations_found",
-    ("oracle", EXIT_OK): "passed",
-    ("oracle", EXIT_FINDINGS): "counterexamples_found",
-    ("lemmas", EXIT_OK): "passed",
-    ("lemmas", EXIT_FINDINGS): "gaps_found",
-}
+
+# Errors whose message alone says what went wrong.
+_EXPECTED = (InvorbitError, ValueError, KeyError)
 
 
 def run_scenario(
@@ -251,45 +247,42 @@ def run_scenario(
     command: str | None = None,
     seed: int | None = None,
 ) -> int:
-    """Execute one scenario file and write its report; returns the exit code."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    """Execute one scenario file and write its report; returns the exit code.
+
+    Every exception ends as exit 1 and one `error: <path>: ...` line, so
+    one failing file never takes down a batch.
+    """
     try:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
         scenario = load_scenario(path)
-        if command is not None:
-            scenario["run"]["command"] = command
-        if seed is not None:
-            scenario["run"]["seed"] = seed
+        overrides = {"command": command, "seed": seed}
+        overrides = {key: value for key, value in overrides.items() if value is not None}
+        if overrides:
+            # normalized again: an override is checked, and defaulted, like the file
+            scenario = normalize_scenario({**scenario, "run": {**scenario["run"], **overrides}})
         cmd = scenario["run"]["command"]
-        if cmd == "oracle" and "oracle" not in scenario:
-            # reachable via --command oracle on a scenario filed for another one
-            scenario["oracle"] = dict(_ORACLE_DEFAULTS)
-        results, code = _RUNNERS[cmd](scenario, out)
-    except InvorbitError as err:
-        print(f"error: {err}", file=sys.stderr)
+        results, code = COMMANDS[cmd].run(scenario, out)
+        report = {
+            "tool": {"name": "invorbit", "version": __version__},
+            "command": cmd,
+            "seed": scenario["run"]["seed"],
+            "tolerances": {
+                "tol_axiom": TOL_AXIOM,
+                "tol_point": TOL_POINT,
+                "tol_fix": TOL_FIX,
+                "tol": scenario["run"]["tol"],
+            },
+            "scenario": scenario,
+            "status": COMMANDS[cmd].passed if code == EXIT_OK else COMMANDS[cmd].failed,
+            "results": results,
+        }
+        emit_report(report, out / "report.json")
+    except Exception as err:
+        # An unexpected type, e.g. an OverflowError from a huge start, is named.
+        message = f"{err}" if isinstance(err, _EXPECTED) else f"{type(err).__name__}: {err}"
+        print(f"error: {path}: {message}", file=sys.stderr)
         return EXIT_ERROR
-    except (ValueError, KeyError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ERROR
-    except ArithmeticError as err:
-        # e.g. an orbit from a huge start overflowing a squared distance
-        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
-        return EXIT_ERROR
-    report = {
-        "tool": {"name": "invorbit", "version": __version__},
-        "command": cmd,
-        "seed": scenario["run"]["seed"],
-        "tolerances": {
-            "tol_axiom": TOL_AXIOM,
-            "tol_point": TOL_POINT,
-            "tol_fix": TOL_FIX,
-            "tol": scenario["run"]["tol"],
-        },
-        "scenario": scenario,
-        "status": _STATUS[(cmd, code)],
-        "results": results,
-    }
-    emit_report(report, out / "report.json")
     print(f"{cmd}: {report['status']} (exit {code}) -> {out / 'report.json'}")
     return code
 
@@ -375,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default="out", help="output directory (default: out)")
     parser.add_argument(
         "--command",
-        choices=list(_RUNNERS),
+        choices=list(COMMANDS),
         help="override the scenario's run.command",
     )
     parser.add_argument("--seed", type=int, help="override the scenario's run.seed")

@@ -3,15 +3,18 @@
 A scenario is a JSON object naming a space, a map pair, an expansion
 hypothesis, and a run request.  Normalization fills every default so the
 echoed document in a report is complete and re-parseable; resolution
-turns the declarative parts into live objects.
+turns the declarative parts into live objects.  Each space family, map
+kind and hypothesis form is one `Variant` entry, which the schema,
+normalization and resolution all read.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 import jsonschema
 
@@ -37,7 +40,152 @@ from .spaces import (
     two_point_sigma_space,
 )
 
+# The commands a scenario may request; the CLI's command table runs them.
 COMMANDS = ("solve", "audit", "axioms", "oracle", "lemmas")
+
+
+class Variant(NamedTuple):
+    """One space family, map kind or hypothesis form.
+
+    It reads the fields in `required` (which the schema demands) and in
+    `defaults` (which normalization fills).  A field in `fixed` keeps its
+    default: a document may restate it but not change it.
+    """
+
+    build: Callable
+    defaults: dict = {}
+    required: tuple = ()
+    fixed: tuple = ()
+
+
+# ---------------------------------------------------------------------------
+# Builders
+# ---------------------------------------------------------------------------
+
+
+def _distinct_labels(labels: list) -> tuple:
+    """Table labels, rejecting two that share a string form.
+
+    `coerce_point` finds a finite point by its string form, so labels such
+    as 1 and "1", or true and "True", cannot be told apart.
+    """
+    by_str: dict[str, int] = {}
+    for i, label in enumerate(labels):
+        j = by_str.setdefault(str(label), i)
+        if j != i:
+            raise ScenarioError(
+                f"table labels {labels[j]!r} and {label!r} collide: finite "
+                "points are addressed by their string form"
+            )
+    return tuple(labels)
+
+
+def coerce_point(space: Space, value: Any) -> Any:
+    """Map a JSON scalar onto a carrier point (finite labels by string form)."""
+    if space.is_finite:
+        by_str = {str(p): p for p in space.carrier.points}
+        key = str(value)
+        if key not in by_str:
+            raise ScenarioError(f"point {value!r} is not in the finite carrier")
+        return by_str[key]
+    return float(value)
+
+
+def _permutation(space: Space, spec: dict) -> tuple:
+    if not space.is_finite:
+        raise ScenarioError("permutation maps need a finite carrier")
+    table = {
+        coerce_point(space, k): coerce_point(space, v)
+        for k, v in spec["table"].items()
+    }
+    if set(table) != set(space.carrier.points):
+        raise ScenarioError("permutation table must cover the whole carrier")
+    return permutation_map(table)
+
+
+def _affine_phi(spec: dict, attested: bool) -> PhiHypothesis:
+    return PhiHypothesis(
+        affine_phi(float(spec["a"]), float(spec["b"])),
+        float(spec["codomain_bound"]),
+        attested,
+        label=f"affine(a={spec['a']}, b={spec['b']})",
+    )
+
+
+# ---------------------------------------------------------------------------
+# Variant tables
+# ---------------------------------------------------------------------------
+
+_K1 = {"k_const": 1.0, "sample_bound": 10.0}  # interval families whose K is 1
+
+# Space families, in schema enum order; a builder takes the normalized spec.
+FAMILIES = {
+    "sqrt_square": Variant(
+        lambda s: sqrt_square_space(float(s["k_const"]), s["sample_bound"]),
+        {"k_const": 2.0, "sample_bound": 10.0},
+    ),
+    "two_point_sigma": Variant(
+        lambda s: two_point_sigma_space(), {"k_const": 1.0}, fixed=("k_const",)
+    ),
+    "abs_metric": Variant(
+        lambda s: abs_metric_space(
+            s["lower"], math.inf if s["upper"] is None else s["upper"], s["sample_bound"]
+        ),
+        {**_K1, "lower": 0.0, "upper": None},
+        fixed=("k_const",),
+    ),
+    "max_partial": Variant(
+        lambda s: max_partial_space(s["sample_bound"]), _K1, fixed=("k_const",)
+    ),
+    "sum_metric_like": Variant(
+        lambda s: sum_metric_like_space(s["sample_bound"]), _K1, fixed=("k_const",)
+    ),
+    "square_diff": Variant(
+        lambda s: square_diff_space(float(s["k_const"]), s["sample_bound"]),
+        {"k_const": 2.0, "sample_bound": 10.0},
+    ),
+    "table": Variant(
+        lambda s: table_space(
+            _distinct_labels(s["labels"]),
+            s["matrix"],
+            float(s["k_const"]),
+            SpaceKind(s["kind"]),
+        ),
+        required=("labels", "matrix", "k_const", "kind"),
+    ),
+}
+
+# Map kinds; a builder takes the space and the spec, and returns
+# (forward, preimage).
+MAP_KINDS = {
+    "linear": Variant(lambda space, s: linear_map(float(s["a"])), required=("a",)),
+    "identity": Variant(lambda space, s: identity_map()),
+    "permutation": Variant(_permutation, required=("table",)),
+}
+
+# Hypothesis forms; a builder takes the spec and the attested limit flag.
+# A null codomain_bound stands for the space's K**2.
+FORMS = {
+    "rl": Variant(
+        lambda s, attested: RLHypothesis(float(s["r_const"]), float(s["l_const"])),
+        {"l_const": 0.0},
+        ("r_const",),
+    ),
+    "phi": Variant(_affine_phi, {"codomain_bound": None}, ("family", "a", "b")),
+}
+
+
+def _required_when(key: str, table: dict) -> list:
+    """The schema's conditional requirements for the variants of `table`."""
+    return [
+        {
+            "if": {"properties": {key: {"const": name}}},
+            "then": {"required": list(variant.required)},
+        }
+        for name, variant in table.items()
+        if variant.required
+    ]
+
 
 SCENARIO_SCHEMA: dict = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -51,17 +199,7 @@ SCENARIO_SCHEMA: dict = {
             "required": ["family"],
             "additionalProperties": False,
             "properties": {
-                "family": {
-                    "enum": [
-                        "sqrt_square",
-                        "two_point_sigma",
-                        "abs_metric",
-                        "max_partial",
-                        "sum_metric_like",
-                        "square_diff",
-                        "table",
-                    ]
-                },
+                "family": {"enum": list(FAMILIES)},
                 "k_const": {"type": "number", "minimum": 1},
                 "sample_bound": {"type": "number", "exclusiveMinimum": 0},
                 "lower": {"type": "number"},
@@ -75,21 +213,9 @@ SCENARIO_SCHEMA: dict = {
                     "type": "array",
                     "items": {"type": "array", "items": {"type": "number"}},
                 },
-                "kind": {
-                    "enum": [
-                        "partial_metric",
-                        "metric_like",
-                        "b_metric",
-                        "b_metric_like",
-                    ]
-                },
+                "kind": {"enum": [kind.value for kind in SpaceKind]},
             },
-            "allOf": [
-                {
-                    "if": {"properties": {"family": {"const": "table"}}},
-                    "then": {"required": ["labels", "matrix", "k_const", "kind"]},
-                }
-            ],
+            "allOf": _required_when("family", FAMILIES),
         },
         "maps": {
             "type": "object",
@@ -105,7 +231,7 @@ SCENARIO_SCHEMA: dict = {
             "required": ["form"],
             "additionalProperties": False,
             "properties": {
-                "form": {"enum": ["rl", "phi"]},
+                "form": {"enum": list(FORMS)},
                 "r_const": {"type": "number", "exclusiveMinimum": 0},
                 "l_const": {"type": "number", "minimum": 0},
                 "family": {"enum": ["affine"]},
@@ -113,16 +239,7 @@ SCENARIO_SCHEMA: dict = {
                 "b": {"type": "number"},
                 "codomain_bound": {"type": ["number", "null"]},
             },
-            "allOf": [
-                {
-                    "if": {"properties": {"form": {"const": "rl"}}},
-                    "then": {"required": ["r_const"]},
-                },
-                {
-                    "if": {"properties": {"form": {"const": "phi"}}},
-                    "then": {"required": ["family", "a", "b"]},
-                },
-            ],
+            "allOf": _required_when("form", FORMS),
         },
         "run": {
             "type": "object",
@@ -165,31 +282,13 @@ SCENARIO_SCHEMA: dict = {
             "required": ["kind"],
             "additionalProperties": False,
             "properties": {
-                "kind": {"enum": ["linear", "identity", "permutation"]},
+                "kind": {"enum": list(MAP_KINDS)},
                 "a": {"type": "number", "exclusiveMinimum": 0},
                 "table": {"type": "object"},
             },
-            "allOf": [
-                {
-                    "if": {"properties": {"kind": {"const": "linear"}}},
-                    "then": {"required": ["a"]},
-                },
-                {
-                    "if": {"properties": {"kind": {"const": "permutation"}}},
-                    "then": {"required": ["table"]},
-                },
-            ],
+            "allOf": _required_when("kind", MAP_KINDS),
         }
     },
-}
-
-_FAMILY_DEFAULT_K = {
-    "sqrt_square": 2.0,
-    "two_point_sigma": 1.0,
-    "abs_metric": 1.0,
-    "max_partial": 1.0,
-    "sum_metric_like": 1.0,
-    "square_diff": 2.0,
 }
 
 _RUN_DEFAULTS = {
@@ -198,6 +297,8 @@ _RUN_DEFAULTS = {
     "n_samples": 10_000,
     "tol": 1e-6,
 }
+
+_ASSUMPTION_DEFAULTS = {"complete": False, "phi_limit_condition_attested": False}
 
 _ORACLE_DEFAULTS = {
     "sizes": [1, 2, 3],
@@ -223,53 +324,39 @@ def validate_scenario(doc: Any) -> None:
         raise ScenarioError("schema violations:\n" + "\n".join(lines))
 
 
+def _filled(section: dict, where: str, key: str, table: dict) -> dict:
+    """`section` with its variant's defaults; a field it does not read is an error."""
+    name = section[key]
+    variant = table[name]
+    for field, value in section.items():
+        if field in variant.fixed and value != variant.defaults[field]:
+            raise ScenarioError(
+                f"{where}.{field}: {key} {name!r} fixes it at {variant.defaults[field]!r}"
+            )
+        if field != key and field not in variant.defaults and field not in variant.required:
+            raise ScenarioError(f"{where}.{field}: {key} {name!r} does not read this field")
+    return {**variant.defaults, **section}
+
+
 def normalize_scenario(doc: dict) -> dict:
     """Validate and fill every default; idempotent on its own output."""
     validate_scenario(doc)
-    out: dict = {}
-
-    space = dict(doc["space"])
-    family = space["family"]
-    space.setdefault("k_const", _FAMILY_DEFAULT_K.get(family, 1.0))
-    if family != "table" and family != "two_point_sigma":
-        space.setdefault("sample_bound", 10.0)
-    if family == "abs_metric":
-        space.setdefault("lower", 0.0)
-        space.setdefault("upper", None)
-    out["space"] = space
-
+    space = _filled(doc["space"], "$.space", "family", FAMILIES)
+    out: dict = {"space": space}
     if "maps" in doc:
         out["maps"] = {
-            side: dict(doc["maps"][side]) for side in ("t", "s")
+            side: _filled(doc["maps"][side], f"$.maps.{side}", "kind", MAP_KINDS)
+            for side in ("t", "s")
         }
-
     if "hypothesis" in doc:
-        hyp = dict(doc["hypothesis"])
-        if hyp["form"] == "rl":
-            hyp.setdefault("l_const", 0.0)
-        else:
-            bound = hyp.get("codomain_bound")
-            hyp["codomain_bound"] = (
-                float(space["k_const"]) ** 2 if bound is None else bound
-            )
+        hyp = _filled(doc["hypothesis"], "$.hypothesis", "form", FORMS)
+        if "codomain_bound" in hyp and hyp["codomain_bound"] is None:
+            hyp["codomain_bound"] = float(space["k_const"]) ** 2
         out["hypothesis"] = hyp
-
-    run = dict(doc["run"])
-    for key, value in _RUN_DEFAULTS.items():
-        run.setdefault(key, value)
-    out["run"] = run
-
-    assumptions = dict(doc.get("assumptions", {}))
-    assumptions.setdefault("complete", False)
-    assumptions.setdefault("phi_limit_condition_attested", False)
-    out["assumptions"] = assumptions
-
+    out["run"] = {**_RUN_DEFAULTS, **doc["run"]}
+    out["assumptions"] = {**_ASSUMPTION_DEFAULTS, **doc.get("assumptions", {})}
     if doc["run"]["command"] == "oracle" or "oracle" in doc:
-        oracle = dict(doc.get("oracle", {}))
-        for key, value in _ORACLE_DEFAULTS.items():
-            oracle.setdefault(key, value)
-        out["oracle"] = oracle
-
+        out["oracle"] = {**_ORACLE_DEFAULTS, **doc.get("oracle", {})}
     return out
 
 
@@ -308,89 +395,10 @@ def load_scenario(path: str | Path) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _distinct_labels(labels: list) -> tuple:
-    """Table labels, rejecting two that share a string form.
-
-    `coerce_point` finds a finite point by its string form, so labels such
-    as 1 and "1", or true and "True", cannot be told apart.
-    """
-    by_str: dict[str, int] = {}
-    for i, label in enumerate(labels):
-        j = by_str.setdefault(str(label), i)
-        if j != i:
-            raise ScenarioError(
-                f"table labels {labels[j]!r} and {label!r} collide: finite "
-                "points are addressed by their string form"
-            )
-    return tuple(labels)
-
-
 def build_space(scenario: dict) -> Space:
     spec = scenario["space"]
-    family = spec["family"]
-    complete = scenario["assumptions"]["complete"]
-    k = float(spec["k_const"])
-    if family == "sqrt_square":
-        space = sqrt_square_space(k, spec["sample_bound"])
-    elif family == "two_point_sigma":
-        space = two_point_sigma_space()
-    elif family == "abs_metric":
-        upper = spec["upper"]
-        space = abs_metric_space(
-            spec["lower"],
-            float("inf") if upper is None else upper,
-            spec["sample_bound"],
-        )
-    elif family == "max_partial":
-        space = max_partial_space(spec["sample_bound"])
-    elif family == "sum_metric_like":
-        space = sum_metric_like_space(spec["sample_bound"])
-    elif family == "square_diff":
-        space = square_diff_space(k, spec["sample_bound"])
-    elif family == "table":
-        space = table_space(
-            _distinct_labels(spec["labels"]),
-            spec["matrix"],
-            k,
-            SpaceKind(spec["kind"]),
-        )
-    else:
-        raise ScenarioError(f"unresolved space family: {family!r}")
-    if space.complete != complete:
-        space = Space(
-            space.carrier, space.dist, space.k_const, space.kind, space.name, complete
-        )
-    return space
-
-
-def coerce_point(space: Space, value: Any) -> Any:
-    """Map a JSON scalar onto a carrier point (finite labels by string form)."""
-    if space.is_finite:
-        by_str = {str(p): p for p in space.carrier.points}
-        key = str(value)
-        if key not in by_str:
-            raise ScenarioError(f"point {value!r} is not in the finite carrier")
-        return by_str[key]
-    return float(value)
-
-
-def _build_one_map(space: Space, spec: dict) -> tuple:
-    kind = spec["kind"]
-    if kind == "linear":
-        return linear_map(float(spec["a"]))
-    if kind == "identity":
-        return identity_map()
-    if kind == "permutation":
-        if not space.is_finite:
-            raise ScenarioError("permutation maps need a finite carrier")
-        table = {
-            coerce_point(space, k): coerce_point(space, v)
-            for k, v in spec["table"].items()
-        }
-        if set(table) != set(space.carrier.points):
-            raise ScenarioError("permutation table must cover the whole carrier")
-        return permutation_map(table)
-    raise ScenarioError(f"unresolved map kind: {kind!r}")
+    space = FAMILIES[spec["family"]].build(spec)
+    return dataclasses.replace(space, complete=scenario["assumptions"]["complete"])
 
 
 def build_maps(scenario: dict, space: Space) -> MapPair:
@@ -398,8 +406,8 @@ def build_maps(scenario: dict, space: Space) -> MapPair:
         raise ScenarioError("this command requires a 'maps' section")
     t_spec = scenario["maps"]["t"]
     s_spec = scenario["maps"]["s"]
-    t_fwd, t_pre = _build_one_map(space, t_spec)
-    s_fwd, s_pre = _build_one_map(space, s_spec)
+    t_fwd, t_pre = MAP_KINDS[t_spec["kind"]].build(space, t_spec)
+    s_fwd, s_pre = MAP_KINDS[s_spec["kind"]].build(space, s_spec)
     return MapPair(t_fwd, s_fwd, t_pre, s_pre, t_spec["kind"], s_spec["kind"])
 
 
@@ -407,11 +415,5 @@ def build_hypothesis(scenario: dict, space: Space):
     if "hypothesis" not in scenario:
         raise ScenarioError("this command requires a 'hypothesis' section")
     spec = scenario["hypothesis"]
-    if spec["form"] == "rl":
-        return RLHypothesis(float(spec["r_const"]), float(spec["l_const"]))
-    return PhiHypothesis(
-        affine_phi(float(spec["a"]), float(spec["b"])),
-        float(spec["codomain_bound"]),
-        scenario["assumptions"]["phi_limit_condition_attested"],
-        label=f"affine(a={spec['a']}, b={spec['b']})",
-    )
+    attested = scenario["assumptions"]["phi_limit_condition_attested"]
+    return FORMS[spec["form"]].build(spec, attested)

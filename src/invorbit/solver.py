@@ -89,18 +89,24 @@ def permutation_map(table: dict) -> tuple[Callable, Callable]:
     return table.__getitem__, inverse.__getitem__
 
 
+def _checked_preimage(space: Space, forward, preimage, y: Point, where: str, at) -> Point:
+    """preimage(y), after testing forward(preimage(y)) == y (ambient equality).
+
+    A failed round trip raises PreimageBroken, its message led by `where`
+    and `at` (e.g. "step" and 3); they are joined only then.
+    """
+    x = preimage(y)
+    back = forward(x)
+    if not space.points_equal(back, y):
+        raise PreimageBroken(f"{where} {at}: forward(preimage({y!r})) = {back!r} != {y!r}")
+    return x
+
+
 def check_roundtrip(space: Space, maps: MapPair, points: Iterable[Point]) -> None:
     """Raise PreimageBroken unless both selectors round-trip on `points`."""
     for p in points:
-        for fwd, pre, label in (
-            (maps.t_forward, maps.t_preimage, maps.t_label),
-            (maps.s_forward, maps.s_preimage, maps.s_label),
-        ):
-            back = fwd(pre(p))
-            if not space.points_equal(back, p):
-                raise PreimageBroken(
-                    f"map {label}: forward(preimage({p!r})) = {back!r} != {p!r}"
-                )
+        _checked_preimage(space, maps.t_forward, maps.t_preimage, p, "map", maps.t_label)
+        _checked_preimage(space, maps.s_forward, maps.s_preimage, p, "map", maps.s_label)
 
 
 # ---------------------------------------------------------------------------
@@ -190,18 +196,11 @@ def inverse_orbit(
     pts: list[Point] = [x0]
     dists: list[float] = []
     terminated = Termination.MAX_ITERATIONS
+    sides = ((maps.t_forward, maps.t_preimage), (maps.s_forward, maps.s_preimage))
     for step in range(max_steps):
         cur = pts[-1]
-        if step % 2 == 0:
-            nxt = maps.t_preimage(cur)
-            back = maps.t_forward(nxt)
-        else:
-            nxt = maps.s_preimage(cur)
-            back = maps.s_forward(nxt)
-        if not space.points_equal(back, cur):
-            raise PreimageBroken(
-                f"step {step}: forward(preimage({cur!r})) = {back!r} != {cur!r}"
-            )
+        forward, preimage = sides[step % 2]
+        nxt = _checked_preimage(space, forward, preimage, cur, "step", step)
         if not space.carrier.contains(nxt):
             raise PreimageBroken(
                 f"step {step}: preimage {nxt!r} left the carrier"
@@ -344,11 +343,6 @@ def audit(
             if limit is not None and len(violations) >= limit:
                 break
     return AuditReport(checked, tuple(violations), not violations)
-
-
-# The per-form names predate `audit`, which serves both forms.
-audit_rl = audit
-audit_phi = audit
 
 
 # ---------------------------------------------------------------------------

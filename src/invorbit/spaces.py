@@ -1,4 +1,4 @@
-"""Generalized metric structures: carriers, axiom checking, convergence.
+"""Generalized metric structures: carriers, sampling and axiom checking.
 
 Four families of distance structure are supported, from most to least
 restrictive: partial metrics, metric-like distances, b-metrics, and
@@ -30,7 +30,7 @@ from struct import unpack
 from typing import Any, Callable, Iterator, Sequence, Union
 
 from .errors import ExhaustiveOnInfiniteCarrier, NoFiniteK
-from .numerics import TOL_POINT, differs, exceeds, tail_window
+from .numerics import TOL_POINT, differs, exceeds
 
 Point = Any
 DistanceFn = Callable[[Point, Point], float]
@@ -272,22 +272,13 @@ class AxiomReport:
     checked_triples: int
 
 
-_SYMMETRY_ID = {
-    SpaceKind.PARTIAL_METRIC: "P3",
-    SpaceKind.METRIC_LIKE: "sigma2",
-    SpaceKind.B_METRIC: "D2",
-    SpaceKind.B_METRIC_LIKE: "D2",
-}
-_ZERO_ID = {
-    SpaceKind.METRIC_LIKE: "sigma1",
-    SpaceKind.B_METRIC: "D1",
-    SpaceKind.B_METRIC_LIKE: "D1",
-}
-_TRIANGLE_ID = {
-    SpaceKind.PARTIAL_METRIC: "P4",
-    SpaceKind.METRIC_LIKE: "sigma3",
-    SpaceKind.B_METRIC: "D3",
-    SpaceKind.B_METRIC_LIKE: "D3",
+# Per kind, the ids of its symmetry, zero-distance and triangle axioms; a
+# partial metric has no zero-distance axiom (P1 and P2 take its place).
+_AXIOM_IDS = {
+    SpaceKind.PARTIAL_METRIC: ("P3", None, "P4"),
+    SpaceKind.METRIC_LIKE: ("sigma2", "sigma1", "sigma3"),
+    SpaceKind.B_METRIC: ("D2", "D1", "D3"),
+    SpaceKind.B_METRIC_LIKE: ("D2", "D1", "D3"),
 }
 
 
@@ -317,7 +308,7 @@ def check_axioms(space: Space, strategy: Strategy) -> AxiomReport:
         raise TypeError(f"unknown strategy: {strategy!r}")
 
     violations: list[AxiomViolation] = []
-    sym_id = _SYMMETRY_ID[kind]
+    sym_id, zero_id, tri_id = _AXIOM_IDS[kind]
 
     # Each slack test sits behind the exact comparison it implies:
     # exceeds(a, b) needs a > b, and differs(a, b) needs a != b.
@@ -341,7 +332,7 @@ def check_axioms(space: Space, strategy: Strategy) -> AxiomReport:
                 violations.append(AxiomViolation("P2", (x, y), dxx, dxy))
         else:
             if dxy == 0.0 and not space.points_equal(x, y):
-                violations.append(AxiomViolation(_ZERO_ID[kind], (x, y), dxy, 0.0))
+                violations.append(AxiomViolation(zero_id, (x, y), dxy, 0.0))
 
     if kind is SpaceKind.B_METRIC:
         singles = (
@@ -354,7 +345,6 @@ def check_axioms(space: Space, strategy: Strategy) -> AxiomReport:
             if exceeds(dxx, 0.0):
                 violations.append(AxiomViolation("D1", (x, x), dxx, 0.0))
 
-    tri_id = _TRIANGLE_ID[kind]
     factor = space.k_const if kind in (SpaceKind.B_METRIC, SpaceKind.B_METRIC_LIKE) else 1.0
     subtract_mid = kind is SpaceKind.PARTIAL_METRIC
     for x, y, z in triples:
@@ -406,52 +396,6 @@ def min_valid_k(space: Space) -> float:
         if ratio > best:
             best = ratio
     return best
-
-
-# ---------------------------------------------------------------------------
-# Convergence
-# ---------------------------------------------------------------------------
-
-
-class Convergence(Enum):
-    CONVERGED = "converged"
-    NOT_CONVERGED = "not_converged"
-    INCONCLUSIVE = "inconclusive"
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    verdict: Convergence
-    gap: float  # max |D(x, x_n) - D(x, x)| over the decision window
-    self_distance: float
-    window: int
-
-
-def converges_to(
-    space: Space, seq: Sequence[Point], x: Point, tol: float
-) -> ConvergenceReport:
-    """Decide whether a finite prefix converges to x.
-
-    The criterion is D(x, x_n) -> D(x, x), not -> 0.  Converged means the
-    gap stays below `tol` across the whole decision window; NotConverged
-    means the window sits entirely at or above `tol` with no downward
-    trend; anything else is Inconclusive.
-    """
-    if not seq:
-        raise ValueError("sequence prefix must be nonempty")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    dxx = space.dist(x, x)
-    w = tail_window(len(seq))
-    gaps = [abs(space.dist(x, p) - dxx) for p in seq[len(seq) - w :]]
-    worst = max(gaps)
-    if worst < tol:
-        verdict = Convergence.CONVERGED
-    elif min(gaps) >= tol and gaps[-1] >= gaps[0]:
-        verdict = Convergence.NOT_CONVERGED
-    else:
-        verdict = Convergence.INCONCLUSIVE
-    return ConvergenceReport(verdict, worst, dxx, w)
 
 
 # ---------------------------------------------------------------------------
@@ -566,15 +510,3 @@ def table_space(
         return rows[index[x]][index[y]]
 
     return Space(FiniteCarrier(tuple(labels)), dist, k_const, kind, name, complete)
-
-
-def restrict_to_points(space: Space, points: Sequence[Point]) -> Space:
-    """The same distance function on a finite subset of the carrier."""
-    return Space(
-        FiniteCarrier(tuple(points)),
-        space.dist,
-        space.k_const,
-        space.kind,
-        f"{space.name}_restricted",
-        complete=True,
-    )

@@ -5,6 +5,7 @@ Run with `pytest -s tests/test_acceptance.py` to see the PASS/FAIL lines.
 
 import json
 import random
+from dataclasses import replace
 import subprocess
 import sys
 import time
@@ -61,10 +62,10 @@ def test_criterion_2_hypothesis_gap_detection():
     maps = _nine_identity()
     hyp = iv.RLHypothesis(3.0, 0.0)
     pairs = iv.sample_pairs(space, 10_000, seed=1)
-    full = iv.audit_rl(space, maps, hyp, pairs)
+    full = iv.audit(space, maps, hyp, pairs)
     flagged = {(v.x, v.y): (v.lhs, v.rhs) for v in full.violations}
     origin_unit = (0.0, 1.0) in pairs and flagged.get((0.0, 1.0)) == (1.0, 3.0)
-    restricted = iv.audit_rl(space, maps, hyp, [(x, y) for x, y in pairs if y <= 3 * x])
+    restricted = iv.audit(space, maps, hyp, [(x, y) for x, y in pairs if y <= 3 * x])
     ok = len(full.violations) >= 1 and origin_unit and restricted.passed
     _report(
         2,
@@ -137,7 +138,7 @@ def test_criterion_6_axiom_checker():
     passed = iv.check_axioms(iv.sqrt_square_space(), iv.Sampled(100_000, seed=1))
     k1 = iv.check_axioms(iv.sqrt_square_space(k_const=1.0), iv.Sampled(10_000, seed=1))
     d3 = [v for v in k1.violations if v.axiom_id == "D3"]
-    restricted = iv.restrict_to_points(iv.sqrt_square_space(), (0.0, 1.0, 4.0))
+    restricted = replace(iv.sqrt_square_space(), carrier=iv.FiniteCarrier((0.0, 1.0, 4.0)))
     k_star = iv.min_valid_k(restricted)
     ok = passed.passed and len(d3) >= 1 and k_star == 2.0
     _report(

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -213,7 +214,7 @@ def test_batched_sandwich_gate_raises_like_the_per_y_check(sqrt_square):
 def test_vanishing_limits_are_unique_on_finite_spaces():
     # At most one point can absorb a sequence with D(x_n, x) -> 0.
     pts = (0.0, 1.0, 2.5)
-    metric = iv.restrict_to_points(iv.abs_metric_space(), pts)
+    metric = replace(iv.abs_metric_space(), carrier=iv.FiniteCarrier(pts))
     for target in pts:
         seq = [target] * 20
         absorbing = [

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from invorbit import cli
-from invorbit.cli import _STATUS, main, run_batch, run_scenario
+from invorbit.cli import COMMANDS, main, run_batch, run_scenario
 from invorbit.report import canonical_json, write_trace_csv
 from invorbit.errors import ScenarioError
 from invorbit.scenario import (
@@ -460,7 +460,7 @@ def test_arithmetic_failure_does_not_abort_the_batch(tmp_path, cli_env):
     )
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
-    assert "error: OverflowError" in proc.stderr
+    assert f"error: {batch / 'a_overflow.json'}: OverflowError" in proc.stderr
     assert (out / "b_good" / "report.json").exists()
 
 
@@ -495,7 +495,9 @@ def test_batch_output_is_deterministic_and_in_file_order(tmp_path, cli_env):
     assert [run.returncode for run in runs] == [1, 1]
     assert runs[0].stdout == runs[1].stdout
     assert runs[0].stderr == runs[1].stderr
-    exit_of = {status: code for (_, code), status in _STATUS.items()}
+    exit_of = {}
+    for command in COMMANDS.values():
+        exit_of.update({command.passed: 0, command.failed: 2})
     expected = []
     for path in sorted(SCENARIOS.glob("*.json")):  # the batch minus the malformed file
         report_path = out / path.stem / "report.json"
@@ -503,7 +505,7 @@ def test_batch_output_is_deterministic_and_in_file_order(tmp_path, cli_env):
         status = report["status"]
         expected.append(f"{report['command']}: {status} (exit {exit_of[status]}) -> {report_path}")
     assert runs[0].stdout.decode() == "".join(line + "\n" for line in expected)
-    assert runs[0].stderr.decode().startswith("error: not valid JSON")
+    assert runs[0].stderr.decode().startswith(f"error: {batch / 'c_malformed.json'}: not valid JSON")
     assert runs[0].stderr.decode().count("\n") == 1
 
 
@@ -641,6 +643,49 @@ def test_a_one_file_batch_runs_in_process_like_the_pool(tmp_path, monkeypatch):
     ).read_bytes()
 
 
+@pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pooled"])
+def test_an_unexpected_exception_does_not_abort_the_batch(tmp_path, monkeypatch, capsys, workers):
+    if workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the batch pool needs the fork start method")
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    for name in ("a_bad.json", "b_good.json"):
+        (batch / name).write_text((SCENARIOS / "sqrt_square_solve.json").read_text())
+    real = cli.load_scenario
+
+    def fails_on_a(path):
+        if Path(path).stem == "a_bad":
+            raise TypeError("unhashable thing")
+        return real(path)
+
+    # the forked workers inherit both patches
+    monkeypatch.setattr(cli, "load_scenario", fails_on_a)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+    out = tmp_path / "out"
+    assert run_batch(batch, out, seed=None) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: {batch / 'a_bad.json'}: TypeError: unhashable thing"]
+    assert (out / "b_good" / "report.json").exists()
+    assert not (out / "a_bad" / "report.json").exists()
+
+
+def test_a_negative_seed_override_is_an_error(tmp_path, capsys):
+    path = SCENARIOS / "sqrt_square_audit.json"
+    assert run_scenario(path, tmp_path / "out", seed=-1) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: schema violations:") and "$.run.seed" in err
+
+
+def test_command_override_to_oracle_fills_the_oracle_defaults(tmp_path):
+    out = tmp_path / "out"
+    assert run_scenario(SCENARIOS / "sqrt_square_axioms.json", out, command="oracle") == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["scenario"]["oracle"]["sizes"] == [1, 2, 3]
+    assert report["scenario"]["run"]["command"] == "oracle"
+
+
 @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN", "1e999"])
 def test_non_finite_numbers_are_rejected_at_load(tmp_path, literal):
     path = tmp_path / "scenario.json"
@@ -656,6 +701,10 @@ def test_non_finite_numbers_are_rejected_at_load(tmp_path, literal):
 # ---------------------------------------------------------------------------
 # argument handling
 # ---------------------------------------------------------------------------
+
+
+def test_the_command_table_matches_the_schema_enum():
+    assert list(COMMANDS) == SCENARIO_SCHEMA["properties"]["run"]["properties"]["command"]["enum"]
 
 
 def test_print_schema_emits_valid_json(capsys):

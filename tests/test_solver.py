@@ -102,7 +102,7 @@ def test_orbit_adjacent_pairs_alternate_ordering():
 
 
 def test_audit_rl_flags_the_origin_unit_pair(sqrt_square, nine_identity):
-    report = iv.audit_rl(
+    report = iv.audit(
         sqrt_square, nine_identity, iv.RLHypothesis(3.0, 0.0), [(0.0, 1.0)]
     )
     assert not report.passed
@@ -113,14 +113,14 @@ def test_audit_rl_flags_the_origin_unit_pair(sqrt_square, nine_identity):
 def test_audit_rl_passes_on_the_dominated_region(sqrt_square, nine_identity):
     # 9x + y + 6*sqrt(x*y) >= 3x + 3y + 6*sqrt(x*y) exactly when y <= 3x.
     pairs = [(x, y) for x, y in iv.sample_pairs(sqrt_square, 10_000, 1) if y <= 3 * x]
-    report = iv.audit_rl(sqrt_square, nine_identity, iv.RLHypothesis(3.0, 0.0), pairs)
+    report = iv.audit(sqrt_square, nine_identity, iv.RLHypothesis(3.0, 0.0), pairs)
     assert report.passed
     assert report.checked_pairs == len(pairs)
 
 
 def test_audit_rl_scaling_maps_pass_exactly(sqrt_square, quadruple_pair):
     # D(4x, 4y) = (2 sqrt x + 2 sqrt y)**2 = 4 D(x, y), an exact identity.
-    report = iv.audit_rl(
+    report = iv.audit(
         sqrt_square,
         quadruple_pair,
         iv.RLHypothesis(4.0, 0.0),
@@ -131,7 +131,7 @@ def test_audit_rl_scaling_maps_pass_exactly(sqrt_square, quadruple_pair):
 
 def test_audit_rl_requires_r_above_k(sqrt_square, nine_identity):
     with pytest.raises(ValueError):
-        iv.audit_rl(sqrt_square, nine_identity, iv.RLHypothesis(2.0, 0.0), [(1.0, 1.0)])
+        iv.audit(sqrt_square, nine_identity, iv.RLHypothesis(2.0, 0.0), [(1.0, 1.0)])
 
 
 def test_audit_rl_uses_the_min_residual_term(sqrt_square, nine_identity):
@@ -149,7 +149,7 @@ def test_audit_rl_uses_the_min_residual_term(sqrt_square, nine_identity):
     lhs = s.dist(tx, sy)  # D(9, 1) = 16
     rhs = (3.0 + 5.0 * min_term) * s.dist(x, y)  # 3 * 4 = 12
     assert (lhs, rhs) == (16.0, 12.0)
-    report = iv.audit_rl(s, m, iv.RLHypothesis(3.0, 5.0), [(x, y)])
+    report = iv.audit(s, m, iv.RLHypothesis(3.0, 5.0), [(x, y)])
     assert report.passed
 
 
@@ -159,7 +159,7 @@ def test_audit_rl_with_l_zero_matches_plain_scaling(sqrt_square, nine_identity):
     from invorbit.numerics import exceeds
 
     pairs = iv.sample_pairs(sqrt_square, 500, seed=9)
-    report = iv.audit_rl(sqrt_square, nine_identity, iv.RLHypothesis(3.0, 0.0), pairs)
+    report = iv.audit(sqrt_square, nine_identity, iv.RLHypothesis(3.0, 0.0), pairs)
     flagged = {(v.x, v.y) for v in report.violations}
     d = sqrt_square.dist
     for x, y in pairs:
@@ -169,7 +169,7 @@ def test_audit_rl_with_l_zero_matches_plain_scaling(sqrt_square, nine_identity):
 
 
 def test_audit_limit_caps_collection(sqrt_square, nine_identity):
-    report = iv.audit_rl(
+    report = iv.audit(
         sqrt_square,
         nine_identity,
         iv.RLHypothesis(3.0, 0.0),
@@ -188,12 +188,12 @@ def test_audit_limit_caps_collection(sqrt_square, nine_identity):
 def test_audit_phi_compliant_pair(sqrt_square, nine_identity):
     hyp = iv.PhiHypothesis(iv.affine_phi(4.0, 1.0), k_squared=4.0)
     # D(9, 0) = 9 >= (4 + 1) * 1.
-    assert iv.audit_phi(sqrt_square, nine_identity, hyp, [(1.0, 0.0)]).passed
+    assert iv.audit(sqrt_square, nine_identity, hyp, [(1.0, 0.0)]).passed
 
 
 def test_audit_phi_violating_pair(sqrt_square, nine_identity):
     hyp = iv.PhiHypothesis(iv.affine_phi(4.0, 1.0), k_squared=4.0)
-    report = iv.audit_phi(sqrt_square, nine_identity, hyp, [(6.0, 0.0)])
+    report = iv.audit(sqrt_square, nine_identity, hyp, [(6.0, 0.0)])
     v = report.violations[0]
     assert v.lhs == 54.0
     assert v.rhs == pytest.approx(60.0, rel=1e-12)
@@ -201,14 +201,14 @@ def test_audit_phi_violating_pair(sqrt_square, nine_identity):
 
 def test_audit_phi_zero_distance_is_vacuous(sqrt_square, nine_identity):
     hyp = iv.PhiHypothesis(iv.affine_phi(4.0, 1.0), k_squared=4.0)
-    report = iv.audit_phi(sqrt_square, nine_identity, hyp, [(0.0, 0.0)])
+    report = iv.audit(sqrt_square, nine_identity, hyp, [(0.0, 0.0)])
     assert report.passed and report.checked_pairs == 1
 
 
 def test_audit_phi_codomain_breach_raises(sqrt_square, nine_identity):
     hyp = iv.PhiHypothesis(iv.affine_phi(1.0, 0.0), k_squared=4.0)
     with pytest.raises(iv.PhiBelowKSquared):
-        iv.audit_phi(sqrt_square, nine_identity, hyp, [(1.0, 2.0)])
+        iv.audit(sqrt_square, nine_identity, hyp, [(1.0, 2.0)])
 
 
 def test_audit_phi_violations_grow_with_phi(sqrt_square, nine_identity):
@@ -218,11 +218,11 @@ def test_audit_phi_violations_grow_with_phi(sqrt_square, nine_identity):
     large = iv.PhiHypothesis(iv.affine_phi(4.5, 2.0), k_squared=4.0)
     flagged_small = {
         (v.x, v.y)
-        for v in iv.audit_phi(sqrt_square, nine_identity, small, pairs).violations
+        for v in iv.audit(sqrt_square, nine_identity, small, pairs).violations
     }
     flagged_large = {
         (v.x, v.y)
-        for v in iv.audit_phi(sqrt_square, nine_identity, large, pairs).violations
+        for v in iv.audit(sqrt_square, nine_identity, large, pairs).violations
     }
     assert flagged_small <= flagged_large
 
@@ -256,7 +256,7 @@ def test_solve_scaling_pair_certifies(sqrt_square, quadruple_pair):
 def test_solve_identity_pair_is_not_certified(sqrt_square, identity_pair):
     # The expansion inequality is impossible for the identity; the trivial
     # two-point trace cannot certify decay either.
-    sampled = iv.audit_rl(
+    sampled = iv.audit(
         sqrt_square, identity_pair, iv.RLHypothesis(3.0, 0.0), iv.Sampled(100, seed=2)
     )
     assert not sampled.passed

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from itertools import islice, product
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import invorbit as iv
 from invorbit.numerics import differs, exceeds
-from invorbit.spaces import _SYMMETRY_ID, _TRIANGLE_ID, _ZERO_ID, _pool_and_anchors
+from invorbit.spaces import _AXIOM_IDS, _pool_and_anchors
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +68,7 @@ def test_d_sharp_symmetric_and_zero_on_diagonal(x, y):
 
 def test_d_sharp_doubles_dist_on_b_metrics():
     # Self-distances vanish for a genuine metric, so d_sharp is 2*dist.
-    s = iv.restrict_to_points(iv.abs_metric_space(), (0.0, 0.5, 2.0, 7.0))
+    s = replace(iv.abs_metric_space(), carrier=iv.FiniteCarrier((0.0, 0.5, 2.0, 7.0)))
     assert iv.check_axioms(s, iv.Exhaustive()).passed
     for x in s.carrier.points:
         for y in s.carrier.points:
@@ -197,12 +198,12 @@ def test_min_valid_k_on_sqrt_square_restriction(sqrt_square):
         if den > 0:
             best = max(best, d(x, y) / den)
     assert best == 2.0
-    restricted = iv.restrict_to_points(sqrt_square, pts)
+    restricted = replace(sqrt_square, carrier=iv.FiniteCarrier(pts))
     assert iv.min_valid_k(restricted) == 2.0
 
 
 def test_min_valid_k_is_one_for_genuine_metrics():
-    s = iv.restrict_to_points(iv.abs_metric_space(), (0.0, 1.0, 4.0, 9.0))
+    s = replace(iv.abs_metric_space(), carrier=iv.FiniteCarrier((0.0, 1.0, 4.0, 9.0)))
     assert iv.min_valid_k(s) == 1.0
 
 
@@ -229,7 +230,7 @@ def test_min_valid_k_raises_without_finite_bound():
 @settings(max_examples=60, deadline=None)
 def test_min_valid_k_is_sharp(points):
     # k* passes the triangle axiom; shaving it by 1e-9 relative must fail.
-    s = iv.restrict_to_points(iv.sqrt_square_space(), tuple(points))
+    s = replace(iv.sqrt_square_space(), carrier=iv.FiniteCarrier(tuple(points)))
     k_star = iv.min_valid_k(s)
     at_k = iv.Space(s.carrier, s.dist, k_star, s.kind, s.name, True)
     assert iv.check_axioms(at_k, iv.Exhaustive()).passed
@@ -237,44 +238,6 @@ def test_min_valid_k_is_sharp(points):
         shaved = iv.Space(s.carrier, s.dist, k_star * (1 - 1e-9), s.kind, s.name, True)
         report = iv.check_axioms(shaved, iv.Exhaustive())
         assert any(v.axiom_id == "D3" for v in report.violations)
-
-
-# ---------------------------------------------------------------------------
-# converges_to
-# ---------------------------------------------------------------------------
-
-
-def test_geometric_sequence_converges_to_origin(sqrt_square):
-    seq = [9.0 ** -n for n in range(40)]
-    report = iv.converges_to(sqrt_square, seq, 0.0, tol=1e-6)
-    assert report.verdict is iv.Convergence.CONVERGED
-
-
-def test_constant_sequence_converges_to_itself(sqrt_square):
-    report = iv.converges_to(sqrt_square, [3.0] * 20, 3.0, tol=1e-9)
-    assert report.verdict is iv.Convergence.CONVERGED
-    assert report.gap == 0.0
-
-
-def test_convergence_targets_self_distance_not_zero(sqrt_square):
-    # x_n = 1 + 1/n: D(1, x_n) tends to D(1,1) = 4, never to 0.
-    seq = [1.0 + 1.0 / n for n in range(1, 4001)]
-    report = iv.converges_to(sqrt_square, seq, 1.0, tol=1e-2)
-    assert report.verdict is iv.Convergence.CONVERGED
-    assert report.self_distance == 4.0
-
-
-def test_flat_wrong_limit_is_not_converged():
-    s = iv.abs_metric_space()
-    report = iv.converges_to(s, [0.0] * 20, 1.0, tol=1e-3)
-    assert report.verdict is iv.Convergence.NOT_CONVERGED
-
-
-def test_decreasing_but_high_is_inconclusive():
-    s = iv.abs_metric_space()
-    seq = [1.0 / n for n in range(1, 30)]
-    report = iv.converges_to(s, seq, 0.0, tol=1e-9)
-    assert report.verdict is iv.Convergence.INCONCLUSIVE
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +331,7 @@ def test_bulk_sampler_matches_randrange(space, pool_size, arity, sampler, refere
 def _bare_violations(space):
     """check_axioms on a finite carrier with every slack test unguarded."""
     d, kind, pts = space.dist, space.kind, space.carrier.points
+    sym_id, zero_id, tri_id = _AXIOM_IDS[kind]
     out = []
     for x, y in product(pts, repeat=2):
         dxy = d(x, y)
@@ -375,7 +339,7 @@ def _bare_violations(space):
             out.append(("nonneg", (x, y), dxy, 0.0))
         dyx = d(y, x)
         if differs(dxy, dyx):
-            out.append((_SYMMETRY_ID[kind], (x, y), dxy, dyx))
+            out.append((sym_id, (x, y), dxy, dyx))
         if kind is iv.SpaceKind.PARTIAL_METRIC:
             dxx, dyy = d(x, x), d(y, y)
             if x != y and not differs(dxx, dxy) and not differs(dyy, dxy):
@@ -383,7 +347,7 @@ def _bare_violations(space):
             if exceeds(dxx, dxy):
                 out.append(("P2", (x, y), dxx, dxy))
         elif dxy == 0.0 and x != y:
-            out.append((_ZERO_ID[kind], (x, y), dxy, 0.0))
+            out.append((zero_id, (x, y), dxy, 0.0))
     if kind is iv.SpaceKind.B_METRIC:
         for x in pts:
             if exceeds(d(x, x), 0.0):
@@ -400,7 +364,7 @@ def _bare_violations(space):
         if exceeds(lhs, rhs) or (
             not partial and detour > 0.0 and rhs <= lhs and exceeds(lhs / detour, factor)
         ):
-            out.append((_TRIANGLE_ID[kind], (x, y, z), lhs, rhs))
+            out.append((tri_id, (x, y, z), lhs, rhs))
     return out
 
 
