@@ -69,6 +69,7 @@ from .spaces import (
     Space,
     SpaceKind,
     abs_metric_space,
+    admitted_k_values,
     check_axioms,
     d_sharp,
     max_partial_space,

@@ -162,6 +162,9 @@ def _run_oracle(scenario: dict, out_dir: Path) -> tuple[dict, int]:
         l_values=tuple(params["l_values"]),
         n_max=params["n_max"],
     )
+    if not sweep.spaces_admitted:
+        # A sweep that walked no instance would pass vacuously.
+        raise InvorbitError("the oracle grid admits no space, so nothing was checked")
     results = {
         "matrices_checked": sweep.matrices_checked,
         "spaces_admitted": sweep.spaces_admitted,

@@ -24,6 +24,18 @@ zero.  The same holds for a rate function above K**2 >= 1.  Axiom D1 then
 forbids two points, so no admitted carrier with n >= 2 has a hypothesis
 holder, and every holder a sweep finds is a one-point carrier.
 
+Cycle lemma.  Restricting the hypothesis to the pairs an inverse orbit
+consumes (`orbit_adjacent_pairs`) leaves no holder off the fixed points
+either.  With delta_n = d(x_n, x_{n+1}), those pairs say
+delta_{n-1} >= R delta_n.  For bijections the even orbit points follow
+S^-1 T^-1, so the orbit is periodic with period p <= 2n, and taken once
+round the cycle the inequality gives delta_0 >= R**p delta_0 with R > 1:
+every delta is zero.  D1 then makes x_0 = x_1 = x_2, so T x_0 = T x_1 = x_0
+and S x_0 = S x_2 = x_1 = x_0.  (An orbit that stops at a common fixed
+point started there, as T and S are injective.)  Every holder over a whole
+period therefore starts in Fix(T) and Fix(S); over less than one period
+the inequality constrains too little to say so.
+
 All three entry points share one enumeration kernel.  Per carrier size it
 lists the bijections as index tuples, once; per space it reads the
 distances and diagonal residuals into tables, once; per (T, S, hypothesis)
@@ -56,7 +68,8 @@ from .spaces import (
     Point,
     Space,
     SpaceKind,
-    check_axioms,
+    admitted_k_values,
+    check_axioms,  # not called here; perfbench/spans.py wraps oracle.check_axioms
     d_sharp,
     table_space,
 )
@@ -297,7 +310,9 @@ def falsification_sweep(
 
     Every symmetric matrix over `entries` is tried as a b-metric-like
     space for each K in `k_values`; matrices failing the axioms are
-    dropped.  Admitted spaces are audited across all ordered bijection
+    dropped.  Admission is decided once per matrix for every K, by
+    `admitted_k_values`, which passes exactly the K that `check_axioms`
+    passes.  Admitted spaces are audited across all ordered bijection
     pairs with constants R drawn from {K + offset} and {K * factor} and L
     from `l_values`.  A report with no counterexamples means every
     hypothesis holder had exactly one common fixed point.  By the counting
@@ -308,6 +323,7 @@ def falsification_sweep(
     instances_checked = 0
     holders = 0
     counterexamples: list[Counterexample] = []
+    k_floats = [float(k) for k in k_values]
     for n in sizes:
         if n > n_max:
             raise CarrierTooLarge(f"sweep size {n} exceeds n_max={n_max}")
@@ -316,23 +332,23 @@ def falsification_sweep(
         for matrix in _symmetric_matrices(n, entries):
             matrices_checked += 1
             base = table_space(labels, matrix, k_const=1.0, kind=SpaceKind.B_METRIC_LIKE)
-            tables = None  # read once, shared by every admitting K
-            for k in k_values:
-                space = replace(base, k_const=float(k))
-                if not check_axioms(space, Exhaustive()).passed:
-                    continue
+            admitted = admitted_k_values(base, k_floats)
+            if not admitted:
+                continue
+            tables = _tables(base)  # read once, shared by every admitting K
+            for k in admitted:
                 spaces_admitted += 1
-                if tables is None:
-                    tables = _tables(base)
-                    zero_pair = has_zero_distance_pair(base)
+                space = replace(base, k_const=k)
                 r_values = sorted(
                     {k + o for o in r_offsets} | {k * f for f in r_factors}
                 )
                 hyps = (RLHypothesis(float(r), float(l)) for r in r_values for l in l_values)
                 instances_checked += n_pairs * len(r_values) * len(l_values)
+                # D1 leaves no two labels of an admitted space at distance
+                # zero to identify, so any count but one is a counterexample.
                 for holder in _holders(space, *tables, hyps):
                     holders += 1
-                    if len(holder.fixed_points) != 1 and not zero_pair:
+                    if len(holder.fixed_points) != 1:
                         counterexamples.append(_counterexample(holder))
     return SweepReport(
         matrices_checked,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, islice, product
 from struct import unpack
-from typing import Any, Callable, Iterator, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Sequence, Union
 
 from .errors import ExhaustiveOnInfiniteCarrier, NoFiniteK
 from .numerics import TOL_POINT, differs, exceeds
@@ -282,33 +282,21 @@ _AXIOM_IDS = {
 }
 
 
-def check_axioms(space: Space, strategy: Strategy) -> AxiomReport:
-    """Audit the kind-specific distance axioms and collect every violation.
+def _exhaustive_points(space: Space) -> tuple[Point, ...]:
+    if not space.is_finite:
+        raise ExhaustiveOnInfiniteCarrier("exhaustive axiom checking needs a finite carrier")
+    return space.carrier.points
 
-    For the triangle-type violations the witness is stored as (x, y, z)
-    with z the midpoint of the detour.  When sampling, pair axioms are
-    checked on the leading pair of each triple, so the anchor pairs are
-    always covered.  Deterministic for a fixed seed.
-    """
+
+def _pair_violations(
+    space: Space, pairs: Iterable[tuple[Point, Point]], singles: Iterable[Point]
+) -> list[AxiomViolation]:
+    """The pair axioms on `pairs`: nonnegativity, symmetry and zero distance
+    (P1 and P2 on a partial metric), plus D1 of a b-metric on `singles`."""
     d = space.dist
     kind = space.kind
-
-    if isinstance(strategy, Exhaustive):
-        if not space.is_finite:
-            raise ExhaustiveOnInfiniteCarrier(
-                "exhaustive axiom checking needs a finite carrier"
-            )
-        pts = space.carrier.points
-        pairs = list(product(pts, repeat=2))
-        triples = list(product(pts, repeat=3))
-    elif isinstance(strategy, Sampled):
-        triples = sample_triples(space, strategy.n, strategy.seed)
-        pairs = [(x, y) for x, y, _ in triples]
-    else:
-        raise TypeError(f"unknown strategy: {strategy!r}")
-
+    sym_id, zero_id, _ = _AXIOM_IDS[kind]
     violations: list[AxiomViolation] = []
-    sym_id, zero_id, tri_id = _AXIOM_IDS[kind]
 
     # Each slack test sits behind the exact comparison it implies:
     # exceeds(a, b) needs a > b, and differs(a, b) needs a != b.
@@ -334,18 +322,64 @@ def check_axioms(space: Space, strategy: Strategy) -> AxiomReport:
             if dxy == 0.0 and not space.points_equal(x, y):
                 violations.append(AxiomViolation(zero_id, (x, y), dxy, 0.0))
 
+    for x in singles:
+        dxx = d(x, x)
+        if exceeds(dxx, 0.0):
+            violations.append(AxiomViolation("D1", (x, x), dxx, 0.0))
+    return violations
+
+
+def _triangle_fails(
+    lhs: float, rhs: float, detour: float, factor: float, subtract_mid: bool
+) -> bool:
+    """The triangle test beyond slack; callers test `lhs >= rhs` first.
+
+    Also the ratio min_valid_k maximizes: at subnormal scale K * detour can
+    round back onto lhs, where the ratio still separates K from
+    K * (1 - 1e-9).  The product test stays for ratios that overflow.  A
+    ratio above K means K * detour < lhs exactly, so rhs <= lhs: both tests
+    need lhs >= rhs, and the ratio test can fire at equality.
+    """
+    return exceeds(lhs, rhs) or (
+        not subtract_mid and detour > 0.0 and exceeds(lhs / detour, factor)
+    )
+
+
+def _triangle_factor(space: Space, k_const: float) -> float:
+    return k_const if space.kind in (SpaceKind.B_METRIC, SpaceKind.B_METRIC_LIKE) else 1.0
+
+
+def check_axioms(space: Space, strategy: Strategy) -> AxiomReport:
+    """Audit the kind-specific distance axioms and collect every violation.
+
+    For the triangle-type violations the witness is stored as (x, y, z)
+    with z the midpoint of the detour.  When sampling, pair axioms are
+    checked on the leading pair of each triple, so the anchor pairs are
+    always covered.  Deterministic for a fixed seed.
+    """
+    d = space.dist
+    kind = space.kind
+
+    if isinstance(strategy, Exhaustive):
+        pts = _exhaustive_points(space)
+        pairs = list(product(pts, repeat=2))
+        triples = list(product(pts, repeat=3))
+    elif isinstance(strategy, Sampled):
+        triples = sample_triples(space, strategy.n, strategy.seed)
+        pairs = [(x, y) for x, y, _ in triples]
+    else:
+        raise TypeError(f"unknown strategy: {strategy!r}")
+
+    singles = ()
     if kind is SpaceKind.B_METRIC:
         singles = (
             space.carrier.points
             if isinstance(strategy, Exhaustive)
             else dict.fromkeys(p for t in triples for p in t)
         )
-        for x in singles:
-            dxx = d(x, x)
-            if exceeds(dxx, 0.0):
-                violations.append(AxiomViolation("D1", (x, x), dxx, 0.0))
-
-    factor = space.k_const if kind in (SpaceKind.B_METRIC, SpaceKind.B_METRIC_LIKE) else 1.0
+    violations = _pair_violations(space, pairs, singles)
+    tri_id = _AXIOM_IDS[kind][2]
+    factor = _triangle_factor(space, space.k_const)
     subtract_mid = kind is SpaceKind.PARTIAL_METRIC
     for x, y, z in triples:
         lhs = d(x, y)
@@ -353,15 +387,7 @@ def check_axioms(space: Space, strategy: Strategy) -> AxiomReport:
         rhs = factor * detour
         if subtract_mid:
             rhs -= d(z, z)
-        # Also the ratio min_valid_k maximizes: at subnormal scale K * detour
-        # can round back onto lhs, where the ratio still separates K from
-        # K * (1 - 1e-9).  The product test stays for ratios that overflow.
-        # A ratio above K means K * detour < lhs exactly, so rhs <= lhs: both
-        # tests need lhs >= rhs, and the ratio test can fire at equality.
-        if lhs >= rhs and (
-            exceeds(lhs, rhs)
-            or (not subtract_mid and detour > 0.0 and exceeds(lhs / detour, factor))
-        ):
+        if lhs >= rhs and _triangle_fails(lhs, rhs, detour, factor, subtract_mid):
             violations.append(AxiomViolation(tri_id, (x, y, z), lhs, rhs))
 
     return AxiomReport(
@@ -370,6 +396,43 @@ def check_axioms(space: Space, strategy: Strategy) -> AxiomReport:
         checked_pairs=len(pairs),
         checked_triples=len(triples),
     )
+
+
+def admitted_k_values(space: Space, k_values: Sequence[float]) -> list[float]:
+    """The K in `k_values` for which `check_axioms` passes exhaustively at k_const = K.
+
+    One pass over the pairs and one over the triples serve every K: the
+    pair axioms do not depend on K, and each distance is read once, so
+    each triple's (d(x, y), detour) is formed once and put through the
+    test `check_axioms` applies for each K.
+    """
+    for k in k_values:
+        if k < 1.0:
+            raise ValueError("k_const must be >= 1")
+    pts = _exhaustive_points(space)
+    singles = pts if space.kind is SpaceKind.B_METRIC else ()
+    if _pair_violations(space, product(pts, repeat=2), singles):
+        return []
+    subtract_mid = space.kind is SpaceKind.PARTIAL_METRIC
+    rows = [[space.dist(x, y) for y in pts] for x in pts]
+    index_pairs = list(product(range(len(pts)), repeat=2))
+    reads = {
+        (row[y], row[z] + rows[z][y], rows[z][z] if subtract_mid else 0.0)
+        for row in rows
+        for y, z in index_pairs
+    }
+    admitted = []
+    for k in k_values:
+        factor = _triangle_factor(space, k)
+        for lhs, detour, mid in reads:
+            rhs = factor * detour
+            if subtract_mid:
+                rhs -= mid
+            if lhs >= rhs and _triangle_fails(lhs, rhs, detour, factor, subtract_mid):
+                break
+        else:
+            admitted.append(k)
+    return admitted
 
 
 def min_valid_k(space: Space) -> float:

@@ -247,6 +247,24 @@ def test_oracle_scenario_passes(tmp_path):
     assert report["results"]["instances_checked"] > 0
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [{"entries": []}, {"sizes": []}, {"sizes": [2], "entries": [0.0]}],
+    ids=["no_entries", "no_sizes", "no_admitted_matrix"],
+)
+def test_an_oracle_grid_that_admits_no_space_is_an_error(tmp_path, capsys, grid):
+    doc = json.loads((SCENARIOS / "oracle_sweep.json").read_text())
+    doc["oracle"].update(grid)
+    path = _write(tmp_path, "empty_grid.json", doc)
+    assert run_scenario(path, tmp_path / "out") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {path}: the oracle grid admits no space, so nothing was checked\n"
+    )
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 # SHA-256 of report.json for two sampled runs, recorded before the samplers
 # drew in bulk: a changed draw order or a changed slack test breaks these.
 SQUARE_DIFF_K1_AXIOMS = {

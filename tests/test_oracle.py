@@ -169,11 +169,100 @@ def test_default_sweep_counts_are_pinned():
     ) == (4164, 2877, 401776, 8, ())
 
 
+@pytest.mark.parametrize("scale", [1, 1e-13, 1e13, 1e-310, 1e300])
+def test_sweep_counts_do_not_depend_on_the_scale(scale):
+    # At scale 1 the entries stay ints: the sweep reads them through the
+    # table, as floats.
+    sweep = iv.falsification_sweep(entries=tuple(scale * e for e in (0, 1, 2, 3)))
+    assert (
+        sweep.matrices_checked,
+        sweep.spaces_admitted,
+        sweep.instances_checked,
+        sweep.hypothesis_holders,
+        sweep.counterexamples,
+    ) == (4164, 2877, 401776, 8, ())
+
+
+def test_sweep_admits_like_per_k_check_axioms(monkeypatch):
+    # The sweep decides admission without check_axioms, and walks exactly
+    # the (matrix, K) that per-K check_axioms admits.
+    def no_check_axioms(*args):
+        raise AssertionError("the sweep called check_axioms")
+
+    walked = []
+    holders = oracle._holders
+
+    def recording_holders(space, *args):
+        pts = space.carrier.points
+        walked.append((tuple(tuple(space.dist(x, y) for y in pts) for x in pts), space.k_const))
+        return holders(space, *args)
+
+    monkeypatch.setattr(oracle, "check_axioms", no_check_axioms)
+    monkeypatch.setattr(oracle, "_holders", recording_holders)
+    entries, k_values = (0.0, 1.0, 3.0), (1.0, 1.5, 3.0)
+    sweep = iv.falsification_sweep(entries=entries, k_values=k_values)
+    expected = [
+        (tuple(map(tuple, matrix)), k)
+        for n in (1, 2, 3)
+        for matrix in oracle._symmetric_matrices(n, entries)
+        for k in k_values
+        if iv.check_axioms(
+            iv.table_space(tuple(range(n)), matrix, k_const=k), iv.Exhaustive()
+        ).passed
+    ]
+    assert walked == expected
+    assert sweep.spaces_admitted == len(expected)
+
+
 def test_counting_lemma_leaves_only_one_point_holders():
     # Sum of d(Tx, Sy) equals sum of d(x, y) for bijections, so with R > K >= 1
     # no admitted carrier of two or more points has a holder.
     assert iv.falsification_sweep(sizes=(2, 3)).hypothesis_holders == 0
     assert iv.falsification_sweep(sizes=(1,)).hypothesis_holders == 8
+
+
+# ---------------------------------------------------------------------------
+# Cycle lemma
+# ---------------------------------------------------------------------------
+
+
+def _orbit_local_holders(max_steps_for):
+    """(instances, holders, holders off Fix(T) and Fix(S)) of the orbit-local
+    hypothesis R = 1.5, L = 0 over every (T, S, x0) on every table of sizes
+    2 and 3 over {0, 1, 2, 3} that K = 1 admits."""
+    hyp = iv.RLHypothesis(1.5, 0.0)
+    instances = holders = off_fixed = 0
+    for n in (2, 3):
+        labels = tuple(range(n))
+        tables = bijection_tables(labels)
+        map_pairs = [
+            (pair_from_tables(t, s), {x for x in labels if t[x] == s[x] == x})
+            for t in tables
+            for s in tables
+        ]
+        for matrix in oracle._symmetric_matrices(n, (0.0, 1.0, 2.0, 3.0)):
+            space = iv.table_space(labels, matrix)
+            if not iv.admitted_k_values(space, [1.0]):
+                continue
+            for maps, fixed in map_pairs:
+                for x0 in labels:
+                    instances += 1
+                    trace = iv.inverse_orbit(space, maps, x0, max_steps=max_steps_for(n))
+                    pairs = iv.orbit_adjacent_pairs(trace.points)
+                    if iv.audit(space, maps, hyp, pairs, limit=1).passed:
+                        holders += 1
+                        off_fixed += x0 not in fixed
+    return instances, holders, off_fixed
+
+
+def test_cycle_lemma_one_period_forces_a_common_fixed_point():
+    # 4n steps cover the orbit's period (at most 2n) at least once.
+    assert _orbit_local_holders(lambda n: 4 * n) == (113_944, 12_706, 0)
+
+
+def test_cycle_lemma_needs_a_whole_period():
+    # Two steps are less than one period: holders start off the fixed points.
+    assert _orbit_local_holders(lambda n: 2) == (113_944, 39_526, 26_820)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import invorbit as iv
 from invorbit.numerics import differs, exceeds
+from invorbit.oracle import _symmetric_matrices
 from invorbit.spaces import _AXIOM_IDS, _pool_and_anchors
 
 
@@ -181,6 +182,68 @@ def test_two_point_sigma_is_not_a_partial_metric(two_point):
     s = iv.Space(two_point.carrier, two_point.dist, 1.0, iv.SpaceKind.PARTIAL_METRIC)
     report = iv.check_axioms(s, iv.Exhaustive())
     assert any(v.axiom_id == "P2" for v in report.violations)
+
+
+# ---------------------------------------------------------------------------
+# Admission for every K at once
+# ---------------------------------------------------------------------------
+
+ADMISSION_KS = (1.0, 1.3, 1.5, 2.0, 3.0)
+
+
+def _per_k_admitted(space, k_values):
+    return [
+        k
+        for k in k_values
+        if iv.check_axioms(replace(space, k_const=k), iv.Exhaustive()).passed
+    ]
+
+
+# At scale 1 the entries are ints; at 5e-324, one subnormal step, the
+# ratio test decides K = 1.3 (see the next test).
+@pytest.mark.parametrize("scale", [1, 1e-13, 1e13, 1e-310, 1e300, 5e-324])
+def test_admission_matches_per_k_check_axioms(scale):
+    entries = tuple(scale * e for e in (0, 1, 2, 3))
+    admitted = 0
+    for n in (1, 2, 3):
+        labels = tuple(range(n))
+        for matrix in _symmetric_matrices(n, entries):
+            space = iv.table_space(labels, matrix)
+            got = iv.admitted_k_values(space, ADMISSION_KS)
+            assert got == _per_k_admitted(space, ADMISSION_KS), matrix
+            admitted += len(got)
+    assert admitted > 0
+
+
+def test_only_the_ratio_test_rejects_a_subnormal_triangle():
+    # 1.3 * 2u rounds onto 3u, so the product test passes K = 1.3, while
+    # the ratio 3u / 2u = 1.5 exceeds it.
+    u = 5e-324
+    space = iv.table_space((0, 1, 2), [[0, 3 * u, u], [3 * u, 0, u], [u, u, 0]])
+    assert 1.3 * (2 * u) == 3 * u and not exceeds(3 * u, 1.3 * (2 * u))
+    assert iv.admitted_k_values(space, ADMISSION_KS) == [1.5, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("kind", list(iv.SpaceKind))
+def test_admission_matches_per_k_check_axioms_on_edge_values(kind, edge_values):
+    rng = random.Random(f"admission:{kind.value}")
+    pts = (0, 1, 2)
+    for _ in range(300):
+        table = {(x, y): rng.choice(edge_values) for x, y in product(pts, repeat=2)}
+        if rng.random() < 0.5:
+            table.update({(y, x): v for (x, y), v in list(table.items()) if x < y})
+        space = iv.Space(iv.FiniteCarrier(pts), lambda x, y: table[x, y], 1.0, kind)
+        assert iv.admitted_k_values(space, ADMISSION_KS) == _per_k_admitted(
+            space, ADMISSION_KS
+        ), table
+
+
+def test_admission_rejects_what_check_axioms_rejects(sqrt_square, two_point):
+    with pytest.raises(ValueError, match="k_const must be >= 1"):
+        iv.admitted_k_values(two_point, [2.0, 0.5])
+    with pytest.raises(iv.ExhaustiveOnInfiniteCarrier):
+        iv.admitted_k_values(sqrt_square, [2.0])
+    assert iv.admitted_k_values(two_point, []) == []
 
 
 # ---------------------------------------------------------------------------
