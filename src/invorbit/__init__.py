@@ -25,17 +25,12 @@ from .errors import (
     InvorbitError,
     NegativeDistance,
     NoFiniteK,
-    NotAFixedPoint,
     PhiBelowKSquared,
     PreimageBroken,
     ScenarioError,
 )
 from .oracle import (
-    TheoremAudit,
     SweepReport,
-    audit_theorem_finite,
-    common_fixed_points,
-    cross_validate,
     falsification_sweep,
 )
 from .solver import (
@@ -56,7 +51,6 @@ from .solver import (
     orbit_adjacent_pairs,
     permutation_map,
     solve,
-    verify_uniqueness_argument,
 )
 from .spaces import (
     AxiomReport,

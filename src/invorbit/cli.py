@@ -297,15 +297,19 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_captured(path: Path, out_dir: Path, seed: int | None) -> tuple[int, str, str]:
+def _run_captured(
+    path: Path, out_dir: Path, command: str | None, seed: int | None
+) -> tuple[int, str, str]:
     """Run one batch member; returns its exit code, stdout and stderr."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = run_scenario(path, out_dir, seed=seed)
+        code = run_scenario(path, out_dir, command, seed)
     return code, stdout.getvalue(), stderr.getvalue()
 
 
-def _batch_outcomes(paths: list[Path], out: Path, seed: int | None):
+def _batch_outcomes(
+    paths: list[Path], out: Path, command: str | None, seed: int | None
+):
     """Yield `_run_captured` of every path, in path order.
 
     The scenarios are pure Python, so threads would take turns on the GIL:
@@ -314,7 +318,7 @@ def _batch_outcomes(paths: list[Path], out: Path, seed: int | None):
     about as much as a small batch.  With one worker, or no `fork`, they
     run one after another in this process.
     """
-    jobs = [(path, out / path.stem, seed) for path in paths]
+    jobs = [(path, out / path.stem, command, seed) for path in paths]
     workers = min(_usable_cpus(), len(jobs))
     if workers > 1:
         # imported here, so that `--scenario` runs do not pay for it
@@ -337,14 +341,19 @@ def _batch_outcomes(paths: list[Path], out: Path, seed: int | None):
         yield _run_captured(*job)
 
 
-def run_batch(batch_dir: str | Path, out_dir: str | Path, seed: int | None) -> int:
+def run_batch(
+    batch_dir: str | Path,
+    out_dir: str | Path,
+    command: str | None = None,
+    seed: int | None = None,
+) -> int:
     """Run every scenario file in a directory; output comes in file order."""
     paths = sorted(Path(batch_dir).glob("*.json"))
     if not paths:
         print(f"error: no scenario files in {batch_dir}", file=sys.stderr)
         return EXIT_ERROR
     codes = []
-    for code, stdout, stderr in _batch_outcomes(paths, Path(out_dir), seed):
+    for code, stdout, stderr in _batch_outcomes(paths, Path(out_dir), command, seed):
         sys.stdout.write(stdout)
         sys.stdout.flush()
         sys.stderr.write(stderr)
@@ -393,7 +402,7 @@ def main(argv: list[str] | None = None) -> int:
         print("error: --scenario and --batch are mutually exclusive", file=sys.stderr)
         return EXIT_ERROR
     if args.batch:
-        return run_batch(args.batch, args.out, args.seed)
+        return run_batch(args.batch, args.out, args.command, args.seed)
     if not args.scenario:
         print("error: one of --scenario or --batch is required", file=sys.stderr)
         return EXIT_ERROR

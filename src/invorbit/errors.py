@@ -31,10 +31,6 @@ class PhiBelowKSquared(InvorbitError):
     """A rate function value fell to or below its K**2 codomain floor."""
 
 
-class NotAFixedPoint(InvorbitError):
-    """A claimed fixed point has a residual above tolerance."""
-
-
 class CarrierTooLarge(InvorbitError):
     """Exhaustive map-pair enumeration was requested beyond the size cap."""
 

@@ -1,16 +1,12 @@
 """Exhaustive brute-force verification on small finite spaces.
 
 On a finite carrier the onto self-maps are exactly the bijections, so the
-full hypothesis-to-fixed-point claim can be checked by enumeration: for
-every ordered bijection pair (T, S) that passes the exhaustive expansion
-audit, the set {x : Tx = Sx = x} must contain exactly one point, up to the
-identification of distinct labels at distance zero (which axiom checking
-rejects anyway; the guard documents the boundary).
-
-The falsification sweep extends this over a grid of symmetric distance
-matrices, keeping only those that pass the axioms, and reports any
-counterexample it finds.  The solver is cross-validated against the same
-enumeration.
+hypothesis-to-fixed-point claim can be checked by enumeration.  The
+falsification sweep is the one entry point: over a grid of symmetric
+distance matrices it keeps those that pass the axioms, audits every
+ordered bijection pair (T, S) on each against a grid of expansion
+hypotheses, and reports as a counterexample any hypothesis holder whose
+set {x : Tx = Sx = x} is not exactly one point.
 
 Counting lemma.  Because T and S are bijections, (Tx, Sy) runs over every
 ordered pair exactly once as (x, y) does, so on a finite carrier
@@ -36,13 +32,13 @@ point started there, as T and S are injective.)  Every holder over a whole
 period therefore starts in Fix(T) and Fix(S); over less than one period
 the inequality constrains too little to say so.
 
-All three entry points share one enumeration kernel.  Per carrier size it
-lists the bijections as index tuples, once; per space it reads the
-distances and diagonal residuals into tables, once; per (T, S, hypothesis)
-it walks the ordered pairs in the order `audit` uses and stops at the
-first violation, through the per-pair test `audit` itself uses.  Holders
-are re-audited by `audit` on the equivalent `MapPair`, so the kernel and
-the reference audit cannot drift apart unnoticed.
+The sweep walks one enumeration kernel.  Per carrier size it lists the
+bijections as index tuples, with their fixed indices, once; per space it
+reads the distances and diagonal residuals into tables, once; per (T, S,
+hypothesis) it walks the ordered pairs in the order `audit` uses and stops
+at the first violation, through the per-pair test `audit` itself uses.
+Holders are re-audited by `audit` on the equivalent `MapPair`, so the
+kernel and the reference audit cannot drift apart unnoticed.
 """
 
 from __future__ import annotations
@@ -61,7 +57,6 @@ from .solver import (
     check_hypothesis,
     expansion_violation,
     permutation_map,
-    solve,
 )
 from .spaces import (
     Exhaustive,
@@ -77,34 +72,10 @@ from .spaces import (
 DEFAULT_N_MAX = 4
 
 
-def bijection_tables(points: Sequence[Point]) -> list[dict]:
-    """All bijections of a finite point set, as mapping tables."""
-    return [dict(zip(points, image)) for image in permutations(points)]
-
-
 def pair_from_tables(t_table: dict, s_table: dict) -> MapPair:
     t_fwd, t_pre = permutation_map(t_table)
     s_fwd, s_pre = permutation_map(s_table)
     return MapPair(t_fwd, s_fwd, t_pre, s_pre, "permutation", "permutation")
-
-
-def common_fixed_points(space: Space, maps: MapPair) -> set:
-    """The exact set {x : T(x) = x and S(x) = x}, by enumeration."""
-    if not space.is_finite:
-        raise CarrierTooLarge("common fixed point enumeration needs a finite carrier")
-    return {
-        p
-        for p in space.carrier.points
-        if maps.t_forward(p) == p and maps.s_forward(p) == p
-    }
-
-
-def has_zero_distance_pair(space: Space) -> bool:
-    """True when two distinct labels sit at distance exactly zero."""
-    pts = space.carrier.points
-    return any(
-        space.dist(x, y) == 0.0 for x in pts for y in pts if x != y
-    )
 
 
 @dataclass(frozen=True)
@@ -112,13 +83,6 @@ class Counterexample:
     t_table: tuple[tuple[Point, Point], ...]
     s_table: tuple[tuple[Point, Point], ...]
     fixed_points: tuple[Point, ...]
-
-
-@dataclass(frozen=True)
-class TheoremAudit:
-    instances_checked: int
-    hypothesis_holders: int
-    counterexamples: tuple[Counterexample, ...]
 
 
 def _freeze(table: dict) -> tuple:
@@ -153,7 +117,6 @@ class _Holder:
     hyp: Hypothesis
     t_table: dict
     s_table: dict
-    maps: MapPair
     fixed_points: tuple[Point, ...]
 
 
@@ -199,7 +162,7 @@ def _holders(
 def _holder(
     space: Space, hyp: Hypothesis, t: tuple, s: tuple, fixed: frozenset
 ) -> _Holder:
-    """The holder (T, S) as maps, confirmed by `audit` on the same instance."""
+    """The holder (T, S) as tables, confirmed by `audit` on the same instance."""
     pts = space.carrier.points
     t_table = {x: pts[k] for x, k in zip(pts, t)}
     s_table = {x: pts[k] for x, k in zip(pts, s)}
@@ -209,7 +172,7 @@ def _holder(
             f"the enumeration kernel and audit disagree on T = {t}, "
             f"S = {s} under {hyp!r}"
         )
-    return _Holder(hyp, t_table, s_table, maps, tuple(pts[i] for i in sorted(fixed)))
+    return _Holder(hyp, t_table, s_table, tuple(pts[i] for i in sorted(fixed)))
 
 
 def _counterexample(holder: _Holder) -> Counterexample:
@@ -218,59 +181,6 @@ def _counterexample(holder: _Holder) -> Counterexample:
         _freeze(holder.s_table),
         tuple(sorted(holder.fixed_points, key=repr)),
     )
-
-
-def _finite_points(space: Space, n_max: int, purpose: str) -> tuple[Point, ...]:
-    if not space.is_finite:
-        raise CarrierTooLarge(f"{purpose} needs a finite carrier")
-    pts = space.carrier.points
-    if len(pts) > n_max:
-        raise CarrierTooLarge(f"carrier size {len(pts)} exceeds n_max={n_max}")
-    return pts
-
-
-def audit_theorem_finite(
-    space: Space, hyp: Hypothesis, n_max: int = DEFAULT_N_MAX
-) -> TheoremAudit:
-    """Audit every ordered bijection pair and count hypothesis holders.
-
-    For each pair passing the full exhaustive audit, the common fixed
-    point set must be a singleton unless distinct zero-distance labels
-    blur uniqueness; anything else is recorded as a counterexample.
-    """
-    pts = _finite_points(space, n_max, "theorem auditing")
-    holders = 0
-    counterexamples: list[Counterexample] = []
-    zero_pair = has_zero_distance_pair(space)
-    for holder in _holders(space, *_tables(space), [hyp]):
-        holders += 1
-        if len(holder.fixed_points) != 1 and not zero_pair:
-            counterexamples.append(_counterexample(holder))
-    checked = len(_bijections(len(pts))) ** 2
-    return TheoremAudit(checked, holders, tuple(counterexamples))
-
-
-def cross_validate(
-    space: Space,
-    hyp: Hypothesis,
-    x0: Point | None = None,
-    n_max: int = DEFAULT_N_MAX,
-    max_steps: int = 10_000,
-) -> bool:
-    """Solve from every start on every hypothesis-holding pair and compare.
-
-    The solver's candidate must lie in the enumerated common fixed point
-    set each time; the conjunction over all runs is returned.  Vacuously
-    true when no bijection pair holds the hypothesis.
-    """
-    pts = _finite_points(space, n_max, "cross validation")
-    starts = list(pts) if x0 is None else [x0]
-    for holder in _holders(space, *_tables(space), [hyp]):
-        for start in starts:
-            report = solve(space, holder.maps, hyp, start, max_steps=max_steps)
-            if report.candidate not in holder.fixed_points:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

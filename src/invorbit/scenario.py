@@ -81,14 +81,18 @@ def _distinct_labels(labels: list) -> tuple:
 
 
 def coerce_point(space: Space, value: Any) -> Any:
-    """Map a JSON scalar onto a carrier point (finite labels by string form)."""
+    """Map a JSON scalar onto a carrier point (finite labels by string form).
+
+    A string that parses to a non-finite float, such as "inf" or "1e999", is
+    rejected on an interval carrier as a non-finite literal is.
+    """
     if space.is_finite:
         by_str = {str(p): p for p in space.carrier.points}
         key = str(value)
         if key not in by_str:
             raise ScenarioError(f"point {value!r} is not in the finite carrier")
         return by_str[key]
-    return float(value)
+    return _finite_float(value)
 
 
 def _permutation(space: Space, spec: dict) -> tuple:
@@ -360,7 +364,7 @@ def normalize_scenario(doc: dict) -> dict:
     return out
 
 
-def _finite_float(literal: str) -> float:
+def _finite_float(literal: str | float) -> float:
     value = float(literal)
     if not math.isfinite(value):
         raise ScenarioError(f"non-finite number {literal}")

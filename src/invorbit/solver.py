@@ -32,7 +32,6 @@ from typing import Callable, Iterable, Sequence, Union
 from .analysis import CauchyOutcome, CauchyVerdict, geometric_cauchy_check
 from .errors import (
     ExhaustiveOnInfiniteCarrier,
-    NotAFixedPoint,
     PhiBelowKSquared,
     PreimageBroken,
 )
@@ -406,38 +405,3 @@ def solve(
     )
     return SolveReport(z, t_res, s_res, trace, certified, hyp_audit)
 
-
-def verify_uniqueness_argument(
-    space: Space,
-    maps: MapPair,
-    hyp: Hypothesis,
-    z1: Point,
-    z2: Point,
-    tol_fix: float = TOL_FIX,
-) -> bool:
-    """Check that two certified fixed points are the same point.
-
-    Both inputs must pass the residual gate (else NotAFixedPoint).  Returns
-    True when the points coincide ambiently or sit at distance zero (the
-    zero-implies-equal axiom is one-directional, so distinct labels at
-    distance zero are identified).  Returning False means the uniqueness
-    chain is numerically contradicted, in which case the expansion
-    hypothesis must itself fail on the witness pair; that cross-check is
-    enforced here.
-    """
-    for z in (z1, z2):
-        rt = d_sharp(space, z, maps.t_forward(z))
-        rs = d_sharp(space, z, maps.s_forward(z))
-        if rt > tol_fix or rs > tol_fix:
-            raise NotAFixedPoint(
-                f"{z!r} has residuals ({rt}, {rs}) above {tol_fix}"
-            )
-    if space.points_equal(z1, z2) or space.dist(z1, z2) == 0.0:
-        return True
-    witness = audit(space, maps, hyp, [(z1, z2), (z2, z1)])
-    if witness.passed:
-        raise RuntimeError(
-            "distinct fixed points but the expansion hypothesis holds on "
-            "their pair; the audit and the residual gate disagree"
-        )
-    return False

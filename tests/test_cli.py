@@ -689,6 +689,27 @@ def test_an_unexpected_exception_does_not_abort_the_batch(tmp_path, monkeypatch,
     assert not (out / "a_bad" / "report.json").exists()
 
 
+@pytest.mark.parametrize("files", [1, 2], ids=["serial", "pooled"])
+def test_batch_applies_the_command_override(tmp_path, monkeypatch, capsys, files):
+    # With two usable CPUs, one file runs in this process and two run on the pool.
+    if files > 1 and "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the batch pool needs the fork start method")
+    names = ("a", "b")[:files]
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    for name in names:
+        (batch / f"{name}.json").write_text((SCENARIOS / "sqrt_square_solve.json").read_text())
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    out = tmp_path / "out"
+    assert main(["--batch", str(batch), "--out", str(out), "--command", "audit"]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        f"audit: violations_found (exit 2) -> {out / name / 'report.json'}" for name in names
+    ]
+    alone = tmp_path / "alone"
+    assert run_scenario(batch / "a.json", alone, command="audit") == 2
+    assert (out / "a" / "report.json").read_bytes() == (alone / "report.json").read_bytes()
+
+
 def test_a_negative_seed_override_is_an_error(tmp_path, capsys):
     path = SCENARIOS / "sqrt_square_audit.json"
     assert run_scenario(path, tmp_path / "out", seed=-1) == 1
@@ -714,6 +735,17 @@ def test_non_finite_numbers_are_rejected_at_load(tmp_path, literal):
     with pytest.raises(ScenarioError, match="non-finite"):
         load_scenario(path)
     assert run_scenario(path, tmp_path / "out") == 1
+
+
+@pytest.mark.parametrize("command", ["solve", "lemmas"])
+@pytest.mark.parametrize("x0", ["inf", "-inf", "nan", "1e999"])
+def test_a_non_finite_start_string_is_rejected(tmp_path, capsys, command, x0):
+    doc = json.loads((SCENARIOS / "sqrt_square_solve.json").read_text())
+    doc["run"].update(command=command, x0=x0)
+    path = _write(tmp_path, "scenario.json", doc)
+    assert run_scenario(path, tmp_path / "out") == 1
+    assert capsys.readouterr().err == f"error: {path}: non-finite number {x0}\n"
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 import invorbit as iv
 from invorbit import oracle
-from invorbit.oracle import bijection_tables, pair_from_tables
+from invorbit.oracle import pair_from_tables
 
 
 def _abs_table(points):
@@ -13,35 +13,59 @@ def _abs_table(points):
     return iv.table_space(points, matrix, k_const=1.0, kind=iv.SpaceKind.B_METRIC)
 
 
+def _flat_table(points):
+    """All distances zero: every bijection pair holds every hypothesis."""
+    return iv.table_space(points, [[0.0] * len(points)] * len(points))
+
+
+def _kernel_holders(space, hyps):
+    return oracle._holders(space, *oracle._tables(space), hyps)
+
+
+def _kernel_theorem_audit(space, hyp):
+    """(instances, holders, counterexamples) of one space, as the sweep
+    counts them from the enumeration kernel."""
+    holders = list(_kernel_holders(space, [hyp]))
+    counterexamples = tuple(
+        oracle._counterexample(h) for h in holders if len(h.fixed_points) != 1
+    )
+    instances = len(oracle._bijections(len(space.carrier.points))) ** 2
+    return instances, len(holders), counterexamples
+
+
 # ---------------------------------------------------------------------------
-# common_fixed_points
+# Fix(T) and Fix(S) in the kernel
 # ---------------------------------------------------------------------------
+
+
+def _holder_fixed_points(t_table, s_table):
+    """The common fixed points the kernel reports for (T, S)."""
+    flat = _flat_table((0.0, 1.0, 2.0))
+    for h in _kernel_holders(flat, [iv.RLHypothesis(1.5, 0.0)]):
+        if (h.t_table, h.s_table) == (t_table, s_table):
+            return set(h.fixed_points)
+    raise AssertionError("the pair was not enumerated")
 
 
 def test_identity_pair_fixes_everything():
-    s = _abs_table((0.0, 1.0, 2.0))
-    maps = pair_from_tables({p: p for p in s.carrier.points}, {p: p for p in s.carrier.points})
-    assert iv.common_fixed_points(s, maps) == {0.0, 1.0, 2.0}
+    ident = {p: p for p in (0.0, 1.0, 2.0)}
+    assert _holder_fixed_points(ident, ident) == {0.0, 1.0, 2.0}
 
 
 def test_swap_against_identity():
-    s = _abs_table((0.0, 1.0, 2.0))
     swap = {0.0: 1.0, 1.0: 0.0, 2.0: 2.0}
-    ident = {p: p for p in s.carrier.points}
-    maps = pair_from_tables(swap, ident)
-    assert iv.common_fixed_points(s, maps) == {2.0}
+    ident = {p: p for p in (0.0, 1.0, 2.0)}
+    assert _holder_fixed_points(swap, ident) == {2.0}
 
 
 def test_three_cycle_has_no_fixed_point():
-    s = _abs_table((0.0, 1.0, 2.0))
     cycle = {0.0: 1.0, 1.0: 2.0, 2.0: 0.0}
-    ident = {p: p for p in s.carrier.points}
-    maps = pair_from_tables(cycle, ident)
-    assert iv.common_fixed_points(s, maps) == set()
+    ident = {p: p for p in (0.0, 1.0, 2.0)}
+    assert _holder_fixed_points(cycle, ident) == set()
 
 
 # ---------------------------------------------------------------------------
-# audit_theorem_finite
+# The kernel on one space
 # ---------------------------------------------------------------------------
 
 
@@ -60,81 +84,53 @@ def test_no_bijection_pair_doubles_a_finite_metric():
             ):
                 holders += 1
     assert holders == 0
-    audit = iv.audit_theorem_finite(s, iv.RLHypothesis(2.0, 0.0))
-    assert audit.instances_checked == 36
-    assert audit.hypothesis_holders == 0
-    assert audit.counterexamples == ()
+    assert _kernel_theorem_audit(s, iv.RLHypothesis(2.0, 0.0)) == (36, 0, ())
 
 
 def test_two_point_space_audits_all_pairs(two_point):
-    audit = iv.audit_theorem_finite(two_point, iv.RLHypothesis(1.5, 0.0))
-    assert audit.instances_checked == 4
-    assert audit.counterexamples == ()
+    instances, _, counterexamples = _kernel_theorem_audit(
+        two_point, iv.RLHypothesis(1.5, 0.0)
+    )
+    assert instances == 4
+    assert counterexamples == ()
 
 
 def test_singleton_with_zero_self_distance_holds_vacuously():
     s = iv.table_space((0,), [[0.0]])
-    audit = iv.audit_theorem_finite(s, iv.RLHypothesis(1.5, 0.0))
-    assert audit.instances_checked == 1
-    assert audit.hypothesis_holders == 1
-    assert audit.counterexamples == ()
+    assert _kernel_theorem_audit(s, iv.RLHypothesis(1.5, 0.0)) == (1, 1, ())
 
 
 def test_singleton_with_positive_self_distance_fails_the_hypothesis():
     s = iv.table_space((0,), [[2.0]])
-    audit = iv.audit_theorem_finite(s, iv.RLHypothesis(1.5, 0.0))
-    assert audit.hypothesis_holders == 0
+    assert _kernel_theorem_audit(s, iv.RLHypothesis(1.5, 0.0))[1] == 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_enumeration_covers_all_ordered_bijection_pairs(n):
-    pts = tuple(range(n))
-    s = _abs_table(tuple(float(p) for p in pts))
-    audit = iv.audit_theorem_finite(s, iv.RLHypothesis(2.0, 0.0))
-    assert audit.instances_checked == math.factorial(n) ** 2
-    assert len(bijection_tables(pts)) == math.factorial(n)
+    s = _flat_table(tuple(float(p) for p in range(n)))
+    held = [
+        (oracle._freeze(h.t_table), oracle._freeze(h.s_table))
+        for h in _kernel_holders(s, [iv.RLHypothesis(2.0, 0.0)])
+    ]
+    assert len(held) == len(set(held)) == math.factorial(n) ** 2
 
 
 def test_kernel_caches_bijections_not_pairs():
     # Five points beyond the default cap: 120 bijections are kept, and the
     # 14,400 ordered pairs are walked as they are enumerated.
-    s = _abs_table((0.0, 1.0, 2.0, 3.0, 4.0))
-    audit = iv.audit_theorem_finite(s, iv.RLHypothesis(2.0, 0.0), n_max=5)
-    assert audit.instances_checked == 120**2
+    flat = _flat_table(tuple(range(5)))
+    holders = _kernel_holders(flat, [iv.RLHypothesis(2.0, 0.0)])
+    first = next(holders)
+    assert first.t_table == first.s_table == {x: x for x in range(5)}
     assert len(oracle._bijections(5)) == 120
+    s = _abs_table((0.0, 1.0, 2.0, 3.0, 4.0))
+    assert _kernel_theorem_audit(s, iv.RLHypothesis(2.0, 0.0)) == (120**2, 0, ())
 
 
 def test_carrier_size_cap_is_enforced():
-    s = _abs_table((0.0, 1.0, 2.0, 3.0, 4.0))
-    with pytest.raises(iv.CarrierTooLarge):
-        iv.audit_theorem_finite(s, iv.RLHypothesis(2.0, 0.0))
-
-
-# ---------------------------------------------------------------------------
-# cross_validate
-# ---------------------------------------------------------------------------
-
-
-def test_cross_validate_vacuous_on_two_point_space(two_point):
-    # No bijection pair expands the positive distances, so the conjunction
-    # over passing pairs is empty.
-    assert iv.cross_validate(two_point, iv.RLHypothesis(1.5, 0.0))
-
-
-def test_cross_validate_singleton():
-    s = iv.table_space((0,), [[0.0]])
-    assert iv.cross_validate(s, iv.RLHypothesis(1.5, 0.0))
-
-
-def test_cross_validate_agrees_with_enumeration_on_sweep_instances():
-    # Every hypothesis holder in a small sweep grid must send the solver to
-    # an enumerated common fixed point, from every start.
-    for entries in ([[0.0]], [[0.0, 1.0], [1.0, 0.0]], [[0.0, 3.0], [3.0, 1.0]]):
-        labels = tuple(range(len(entries)))
-        space = iv.table_space(labels, entries)
-        if not iv.check_axioms(space, iv.Exhaustive()).passed:
-            continue
-        assert iv.cross_validate(space, iv.RLHypothesis(1.5, 0.0))
+    # One all-zero matrix, so a sweep without the cap ends at once.
+    with pytest.raises(iv.CarrierTooLarge, match="sweep size 5 exceeds n_max=4"):
+        iv.falsification_sweep(sizes=(5,), entries=(0.0,))
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +230,7 @@ def _orbit_local_holders(max_steps_for):
     instances = holders = off_fixed = 0
     for n in (2, 3):
         labels = tuple(range(n))
-        tables = bijection_tables(labels)
+        tables = [dict(zip(labels, image)) for image in permutations(labels)]
         map_pairs = [
             (pair_from_tables(t, s), {x for x in labels if t[x] == s[x] == x})
             for t in tables
@@ -272,8 +268,8 @@ def test_cycle_lemma_needs_a_whole_period():
 
 def _reference_theorem_audit(space, hyp):
     """The per-instance loop the kernel replaced: build, audit, enumerate."""
-    tables = bijection_tables(space.carrier.points)
-    zero_pair = oracle.has_zero_distance_pair(space)
+    pts = space.carrier.points
+    tables = [dict(zip(pts, image)) for image in permutations(pts)]
     checked = holders = 0
     counterexamples = []
     for t_table in tables:
@@ -283,8 +279,8 @@ def _reference_theorem_audit(space, hyp):
             if not iv.audit(space, maps, hyp, iv.Exhaustive(), limit=1).passed:
                 continue
             holders += 1
-            fps = iv.common_fixed_points(space, maps)
-            if len(fps) != 1 and not zero_pair:
+            fps = {x for x in pts if t_table[x] == s_table[x] == x}
+            if len(fps) != 1:
                 counterexamples.append(
                     oracle.Counterexample(
                         oracle._freeze(t_table),
@@ -292,15 +288,16 @@ def _reference_theorem_audit(space, hyp):
                         tuple(sorted(fps, key=repr)),
                     )
                 )
-    return iv.TheoremAudit(checked, holders, tuple(counterexamples))
+    return checked, holders, tuple(counterexamples)
 
 
 def _kernel_verdicts(space, hyps):
     held = {
         (oracle._freeze(h.t_table), oracle._freeze(h.s_table), h.hyp)
-        for h in oracle._holders(space, *oracle._tables(space), hyps)
+        for h in _kernel_holders(space, hyps)
     }
-    tables = bijection_tables(space.carrier.points)
+    pts = space.carrier.points
+    tables = [dict(zip(pts, image)) for image in permutations(pts)]
     return [
         (oracle._freeze(t), oracle._freeze(s), hyp) in held
         for t in tables
@@ -310,7 +307,8 @@ def _kernel_verdicts(space, hyps):
 
 
 def _reference_verdicts(space, hyps):
-    tables = bijection_tables(space.carrier.points)
+    pts = space.carrier.points
+    tables = [dict(zip(pts, image)) for image in permutations(pts)]
     maps = [pair_from_tables(t, s) for t in tables for s in tables]
     return [
         iv.audit(space, m, hyp, iv.Exhaustive(), limit=1).passed
@@ -339,19 +337,20 @@ def test_kernel_verdicts_match_the_reference_audit():
 def test_kernel_rejects_r_not_above_k_like_audit():
     space = iv.table_space((0, 1), [[0.0, 0.7], [0.7, 0.0]], k_const=2.0)
     with pytest.raises(ValueError, match="r_const must exceed"):
-        iv.audit_theorem_finite(space, iv.RLHypothesis(2.0, 0.0))
+        _kernel_theorem_audit(space, iv.RLHypothesis(2.0, 0.0))
 
 
 def test_phi_theorem_audit_matches_the_reference():
     space = iv.table_space((0, 1, 2), [[0.0, 0.7, 2.0], [0.7, 0.0, 0.7], [2.0, 0.7, 0.0]])
     for a, b in ((1.5, 0.0), (0.5, 2.0), (4.0, 1.0)):
         hyp = iv.PhiHypothesis(iv.affine_phi(a, b), 1.0)
-        assert iv.audit_theorem_finite(space, hyp) == _reference_theorem_audit(space, hyp)
+        assert _kernel_theorem_audit(space, hyp) == _reference_theorem_audit(space, hyp)
     # All-zero distances make every bijection pair a holder.
-    flat = iv.table_space((0, 1, 2), [[0.0] * 3] * 3)
+    flat = _flat_table((0, 1, 2))
     hyp = iv.PhiHypothesis(iv.affine_phi(2.0, 0.0), 1.0)
-    assert iv.audit_theorem_finite(flat, hyp) == _reference_theorem_audit(flat, hyp)
-    assert iv.audit_theorem_finite(flat, hyp).hypothesis_holders == 36
+    audit = _kernel_theorem_audit(flat, hyp)
+    assert audit == _reference_theorem_audit(flat, hyp)
+    assert audit[1] == 36
 
 
 def test_phi_floor_breach_is_raised_where_audit_raises_it():
@@ -360,16 +359,16 @@ def test_phi_floor_breach_is_raised_where_audit_raises_it():
     # The walk reaches d(0, 1) = 0.7 after the vacuous pair (0, 0): both raise.
     reaching = iv.table_space((0, 1), [[0.0, 0.7], [0.7, 0.0]])
     with pytest.raises(iv.PhiBelowKSquared) as kernel:
-        iv.audit_theorem_finite(reaching, hyp)
+        _kernel_theorem_audit(reaching, hyp)
     with pytest.raises(iv.PhiBelowKSquared) as reference:
         _reference_theorem_audit(reaching, hyp)
     assert str(kernel.value) == str(reference.value)
     # With d(0, 0) = 2 every walk stops at its first pair, which needs
     # d(T0, S0) >= 20: the breach at 0.7 is never evaluated.
     shielded = iv.table_space((0, 1), [[2.0, 0.7], [0.7, 0.0]])
-    audit = iv.audit_theorem_finite(shielded, hyp)
+    audit = _kernel_theorem_audit(shielded, hyp)
     assert audit == _reference_theorem_audit(shielded, hyp)
-    assert audit.hypothesis_holders == 0
+    assert audit[1] == 0
 
 
 def test_counterexamples_keep_the_reference_order_and_content():
@@ -377,8 +376,8 @@ def test_counterexamples_keep_the_reference_order_and_content():
     # every pair with other than one common fixed point is reported.
     space = iv.Space(iv.FiniteCarrier(("b", "a", "c")), lambda x, y: -1.0)
     for hyp in (iv.RLHypothesis(1.5, 0.0), iv.RLHypothesis(2.0, 3.0)):
-        audit = iv.audit_theorem_finite(space, hyp)
+        audit = _kernel_theorem_audit(space, hyp)
         assert audit == _reference_theorem_audit(space, hyp)
-        assert audit.hypothesis_holders == 36
+        assert audit[1] == 36
         # Of the 36 pairs, 9 fix exactly one common point: 3 per point.
-        assert len(audit.counterexamples) == 27
+        assert len(audit[2]) == 27

@@ -296,35 +296,6 @@ def test_residual_zero_without_fixedness_needs_degeneracy():
     assert maps.t_forward("a") != "a"
 
 
-# ---------------------------------------------------------------------------
-# verify_uniqueness_argument
-# ---------------------------------------------------------------------------
-
-
-def test_uniqueness_trivial_case(sqrt_square, nine_identity):
-    assert iv.verify_uniqueness_argument(
-        sqrt_square, nine_identity, iv.RLHypothesis(3.0, 0.0), 0.0, 0.0
-    )
-
-
-def test_uniqueness_gates_on_residuals(sqrt_square, nine_identity):
-    # d_sharp(1, 9) = |2*16 - 4 - 36| = 8, far above tolerance.
-    assert iv.d_sharp(sqrt_square, 1.0, 9.0) == 8.0
-    with pytest.raises(iv.NotAFixedPoint):
-        iv.verify_uniqueness_argument(
-            sqrt_square, nine_identity, iv.RLHypothesis(3.0, 0.0), 0.0, 1.0
-        )
-
-
-def test_uniqueness_identifies_zero_distance_labels(identity_pair):
-    # Distinct labels at distance zero only arise on unvetted tables; they
-    # are identified rather than reported as distinct fixed points.
-    s = iv.table_space(("a", "b"), [[0.0, 0.0], [0.0, 0.0]])
-    assert iv.verify_uniqueness_argument(
-        s, identity_pair, iv.RLHypothesis(1.5, 0.0), "a", "b"
-    )
-
-
 @pytest.mark.parametrize(
     "hyp, coeff",
     [
