@@ -10,6 +10,8 @@ Floating-point noise on genuine structures sits many orders of magnitude
 below either threshold at every scale.
 """
 
+import math
+
 TOL_AXIOM = 1e-9  # relative slack on axiom / hypothesis inequalities
 TOL_POINT = 1e-12  # ambient point equality on interval carriers
 TOL_FIX = 1e-10  # residual bound certifying a fixed point
@@ -22,8 +24,13 @@ def tail_window(n: int) -> int:
 
 
 def exceeds(value: float, bound: float, tol: float = TOL_AXIOM) -> bool:
-    """True when `value` is above `bound` beyond relative slack."""
-    return value - bound > 0.5 * tol * max(abs(value), abs(bound))
+    """True when `value` is above `bound` beyond relative slack.
+
+    An infinite gap exceeds every slack, though the slack of an infinite
+    value is infinite too.
+    """
+    gap = value - bound
+    return gap > 0.5 * tol * max(abs(value), abs(bound)) or gap == math.inf
 
 
 def differs(a: float, b: float, tol: float = TOL_AXIOM) -> bool:

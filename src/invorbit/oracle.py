@@ -32,21 +32,39 @@ point started there, as T and S are injective.)  Every holder over a whole
 period therefore starts in Fix(T) and Fix(S); over less than one period
 the inequality constrains too little to say so.
 
+Dominance lemma.  On one pair, a violation of (R, L) is a violation of
+every (R', L') with R' >= R and L' >= L, in floating point too.  The
+coefficient R + L * min(residuals) is nondecreasing in R and in L, since
+the residuals are >= 0 and IEEE rounding is monotone; so is
+rhs = coeff * d(x, y) for d(x, y) > 0, and at d(x, y) = 0 the rhs is 0 or
+nan and breaks nothing.  For a finite lhs >= 0 the test
+`rhs > lhs and exceeds(rhs, lhs)` is nondecreasing in rhs, up to and
+including rhs = inf.  That needs two things of the numerics: `exceeds`
+counts an infinite gap as exceeding (else an overflowed rhs complies),
+and `d_sharp` stays a number on distances near the largest float (else a
+nan residual makes every coefficient nan, and nan complies).  A sweep
+therefore finds every holder of its grid among the pairs that hold the
+grid's weakest hypothesis, the least R and the least L.
+
 The sweep walks one enumeration kernel.  Per carrier size it lists the
 bijections as index tuples, with their fixed indices, once; per space it
-reads the distances and diagonal residuals into tables, once; per (T, S,
-hypothesis) it walks the ordered pairs in the order `audit` uses and stops
-at the first violation, through the per-pair test `audit` itself uses.
-Holders are re-audited by `audit` on the equivalent `MapPair`, so the
-kernel and the reference audit cannot drift apart unnoticed.
+reads the distances and diagonal residuals into tables, once.  Per matrix
+it walks every (T, S) once, under the weakest hypothesis of every K the
+matrix admits; per admitted K it walks only the surviving (T, S) under
+each of that K's hypotheses.  Every walk takes the ordered pairs in the
+order `audit` uses and stops at the first violation, through the per-pair
+test `audit` itself uses.  Holders are re-audited by `audit` on the
+equivalent `MapPair`, so the kernel and the reference audit cannot drift
+apart unnoticed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import permutations, product
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CarrierTooLarge
 from .solver import (
@@ -70,6 +88,9 @@ from .spaces import (
 )
 
 DEFAULT_N_MAX = 4
+# The most instances a sweep grid may hold, counted as if every matrix were
+# admitted for every K.  The shipped grid holds 1,181,728.
+MAX_SWEEP_INSTANCES = 10**7
 
 
 def pair_from_tables(t_table: dict, s_table: dict) -> MapPair:
@@ -103,13 +124,16 @@ def _bijections(n: int) -> tuple[tuple[tuple[int, ...], frozenset[int]], ...]:
     )
 
 
-def _tables(space: Space) -> tuple[tuple, tuple]:
-    """A finite space's distances and diagonal residuals, indexed by position."""
+def _tables(space: Space) -> tuple[tuple, Callable[[int, int], float]]:
+    """A finite space's distance table, and its diagonal residuals by position."""
     pts = space.carrier.points
-    return (
-        tuple(tuple(space.dist(x, y) for y in pts) for x in pts),
-        tuple(tuple(d_sharp(space, x, y) for y in pts) for x in pts),
-    )
+    dist = tuple(tuple(space.dist(x, y) for y in pts) for x in pts)
+    sharp_rows = tuple(tuple(d_sharp(space, x, y) for y in pts) for x in pts)
+
+    def sharp(i: int, j: int) -> float:
+        return sharp_rows[i][j]
+
+    return dist, sharp
 
 
 @dataclass(frozen=True)
@@ -120,15 +144,43 @@ class _Holder:
     fixed_points: tuple[Point, ...]
 
 
-def _holders(
-    space: Space, dist: tuple, sharp_rows: tuple, hyps: Iterable[Hypothesis]
-) -> Iterator[_Holder]:
-    """Audit every (T, S, hypothesis) instance; yield the hypothesis holders.
+def _pairs(dist: tuple) -> Iterator[tuple]:
+    """Every ordered bijection pair (T, S) on a table, T-major, then S.
 
-    Instances run T-major, then S, then `hyps` in order, and each walks the
-    ordered pairs in the order of `audit` on an exhaustive source, so the
-    first violation and any PhiBelowKSquared arise where `audit` finds them.
-    Each holder is confirmed by `audit` on the equivalent `MapPair`.
+    Each comes as (t, t_fixed, t_walk, s, s_fixed), where `t_walk` is the
+    S-independent part of the pair walk, shared by every S: per ordered
+    pair (x, y), in the order of `audit` on an exhaustive source, the
+    indices x, y and Tx, d(x, y) and the row of Tx.
+    """
+    n = len(dist)
+    bijections = _bijections(n)
+    index_pairs = tuple(product(range(n), repeat=2))
+    for t, t_fixed in bijections:
+        t_walk = tuple((i, j, t[i], dist[i][j], dist[t[i]]) for i, j in index_pairs)
+        for s, s_fixed in bijections:
+            yield t, t_fixed, t_walk, s, s_fixed
+
+
+def _holds(hyp: Hypothesis, sharp: Callable, pair: tuple) -> bool:
+    """Whether the `_pairs` item (T, S) meets `hyp` on every ordered pair;
+    stops at the first violation, so any PhiBelowKSquared arises where
+    `audit` raises it."""
+    _, _, t_walk, s, _ = pair
+    for i, j, a, dxy, a_row in t_walk:
+        b = s[j]
+        if expansion_violation(hyp, sharp, i, j, a, b, dxy, a_row[b]) is not None:
+            return False
+    return True
+
+
+def _holders(
+    space: Space, sharp: Callable, hyps: Iterable[Hypothesis], pairs: Iterable[tuple]
+) -> Iterator[_Holder]:
+    """Audit every (T, S, hypothesis) instance of `pairs`; yield the holders.
+
+    `pairs` are `_pairs` items, and instances run in their order, then in
+    the order of `hyps`.  Each holder is confirmed by `audit` on the
+    equivalent `MapPair`.
     """
     # Built and checked one at a time, so an invalid hypothesis raises the
     # error `audit` raised on the first instance.
@@ -136,27 +188,11 @@ def _holders(
     for hyp in hyps:
         check_hypothesis(space, hyp)
         checked_hyps.append(hyp)
-    pts = space.carrier.points
-
-    def sharp(i: int, j: int) -> float:
-        return sharp_rows[i][j]
-
-    n = len(pts)
-    bijections = _bijections(n)
-    index_pairs = tuple(product(range(n), repeat=2))  # `audit`'s pair order
-    for t, t_fixed in bijections:
-        # The walk's S-independent part: x, y, Tx, d(x, y) and the row of Tx.
-        t_walk = tuple((i, j, t[i], dist[i][j], dist[t[i]]) for i, j in index_pairs)
-        for s, s_fixed in bijections:
-            for hyp in checked_hyps:
-                for i, j, a, dxy, a_row in t_walk:
-                    b = s[j]
-                    if expansion_violation(
-                        hyp, sharp, i, j, a, b, dxy, a_row[b]
-                    ) is not None:
-                        break
-                else:
-                    yield _holder(space, hyp, t, s, t_fixed & s_fixed)
+    for pair in pairs:
+        for hyp in checked_hyps:
+            if _holds(hyp, sharp, pair):
+                t, t_fixed, _, s, s_fixed = pair
+                yield _holder(space, hyp, t, s, t_fixed & s_fixed)
 
 
 def _holder(
@@ -207,6 +243,57 @@ def _symmetric_matrices(n: int, entries: Sequence[float]) -> Iterable[list[list[
         yield matrix
 
 
+def _hypothesis_grid(
+    k: float,
+    r_offsets: Sequence[float],
+    r_factors: Sequence[float],
+    l_values: Sequence[float],
+) -> tuple[RLHypothesis, ...]:
+    """The hypotheses a space with constant K is audited under, R-major."""
+    r_values = sorted({k + o for o in r_offsets} | {k * f for f in r_factors})
+    return tuple(RLHypothesis(float(r), float(l)) for r in r_values for l in l_values)
+
+
+def _weakest(hyps: Sequence[RLHypothesis]) -> RLHypothesis | None:
+    """The least R and the least L of `hyps`: a pair that breaks it breaks
+    every one of them (see the dominance lemma)."""
+    if not hyps:
+        return None
+    return RLHypothesis(min(h.r_const for h in hyps), min(h.l_const for h in hyps))
+
+
+def _bound_work(
+    sizes: Sequence[int], n_entries: int, per_pair: int, n_max: int
+) -> None:
+    """Raise CarrierTooLarge unless every size is at most `n_max` and the
+    grid holds at most MAX_SWEEP_INSTANCES instances, counted as if every
+    matrix were admitted for every K:
+
+        U = sum over n of n_entries**(n(n+1)/2) * (n!)**2 * per_pair.
+    """
+    for n in sizes:
+        if n > n_max:
+            raise CarrierTooLarge(f"sweep size {n} exceeds n_max={n_max}")
+    if not (n_entries and per_pair):
+        return  # no instance at all
+    for n in sizes:
+        # Decided from log(n!), so an absurd size is refused without
+        # forming its count.
+        if 2.0 * math.lgamma(n + 1) > math.log(MAX_SWEEP_INSTANCES):
+            raise CarrierTooLarge(
+                f"sweep size {n} has ({n}!)**2 map pairs per matrix, above the "
+                f"limit of {MAX_SWEEP_INSTANCES:,} instances"
+            )
+    work = per_pair * sum(
+        n_entries ** (n * (n + 1) // 2) * math.factorial(n) ** 2 for n in sizes
+    )
+    if work > MAX_SWEEP_INSTANCES:
+        raise CarrierTooLarge(
+            f"the sweep grid holds up to {work:,} instances, above the limit of "
+            f"{MAX_SWEEP_INSTANCES:,}"
+        )
+
+
 def falsification_sweep(
     sizes: Sequence[int] = (1, 2, 3),
     entries: Sequence[float] = (0.0, 1.0, 2.0, 3.0),
@@ -227,36 +314,49 @@ def falsification_sweep(
     from `l_values`.  A report with no counterexamples means every
     hypothesis holder had exactly one common fixed point.  By the counting
     lemma (module docstring) every holder has n = 1.
+
+    The grid is bounded before the walk starts: a size above `n_max`, or
+    more than MAX_SWEEP_INSTANCES instances were every matrix admitted
+    for every K, raises CarrierTooLarge.
     """
+    per_pair = len(k_values) * (len(r_offsets) + len(r_factors)) * len(l_values)
+    _bound_work(sizes, len(entries), per_pair, n_max)
+    if not all(math.isfinite(e) for e in entries):
+        raise ValueError("sweep entries must be finite")
+    k_floats = [float(k) for k in k_values]
+    grids = {k: _hypothesis_grid(k, r_offsets, r_factors, l_values) for k in k_floats}
+    weakest: dict[tuple, RLHypothesis | None] = {}  # per admitted K tuple
     matrices_checked = 0
     spaces_admitted = 0
     instances_checked = 0
     holders = 0
     counterexamples: list[Counterexample] = []
-    k_floats = [float(k) for k in k_values]
     for n in sizes:
-        if n > n_max:
-            raise CarrierTooLarge(f"sweep size {n} exceeds n_max={n_max}")
         labels = tuple(range(n))
         n_pairs = len(_bijections(n)) ** 2
         for matrix in _symmetric_matrices(n, entries):
             matrices_checked += 1
             base = table_space(labels, matrix, k_const=1.0, kind=SpaceKind.B_METRIC_LIKE)
-            admitted = admitted_k_values(base, k_floats)
+            admitted = tuple(admitted_k_values(base, k_floats))
             if not admitted:
                 continue
-            tables = _tables(base)  # read once, shared by every admitting K
+            dist, sharp = _tables(base)  # read once, shared by every admitting K
+            if admitted not in weakest:
+                weakest[admitted] = _weakest([h for k in admitted for h in grids[k]])
+            # One walk per (T, S) under the grid's weakest hypothesis: by the
+            # dominance lemma only the pairs it keeps can hold any other.
+            h0 = weakest[admitted]
+            survivors = (
+                [] if h0 is None else [p for p in _pairs(dist) if _holds(h0, sharp, p)]
+            )
             for k in admitted:
                 spaces_admitted += 1
                 space = replace(base, k_const=k)
-                r_values = sorted(
-                    {k + o for o in r_offsets} | {k * f for f in r_factors}
-                )
-                hyps = (RLHypothesis(float(r), float(l)) for r in r_values for l in l_values)
-                instances_checked += n_pairs * len(r_values) * len(l_values)
+                hyps = grids[k]
+                instances_checked += n_pairs * len(hyps)
                 # D1 leaves no two labels of an admitted space at distance
                 # zero to identify, so any count but one is a counterexample.
-                for holder in _holders(space, *tables, hyps):
+                for holder in _holders(space, sharp, hyps, survivors):
                     holders += 1
                     if len(holder.fixed_points) != 1:
                         counterexamples.append(_counterexample(holder))

@@ -155,9 +155,16 @@ def d_sharp(space: Space, x: Point, y: Point) -> float:
     This is the residual used for fixed-point certification, since a fixed
     point z may legitimately have D(z, Tz) = D(z, z) > 0.  The self-distance
     terms are summed before subtracting so the result is exactly symmetric
-    whenever the distance function is.
+    whenever the distance function is.  Where that overflows (distances
+    above about 9e307), the residual is taken from the halved self-distances
+    instead: halving is exact at that scale, and the result stays a number,
+    not the nan of inf - inf.
     """
-    return abs(2.0 * space.dist(x, y) - (space.dist(x, x) + space.dist(y, y)))
+    dxy, dxx, dyy = space.dist(x, y), space.dist(x, x), space.dist(y, y)
+    sharp = abs(2.0 * dxy - (dxx + dyy))
+    if math.isfinite(sharp):
+        return sharp
+    return 2.0 * abs(dxy - (0.5 * dxx + 0.5 * dyy))
 
 
 # ---------------------------------------------------------------------------

@@ -247,6 +247,61 @@ def test_oracle_scenario_passes(tmp_path):
     assert report["results"]["instances_checked"] > 0
 
 
+def test_oracle_report_matches_the_golden(tmp_path):
+    out = tmp_path / "out"
+    assert run_scenario(SCENARIOS / "oracle_sweep.json", out) == 0
+    golden = ROOT / "tests" / "goldens" / "oracle_sweep.report.json"
+    assert (out / "report.json").read_bytes() == golden.read_bytes()
+
+
+# Distances near the largest float: an overflowed right-hand side, and an
+# overflowed diagonal residual, each used to count as compliant, so the
+# identity pair on two points held the hypothesis.
+OVERFLOW_GRIDS = {
+    "inf_rhs": ({"entries": [0.0, 1e308], "l_values": [0.0]}, 8, 4, 32),
+    "nan_residual": ({"entries": [1e308], "l_values": [1.0]}, 1, 1, 8),
+}
+
+
+@pytest.mark.parametrize(
+    "grid, matrices, admitted, instances", OVERFLOW_GRIDS.values(), ids=OVERFLOW_GRIDS.keys()
+)
+def test_an_overflowing_grid_has_no_holder_on_two_points(
+    tmp_path, grid, matrices, admitted, instances
+):
+    doc = {
+        "space": {"family": "two_point_sigma"},
+        "run": {"command": "oracle"},
+        "oracle": {"sizes": [2], "k_values": [1.0], **grid},
+    }
+    out = tmp_path / "out"
+    assert run_scenario(_write(tmp_path, "overflow.json", doc), out) == 0
+    results = json.loads((out / "report.json").read_text())["results"]
+    assert results == {
+        "counterexamples": [],
+        "hypothesis_holders": 0,
+        "instances_checked": instances,
+        "matrices_checked": matrices,
+        "spaces_admitted": admitted,
+    }
+
+
+def test_an_oracle_grid_past_the_work_bound_is_refused(tmp_path, capsys):
+    # 4**15 matrices of 14,400 map pairs each: refused before the walk.
+    doc = {
+        "space": {"family": "two_point_sigma"},
+        "run": {"command": "oracle"},
+        "oracle": {"sizes": [5], "n_max": 5},
+    }
+    path = _write(tmp_path, "big.json", doc)
+    assert run_scenario(path, tmp_path / "out") == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: the sweep grid holds up to 123,695,058,124,800 instances, "
+        "above the limit of 10,000,000\n"
+    )
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 @pytest.mark.parametrize(
     "grid",
     [{"entries": []}, {"sizes": []}, {"sizes": [2], "entries": [0.0]}],

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from itertools import permutations, product
 
 import pytest
@@ -19,7 +20,8 @@ def _flat_table(points):
 
 
 def _kernel_holders(space, hyps):
-    return oracle._holders(space, *oracle._tables(space), hyps)
+    dist, sharp = oracle._tables(space)
+    return oracle._holders(space, sharp, hyps, oracle._pairs(dist))
 
 
 def _kernel_theorem_audit(space, hyp):
@@ -133,6 +135,33 @@ def test_carrier_size_cap_is_enforced():
         iv.falsification_sweep(sizes=(5,), entries=(0.0,))
 
 
+# U = 2**3 matrices * (2!)**2 pairs * 1 K * 2 R * 1 L = 64 instances.
+SMALL_GRID = dict(sizes=(2,), entries=(0.0, 1.0), k_values=(1.0,), l_values=(0.0,))
+
+
+def test_sweep_work_is_bounded_before_the_walk(monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_SWEEP_INSTANCES", 63)
+    with pytest.raises(
+        iv.CarrierTooLarge, match="the sweep grid holds up to 64 instances, above the limit of 63"
+    ):
+        iv.falsification_sweep(**SMALL_GRID)
+    monkeypatch.setattr(oracle, "MAX_SWEEP_INSTANCES", 64)
+    assert iv.falsification_sweep(**SMALL_GRID).instances_checked == 32
+
+
+def test_sweep_work_bound_refuses_an_absurd_size_without_counting():
+    with pytest.raises(
+        iv.CarrierTooLarge, match=r"sweep size 1000000000 has \(1000000000!\)\*\*2 map pairs"
+    ):
+        iv.falsification_sweep(sizes=(10**9,), n_max=10**9)
+
+
+@pytest.mark.parametrize("entry", [math.inf, -math.inf, math.nan])
+def test_sweep_rejects_non_finite_entries(entry):
+    with pytest.raises(ValueError, match="sweep entries must be finite"):
+        iv.falsification_sweep(sizes=(1,), entries=(0.0, entry))
+
+
 # ---------------------------------------------------------------------------
 # falsification_sweep
 # ---------------------------------------------------------------------------
@@ -208,6 +237,70 @@ def test_sweep_admits_like_per_k_check_axioms(monkeypatch):
     ]
     assert walked == expected
     assert sweep.spaces_admitted == len(expected)
+
+
+def _reference_sweep(
+    sizes=(1, 2, 3),
+    entries=(0.0, 1.0, 2.0, 3.0),
+    k_values=(1.0, 2.0),
+    r_offsets=(0.5,),
+    r_factors=(2.0,),
+    l_values=(0.0, 1.0),
+):
+    """The sweep without pruning: every (T, S) under every hypothesis of
+    every K that admits the matrix."""
+    matrices = admitted = instances = holders = 0
+    counterexamples = []
+    for n in sizes:
+        labels = tuple(range(n))
+        for matrix in oracle._symmetric_matrices(n, entries):
+            matrices += 1
+            base = iv.table_space(labels, matrix)
+            dist, sharp = oracle._tables(base)
+            for k in iv.admitted_k_values(base, [float(k) for k in k_values]):
+                admitted += 1
+                r_values = sorted({k + o for o in r_offsets} | {k * f for f in r_factors})
+                hyps = [iv.RLHypothesis(float(r), float(l)) for r in r_values for l in l_values]
+                instances += math.factorial(n) ** 2 * len(hyps)
+                space = replace(base, k_const=k)
+                for holder in oracle._holders(space, sharp, hyps, oracle._pairs(dist)):
+                    holders += 1
+                    if len(holder.fixed_points) != 1:
+                        counterexamples.append(oracle._counterexample(holder))
+    return oracle.SweepReport(matrices, admitted, instances, holders, tuple(counterexamples))
+
+
+DEFAULT_ENTRIES = (0.0, 1.0, 2.0, 3.0)
+PRUNING_GRIDS = {
+    "default": {},
+    "scale_1e-13": dict(entries=tuple(1e-13 * e for e in DEFAULT_ENTRIES)),
+    "scale_1e13": dict(entries=tuple(1e13 * e for e in DEFAULT_ENTRIES)),
+    "subnormal": dict(entries=(0.0, 5e-324, 1e-323)),
+    "overflow": dict(entries=(0.0, 1e308)),
+    "overflow_residuals": dict(entries=(1e308, 1.7e308), l_values=(1.0,)),
+    "overflow_l0": dict(entries=(0.0, 1e308, 1.7e308), l_values=(0.0,)),
+    "overflow_l1": dict(entries=(0.0, 1e308, 1.7e308), l_values=(1.0,)),
+    "overflow_l01": dict(entries=(0.0, 1e308, 1.7e308), l_values=(0.0, 1.0)),
+    # R = K + 1e-10 is within the slack of R = K, so isometries such as the
+    # identity hold it on carriers of every size; R = 2K prunes them.
+    "within_slack": dict(k_values=(1.0,), r_offsets=(1e-10,)),
+    # min L > 0, and on the spaces of K = 3, h0's R comes from a smaller
+    # admitted K (1.1 from K = 1, or 1.6 from K = 1.5).
+    "positive_l": dict(
+        entries=(0.0, 1.0, 3.0),
+        k_values=(1.0, 1.5, 3.0),
+        r_offsets=(0.1, 2.0),
+        r_factors=(1.1,),
+        l_values=(0.5, 1.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("grid", PRUNING_GRIDS.values(), ids=PRUNING_GRIDS.keys())
+def test_pruned_sweep_matches_the_full_walk(grid):
+    # By the dominance lemma, walking every (T, S) once under the grid's
+    # weakest hypothesis, and the rest only on its survivors, loses nothing.
+    assert iv.falsification_sweep(**grid) == _reference_sweep(**grid)
 
 
 def test_counting_lemma_leaves_only_one_point_holders():

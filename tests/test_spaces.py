@@ -67,6 +67,47 @@ def test_d_sharp_symmetric_and_zero_on_diagonal(x, y):
     assert iv.d_sharp(s, x, x) == 0.0
 
 
+def _counting_table_space(table):
+    calls = []
+
+    def dist(x, y):
+        calls.append((x, y))
+        return table[x][y]
+
+    return iv.Space(iv.FiniteCarrier(tuple(range(len(table)))), dist), calls
+
+
+def test_d_sharp_stays_a_number_near_the_largest_float():
+    # 2 * d(x, y) overflows above about 9e307; inf - inf used to give nan,
+    # even on the diagonal.
+    s, calls = _counting_table_space([[1.7e308, 1e308], [1e308, 1.5e308]])
+    assert iv.d_sharp(s, 0, 0) == iv.d_sharp(s, 1, 1) == 0.0
+    assert iv.d_sharp(s, 0, 1) == iv.d_sharp(s, 1, 0) == 2.0 * abs(1e308 - 1.6e308)
+    # A true residual past the largest float is infinite, not nan.
+    s, _ = _counting_table_space([[0.0, 1.7e308], [1.7e308, 0.0]])
+    assert iv.d_sharp(s, 0, 1) == math.inf
+    assert len(calls) == 4 * 3  # still three distance reads per residual
+
+
+@given(*[st.floats(min_value=0.0, max_value=1e308)] * 3)
+@settings(max_examples=300, deadline=None)
+@example(1e307, 1.7e308, 0.0)
+def test_d_sharp_is_unchanged_where_it_is_finite(dxy, dxx, dyy):
+    s, _ = _counting_table_space([[dxx, dxy], [dxy, dyy]])
+    sharp = abs(2.0 * dxy - (dxx + dyy))
+    if math.isfinite(sharp):
+        assert iv.d_sharp(s, 0, 1) == sharp
+
+
+def test_an_infinite_gap_exceeds_every_slack():
+    assert exceeds(math.inf, 1.0)
+    assert exceeds(1.0, -math.inf)
+    assert exceeds(1e308, -1e308)  # the gap overflows
+    assert not exceeds(math.inf, math.inf)
+    assert not exceeds(math.nan, 1.0)
+    assert not exceeds(1.0, math.inf)
+
+
 def test_d_sharp_doubles_dist_on_b_metrics():
     # Self-distances vanish for a genuine metric, so d_sharp is 2*dist.
     s = replace(iv.abs_metric_space(), carrier=iv.FiniteCarrier((0.0, 0.5, 2.0, 7.0)))
