@@ -4,7 +4,8 @@ Three checks, each a finite-prefix version of a classical convergence
 argument: a weighted polygon inequality along a chain of points, a
 geometric-ratio criterion certifying that pairwise distances of a sequence
 vanish, and a sandwich bound locating the limit of D(x_n, y) between
-D(x, y) / K and K * D(x, y).
+D(x, y) / K and K * D(x, y).  The sandwich reads its tail once per run of
+one point, which relies on the distance being a function of its points.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 from .errors import HypothesisNotMet, NegativeDistance
@@ -78,6 +79,8 @@ def geometric_cauchy_check(
     ratio but are excluded from lambda_hat: once an orbit has numerically
     collapsed its ratios carry quantization noise, not geometry.  A zero
     distance followed by a positive one is flagged as a divergent step.
+    A ratio that cannot raise lambda_hat skips the noise-floor test; both
+    tests are pure, so their order leaves lambda_hat as it is.
     """
     if len(successive_distances) < 2:
         raise ValueError("need at least two successive distances")
@@ -87,20 +90,22 @@ def geometric_cauchy_check(
         if v < 0:
             raise NegativeDistance(f"negative successive distance {v}")
     ratios: list[float] = []
+    append = ratios.append
     divergent: list[int] = []
     lam = 0.0
-    for i in range(len(successive_distances) - 1):
-        d0 = successive_distances[i]
-        d1 = successive_distances[i + 1]
+    rest = iter(successive_distances)
+    d0 = next(rest)
+    for i, d1 in enumerate(rest):
         if d0 == 0.0:
             r = 0.0 if d1 == 0.0 else math.inf
             if d1 > 0.0:
                 divergent.append(i)
         else:
             r = d1 / d0
-        ratios.append(r)
-        if max(d0, d1) > noise_floor and r > lam:
+        append(r)
+        if r > lam and max(d0, d1) > noise_floor:
             lam = r
+        d0 = d1
     threshold = 1.0 / k_const
     outcome = (
         CauchyOutcome.CAUCHY_CERTIFIED
@@ -118,6 +123,29 @@ class SandwichBounds:
     holds: bool
 
 
+def _runs(tail: Sequence[Point]) -> tuple[list[Point], list[int]]:
+    """Split `tail` into its runs of one point: the points and their counts.
+
+    A point joins the run before it only if it is that very object, or if
+    both are floats, equal and nonzero (the same double: report._cells's
+    rule).  Zeros stay apart because -0.0 == 0.0 while a distance may tell
+    them apart.
+    """
+    points: list[Point] = []
+    counts: list[int] = []
+    prev = object()
+    for p in tail:
+        if p is prev or (
+            isinstance(p, float) and isinstance(prev, float) and p == prev and p
+        ):
+            counts[-1] += 1
+        else:
+            points.append(p)
+            counts.append(1)
+            prev = p
+    return points, counts
+
+
 def limit_sandwich_check(
     space: Space, seq: Sequence[Point], x: Point, ys: Iterable[Point], tol: float
 ) -> list[SandwichBounds]:
@@ -128,6 +156,14 @@ def limit_sandwich_check(
     already sit below `tol`, otherwise HypothesisNotMet is raised.  The
     condition does not depend on y, so it is tested once per sequence;
     each y then gets its own tail average.
+
+    The tail is read once per run of one point, where a run is split off
+    by the rule of the trace CSV writer (`_runs`).  The check relies on the
+    distance being a function: the same point in gives the same distance
+    out.  So a run's distance is evaluated once and repeated its count of
+    times, and `math.fsum` adds the same values in the same order as over
+    the whole tail; a repeated value never changes a running `max`.  A
+    stalled orbit's tail is one point, read once per target.
     """
     if not seq:
         raise ValueError("sequence prefix must be nonempty")
@@ -136,15 +172,18 @@ def limit_sandwich_check(
     d = space.dist
     k = space.k_const
     w = tail_window(len(seq))
-    tail = seq[len(seq) - w :]
-    worst = max(map(d, tail, repeat(x)))
+    points, counts = _runs(seq[len(seq) - w :])
+    worst = max(map(d, points, repeat(x)))
     if worst >= tol:
         raise HypothesisNotMet(
             f"tail distance to the limit point is {worst}, not below {tol}"
         )
     out = []
     for y in ys:
-        estimate = math.fsum(map(d, tail, repeat(y))) / len(tail)
+        tail_dists = map(d, points, repeat(y))
+        if len(points) < w:
+            tail_dists = chain.from_iterable(map(repeat, tail_dists, counts))
+        estimate = math.fsum(tail_dists) / w
         dxy = d(x, y)
         lower = dxy / k
         upper = k * dxy

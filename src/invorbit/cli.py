@@ -162,9 +162,11 @@ def _run_oracle(scenario: dict, out_dir: Path) -> tuple[dict, int]:
         l_values=tuple(params["l_values"]),
         n_max=params["n_max"],
     )
+    # A sweep that walked no instance would pass vacuously.
     if not sweep.spaces_admitted:
-        # A sweep that walked no instance would pass vacuously.
         raise InvorbitError("the oracle grid admits no space, so nothing was checked")
+    if not sweep.instances_checked:
+        raise InvorbitError("the oracle grid checks no instance, so nothing was checked")
     results = {
         "matrices_checked": sweep.matrices_checked,
         "spaces_admitted": sweep.spaces_admitted,

@@ -16,6 +16,7 @@ TOL_AXIOM = 1e-9  # relative slack on axiom / hypothesis inequalities
 TOL_POINT = 1e-12  # ambient point equality on interval carriers
 TOL_FIX = 1e-10  # residual bound certifying a fixed point
 MIN_TAIL = 8
+_INF = math.inf
 
 
 def tail_window(n: int) -> int:
@@ -34,5 +35,10 @@ def exceeds(value: float, bound: float, tol: float = TOL_AXIOM) -> bool:
 
 
 def differs(a: float, b: float, tol: float = TOL_AXIOM) -> bool:
-    """True when two values disagree beyond relative slack."""
-    return abs(a - b) > tol * max(abs(a), abs(b))
+    """True when two values disagree beyond relative slack.
+
+    As in `exceeds`, an infinite gap disagrees beyond every slack; it is
+    tested second, so a finite disagreement costs nothing extra.
+    """
+    gap = abs(a - b)
+    return gap > tol * max(abs(a), abs(b)) or gap == _INF

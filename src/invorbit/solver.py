@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from itertools import product
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, NoReturn, Sequence, Union
 
 from .analysis import CauchyOutcome, CauchyVerdict, geometric_cauchy_check
 from .errors import (
@@ -88,24 +88,29 @@ def permutation_map(table: dict) -> tuple[Callable, Callable]:
     return table.__getitem__, inverse.__getitem__
 
 
-def _checked_preimage(space: Space, forward, preimage, y: Point, where: str, at) -> Point:
-    """preimage(y), after testing forward(preimage(y)) == y (ambient equality).
+def _roundtrip_broken(where: str, at, y: Point, back: Point) -> NoReturn:
+    """Raise PreimageBroken for forward(preimage(y)) = back != y.
 
-    A failed round trip raises PreimageBroken, its message led by `where`
-    and `at` (e.g. "step" and 3); they are joined only then.
+    The message is led by `where` and `at` (e.g. "step" and 3); they are
+    joined only here, so a passing round trip formats nothing.
     """
-    x = preimage(y)
-    back = forward(x)
-    if not space.points_equal(back, y):
-        raise PreimageBroken(f"{where} {at}: forward(preimage({y!r})) = {back!r} != {y!r}")
-    return x
+    raise PreimageBroken(f"{where} {at}: forward(preimage({y!r})) = {back!r} != {y!r}")
 
 
 def check_roundtrip(space: Space, maps: MapPair, points: Iterable[Point]) -> None:
-    """Raise PreimageBroken unless both selectors round-trip on `points`."""
+    """Raise PreimageBroken unless both selectors round-trip on `points`.
+
+    The test is ambient equality: forward(preimage(p)) must equal p.
+    """
+    sides = (
+        (maps.t_forward, maps.t_preimage, maps.t_label),
+        (maps.s_forward, maps.s_preimage, maps.s_label),
+    )
     for p in points:
-        _checked_preimage(space, maps.t_forward, maps.t_preimage, p, "map", maps.t_label)
-        _checked_preimage(space, maps.s_forward, maps.s_preimage, p, "map", maps.s_label)
+        for forward, preimage, label in sides:
+            back = forward(preimage(p))
+            if not space.points_equal(back, p):
+                _roundtrip_broken("map", label, p, back)
 
 
 # ---------------------------------------------------------------------------
@@ -195,20 +200,29 @@ def inverse_orbit(
     pts: list[Point] = [x0]
     dists: list[float] = []
     terminated = Termination.MAX_ITERATIONS
-    sides = ((maps.t_forward, maps.t_preimage), (maps.s_forward, maps.s_preimage))
+    # Everything the loop calls is bound once; every check still runs on
+    # every step, in this order.
+    dist, equal, contains = space.dist, space.points_equal, space.carrier.contains
+    add_point, add_dist = pts.append, dists.append
+    t_forward, s_forward = maps.t_forward, maps.s_forward
+    sides = ((t_forward, maps.t_preimage), (s_forward, maps.s_preimage))
+    cur = x0
     for step in range(max_steps):
-        cur = pts[-1]
-        forward, preimage = sides[step % 2]
-        nxt = _checked_preimage(space, forward, preimage, cur, "step", step)
-        if not space.carrier.contains(nxt):
+        forward, preimage = sides[step & 1]
+        nxt = preimage(cur)
+        back = forward(nxt)
+        if not equal(back, cur):
+            _roundtrip_broken("step", step, cur, back)
+        if not contains(nxt):
             raise PreimageBroken(
                 f"step {step}: preimage {nxt!r} left the carrier"
             )
-        pts.append(nxt)
-        dists.append(space.dist(cur, nxt))
-        if nxt == cur and maps.t_forward(nxt) == nxt and maps.s_forward(nxt) == nxt:
+        add_point(nxt)
+        add_dist(dist(cur, nxt))
+        if nxt == cur and t_forward(nxt) == nxt and s_forward(nxt) == nxt:
             terminated = Termination.FIXED_POINT_HIT
             break
+        cur = nxt
     else:
         w = tail_window(len(dists))
         if dists and max(dists[len(dists) - w :]) <= tol_fix:

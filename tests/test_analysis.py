@@ -1,6 +1,9 @@
+import functools
 import math
 import random
+import struct
 from dataclasses import replace
+from itertools import repeat
 
 import pytest
 from hypothesis import given, settings
@@ -233,3 +236,212 @@ def test_vanishing_limits_are_unique_on_finite_spaces():
             if max(sigma.dist(p, x) for p in seq[-8:]) < 1e-9
         ]
         assert absorbing == []
+
+
+# ---------------------------------------------------------------------------
+# Parity with the loops the checks replaced
+# ---------------------------------------------------------------------------
+
+
+def _bits(value):
+    """A float as its exact bits, so -0.0 against 0.0 and nan compare."""
+    return struct.pack("<d", value).hex() if isinstance(value, float) else value
+
+
+def _whole_tail_sandwich(space, seq, x, ys, tol):
+    """The sandwich check that evaluates every tail point, as a reference."""
+    d = space.dist
+    k = space.k_const
+    w = tail_window(len(seq))
+    tail = seq[len(seq) - w :]
+    worst = max(map(d, tail, repeat(x)))
+    if worst >= tol:
+        raise iv.HypothesisNotMet(
+            f"tail distance to the limit point is {worst}, not below {tol}"
+        )
+    out = []
+    for y in ys:
+        estimate = math.fsum(map(d, tail, repeat(y))) / len(tail)
+        dxy = d(x, y)
+        lower = dxy / k
+        upper = k * dxy
+        holds = (lower - tol) <= estimate <= (upper + tol)
+        out.append(iv.SandwichBounds(lower, estimate, upper, holds))
+    return out
+
+
+def _sandwich_outcome(check, space, seq, x, ys, tol):
+    try:
+        bounds = check(space, seq, x, ys, tol)
+    except iv.HypothesisNotMet as exc:
+        return "HypothesisNotMet", str(exc)
+    return [tuple(map(_bits, (b.lower, b.estimate, b.upper, b.holds))) for b in bounds]
+
+
+def _linear_orbit(space, c, x0, max_steps):
+    f, p = iv.linear_map(c)
+    return iv.inverse_orbit(space, iv.MapPair(f, f, p, p), x0, max_steps).points
+
+
+def _sign_space():
+    # A pseudometric that reads only the sign bit, so it tells -0.0 from 0.0.
+    return iv.Space(
+        iv.IntervalCarrier(-1.0, 1.0),
+        lambda x, y: abs(math.copysign(1.0, x) - math.copysign(1.0, y)),
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _sandwich_cases():
+    abs_metric = iv.abs_metric_space()
+    max_partial = iv.max_partial_space()
+    zeros = [0.0, -0.0] * 40
+    nan = math.nan
+    periodic = iv.table_space(
+        (0, 1, 2, 3),
+        [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]],
+        kind=iv.SpaceKind.B_METRIC,
+    )
+    cycle = iv.permutation_map({0: 1, 1: 2, 2: 3, 3: 0})
+    ident = iv.permutation_map({i: i for i in range(4)})
+    periodic_orbit = iv.inverse_orbit(
+        periodic, iv.MapPair(cycle[0], ident[0], cycle[1], ident[1]), 0, max_steps=203
+    ).points
+    # T = S = x / 1.02 stalls on one subnormal point after about 37.7k steps,
+    # so this tail holds distinct points, then one point repeated.
+    stalled = _linear_orbit(abs_metric, 1.02, 1.0, 45_000)
+    tail = stalled[-tail_window(len(stalled)) :]
+    assert tail[0] != tail[-1] == tail[-5_000]
+    unstalled = _linear_orbit(abs_metric, 1.02, 1.0, 2_000)
+    harmonic = [1.0 / n for n in range(1, 5001)]
+    ys = iv.sample_points(abs_metric, 26, seed=1) + [0.0, -0.0, nan]
+    one_nan = float("nan")
+    return {
+        "stalled_abs_metric": (abs_metric, stalled, stalled[-1], ys, 1e-6),
+        "stalled_max_partial": (max_partial, stalled, stalled[-1], ys, 1e-6),
+        "signed_zeros_max_partial": (max_partial, zeros, 0.0, [0.0, -0.0, 1.0], 1e-6),
+        "signed_zeros_max_partial_neg": (max_partial, zeros[1:], -0.0, [0.0, -0.0], 1e-6),
+        "signed_zeros_by_sign": (_sign_space(), zeros, 0.0, [0.0, -0.0, 0.5], 3.0),
+        "signed_zeros_gate": (_sign_space(), zeros, 0.0, [0.0], 1.0),
+        "nan_points": (abs_metric, [1.0, nan, nan, one_nan, one_nan, 0.0] * 5, 0.0, ys, 1e-6),
+        "periodic_table": (periodic, periodic_orbit, 0, (0, 1, 2, 3), 5.0),
+        "periodic_table_gate": (periodic, periodic_orbit, 0, (0, 1), 1.0),
+        "harmonic": (abs_metric, harmonic, 0.0, ys, 1e-3),
+        "no_stall": (abs_metric, unstalled, unstalled[-1], ys, 1.0),
+        "no_stall_gate": (abs_metric, unstalled, 1.0, ys, 1e-6),
+    }
+
+
+SANDWICH_CASES = [
+    "stalled_abs_metric",
+    "stalled_max_partial",
+    "signed_zeros_max_partial",
+    "signed_zeros_max_partial_neg",
+    "signed_zeros_by_sign",
+    "signed_zeros_gate",
+    "nan_points",
+    "periodic_table",
+    "periodic_table_gate",
+    "harmonic",
+    "no_stall",
+    "no_stall_gate",
+]
+
+
+@pytest.mark.parametrize("case", SANDWICH_CASES)
+def test_sandwich_runs_match_the_whole_tail(case):
+    args = _sandwich_cases()[case]
+    got = _sandwich_outcome(iv.limit_sandwich_check, *args)
+    assert got == _sandwich_outcome(_whole_tail_sandwich, *args)
+    if case.endswith("gate"):
+        assert got[0] == "HypothesisNotMet"
+    else:
+        assert isinstance(got, list)
+
+
+def test_signed_zero_runs_stay_apart():
+    # Grouping 0.0 with -0.0 would read only 0.0 and estimate 0.
+    (bound,) = iv.limit_sandwich_check(_sign_space(), [0.0, -0.0] * 4, 0.0, [0.0], 3.0)
+    assert bound.estimate == 1.0
+
+
+def _two_index_cauchy(successive_distances, k_const, noise_floor=0.0):
+    """The decay check that indexes both distances of each step, as a reference."""
+    for v in successive_distances:
+        if v < 0:
+            raise iv.NegativeDistance(f"negative successive distance {v}")
+    ratios = []
+    divergent = []
+    lam = 0.0
+    for i in range(len(successive_distances) - 1):
+        d0 = successive_distances[i]
+        d1 = successive_distances[i + 1]
+        if d0 == 0.0:
+            r = 0.0 if d1 == 0.0 else math.inf
+            if d1 > 0.0:
+                divergent.append(i)
+        else:
+            r = d1 / d0
+        ratios.append(r)
+        if max(d0, d1) > noise_floor and r > lam:
+            lam = r
+    threshold = 1.0 / k_const
+    outcome = (
+        iv.CauchyOutcome.CAUCHY_CERTIFIED
+        if lam < threshold
+        else iv.CauchyOutcome.INCONCLUSIVE
+    )
+    return iv.CauchyVerdict(lam, threshold, outcome, tuple(ratios), tuple(divergent))
+
+
+def _cauchy_bits(verdict):
+    return (
+        _bits(verdict.lambda_hat),
+        _bits(verdict.threshold),
+        verdict.verdict,
+        tuple(map(_bits, verdict.per_step_ratios)),
+        verdict.divergent_steps,
+    )
+
+
+FLOOR = 1e-10
+CAUCHY_CASES = {
+    "zeros": [0.0, 0.0, 1.0, 0.0, 0.5, 0.0, 0.0],
+    "signed_zeros": [-0.0, 0.0, -0.0, 1.0, -0.0, 0.25, 0.0, -0.0],
+    "nan": [1.0, math.nan, 0.5, math.nan, math.nan, 0.25, 0.0, math.nan],
+    "inf": [math.inf, 1.0, math.inf, math.inf, 0.0, math.inf, 2.0],
+    # The last step's larger distance sits exactly at the floor, and its
+    # ratio 1 is the largest: only a strict floor test leaves it out.
+    "at_noise_floor": [1.0, 0.5, FLOOR, FLOOR, 0.5 * FLOOR, FLOOR],
+    "ratio_ties": [8.0, 4.0, 2.0, 1.0, 0.5, 1e-11, 5e-12, 2.5e-12],
+    "subnormal": [1e-300, 5e-324, 5e-324, 1e-323, 0.0, 5e-324],
+}
+
+
+@pytest.mark.parametrize("floor", [0.0, FLOOR, 0.5])
+@pytest.mark.parametrize("k_const", [1.0, 2.0])
+@pytest.mark.parametrize("case", list(CAUCHY_CASES))
+def test_one_pass_cauchy_matches_the_two_index_loop(case, k_const, floor):
+    distances = CAUCHY_CASES[case]
+    got = iv.geometric_cauchy_check(distances, k_const, noise_floor=floor)
+    assert _cauchy_bits(got) == _cauchy_bits(_two_index_cauchy(distances, k_const, floor))
+
+
+def test_a_step_at_the_noise_floor_is_left_out():
+    verdict = iv.geometric_cauchy_check(CAUCHY_CASES["at_noise_floor"], 1.0, noise_floor=FLOOR)
+    assert verdict.lambda_hat == 0.5
+    assert verdict.per_step_ratios[2] == 1.0
+
+
+@given(
+    st.lists(
+        st.sampled_from([0.0, -0.0, 5e-324, FLOOR, 0.5, 1.0, 2.0, math.inf, math.nan]),
+        min_size=2,
+        max_size=12,
+    ),
+    st.sampled_from([0.0, FLOOR, 1.0]),
+)
+@settings(max_examples=300, deadline=None)
+def test_one_pass_cauchy_matches_on_edge_values(distances, floor):
+    got = iv.geometric_cauchy_check(distances, 1.0, noise_floor=floor)
+    assert _cauchy_bits(got) == _cauchy_bits(_two_index_cauchy(distances, 1.0, floor))

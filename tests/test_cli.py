@@ -320,6 +320,24 @@ def test_an_oracle_grid_that_admits_no_space_is_an_error(tmp_path, capsys, grid)
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [{"l_values": []}, {"r_offsets": [], "r_factors": []}],
+    ids=["no_l_values", "no_r_values"],
+)
+def test_an_oracle_grid_that_checks_no_instance_is_an_error(tmp_path, capsys, grid):
+    # Both grids admit 2,877 spaces but pair none with a hypothesis.
+    doc = {"space": {"family": "two_point_sigma"}, "run": {"command": "oracle"}, "oracle": grid}
+    path = _write(tmp_path, "no_instances.json", doc)
+    assert run_scenario(path, tmp_path / "out") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {path}: the oracle grid checks no instance, so nothing was checked\n"
+    )
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 # SHA-256 of report.json for two sampled runs, recorded before the samplers
 # drew in bulk: a changed draw order or a changed slack test breaks these.
 SQUARE_DIFF_K1_AXIOMS = {
@@ -355,6 +373,37 @@ def test_sampled_reports_are_pinned(tmp_path, name, digest):
     if name == "square_diff_k1_axioms":
         assert all(len(v["witness"]) in (2, 3) for v in violations)
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+# SHA-256 of the outputs of a 75,000-step orbit of T = S = c*x, recorded
+# before the orbit loop and the orbit lemmas bound their callables once and
+# read a stalled tail once per run of one point.  The orbit stalls on one
+# subnormal point after about 38.8k steps, so the sandwich tail is one run.
+LONG_ORBIT_C = 1.0194201360826156
+LONG_ORBIT_SHA256 = {
+    ("solve", "report.json"): "a54855a3f0f4052709df2f9142765bf0bb038efbf1d1fe44ecd65dbbc9d0a60a",
+    ("solve", "trace.csv"): "efeadac5eb4f226c396149bb633fc580bb91062189410fc46bc341915e0b9775",
+    ("lemmas", "report.json"): "d7b663917e69ecf2923a0fda4ac15bda9d78d7685fa42d9b86341c772493c123",
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "lemmas"])
+def test_long_orbit_outputs_are_pinned(tmp_path, command):
+    linear = {"kind": "linear", "a": LONG_ORBIT_C}
+    doc = {
+        "space": {"family": "abs_metric"},
+        "maps": {"t": linear, "s": linear},
+        "run": {"command": command, "x0": 206.3985634044328, "max_steps": 75_000, "seed": 803},
+        "assumptions": {"complete": True},
+    }
+    if command == "solve":
+        doc["hypothesis"] = {"form": "rl", "r_const": (1.0 + LONG_ORBIT_C) / 2.0, "l_const": 0.0}
+    out = tmp_path / "out"
+    assert run_scenario(_write(tmp_path, f"{command}.json", doc), out) == 0
+    assert json.loads((out / "report.json").read_bytes())["results"]["orbit_steps"] == 75_000
+    for (cmd, name), digest in LONG_ORBIT_SHA256.items():
+        if cmd == command:
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_outputs_do_not_depend_on_the_locale(tmp_path, cli_env):

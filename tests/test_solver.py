@@ -1,10 +1,11 @@
+import struct
 from itertools import product
 
 import pytest
 
 import invorbit as iv
-from invorbit.numerics import exceeds
-from invorbit.solver import expansion_violation
+from invorbit.numerics import TOL_FIX, exceeds, tail_window
+from invorbit.solver import DEFAULT_MAX_STEPS, check_roundtrip, expansion_violation
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +95,166 @@ def test_orbit_adjacent_pairs_alternate_ordering():
     pairs = iv.orbit_adjacent_pairs(("a", "b", "c", "d", "e"))
     # T takes odd-indexed points, S even-indexed ones.
     assert pairs == [("b", "c"), ("d", "c"), ("d", "e")]
+
+
+def _indexed_orbit(space, maps, x0, max_steps=DEFAULT_MAX_STEPS, tol_fix=TOL_FIX):
+    """The orbit loop that looks up every callable on every step, as a reference."""
+    if max_steps < 2:
+        raise ValueError("max_steps must be at least 2")
+    if not space.carrier.contains(x0):
+        raise ValueError(f"start point {x0!r} is outside the carrier")
+    pts = [x0]
+    dists = []
+    terminated = iv.Termination.MAX_ITERATIONS
+    sides = ((maps.t_forward, maps.t_preimage), (maps.s_forward, maps.s_preimage))
+    for step in range(max_steps):
+        cur = pts[-1]
+        forward, preimage = sides[step % 2]
+        nxt = preimage(cur)
+        back = forward(nxt)
+        if not space.points_equal(back, cur):
+            raise iv.PreimageBroken(
+                f"step {step}: forward(preimage({cur!r})) = {back!r} != {cur!r}"
+            )
+        if not space.carrier.contains(nxt):
+            raise iv.PreimageBroken(f"step {step}: preimage {nxt!r} left the carrier")
+        pts.append(nxt)
+        dists.append(space.dist(cur, nxt))
+        if nxt == cur and maps.t_forward(nxt) == nxt and maps.s_forward(nxt) == nxt:
+            terminated = iv.Termination.FIXED_POINT_HIT
+            break
+    else:
+        w = tail_window(len(dists))
+        if dists and max(dists[len(dists) - w :]) <= tol_fix:
+            terminated = iv.Termination.TOLERANCE_MET
+    cauchy = (
+        iv.geometric_cauchy_check(dists, space.k_const, noise_floor=tol_fix)
+        if len(dists) >= 2
+        else iv.CauchyVerdict(0.0, 1.0 / space.k_const, iv.CauchyOutcome.INCONCLUSIVE, ())
+    )
+    return iv.OrbitTrace(tuple(pts), tuple(dists), cauchy, terminated)
+
+
+def _bits(value):
+    return struct.pack("<d", value).hex() if isinstance(value, float) else repr(value)
+
+
+def _orbit_outcome(orbit, *args):
+    try:
+        trace = orbit(*args)
+    except Exception as exc:  # noqa: BLE001 - the parity is in what is raised
+        return type(exc), str(exc)
+    c = trace.cauchy
+    return (
+        tuple(map(_bits, trace.points)),
+        tuple(map(_bits, trace.successive_distances)),
+        (_bits(c.lambda_hat), _bits(c.threshold), c.verdict, tuple(map(_bits, c.per_step_ratios))),
+        c.divergent_steps,
+        trace.terminated_by,
+    )
+
+
+def _pair(t, s):
+    return iv.MapPair(t[0], s[0], t[1], s[1])
+
+
+def _linear_pair(c):
+    return _pair(iv.linear_map(c), iv.linear_map(c))
+
+
+def _broken_below(bound):
+    """x -> 9x whose preimage divides by 3, not 9, at and below `bound`."""
+    return lambda y: y / 9.0 if y > bound else y / 3.0
+
+
+def _orbit_cases():
+    sqrt_square = iv.sqrt_square_space()
+    abs_metric = iv.abs_metric_space()
+    nine = _pair(iv.linear_map(9.0), iv.identity_map())
+    ident = _pair(iv.identity_map(), iv.identity_map())
+    cycle = iv.permutation_map({"a": "b", "b": "c", "c": "a"})
+    labels = iv.table_space(("a", "b", "c"), [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    nine_fwd = lambda x: 9.0 * x  # noqa: E731
+    broken_t = iv.MapPair(nine_fwd, nine_fwd, _broken_below(1e300), _broken_below(0.0))
+    broken_s = iv.MapPair(nine_fwd, nine_fwd, _broken_below(0.0), _broken_below(1.0))
+    calls = []
+
+    def failing_dist(x, y):
+        calls.append(x)
+        if len(calls) == 3:
+            raise ArithmeticError(f"distance failed at {x!r}")
+        return abs(x - y)
+
+    # The S preimage breaks at step 3, after the distance fails at step 2.
+    late_break = iv.Space(abs_metric.carrier, failing_dist)
+    return {
+        "nine_identity": (sqrt_square, nine, 81.0),
+        "fixed_at_once": (sqrt_square, ident, 7.0),
+        "two_steps": (sqrt_square, nine, 81.0, 2),
+        "collapsed_unfixed": (abs_metric, _linear_pair(1.3), 5.0, 5_000),
+        "not_collapsed": (iv.max_partial_space(), _linear_pair(1.02), 1.0, 500),
+        "labels": (labels, _pair(cycle, cycle), "a", 50),
+        "broken_t": (sqrt_square, broken_t, 81.0),
+        "broken_s": (sqrt_square, broken_s, 729.0),
+        "left_carrier": (iv.abs_metric_space(lower=1.0), _linear_pair(2.0), 16.0),
+        "dist_fails_first": (late_break, broken_s, 729.0),
+        "bad_budget": (abs_metric, nine, 1.0, 1),
+        "bad_start": (sqrt_square, nine, -1.0),
+    }, calls
+
+
+ORBIT_ERRORS = {
+    "broken_t": (iv.PreimageBroken, "step 0: forward(preimage(81.0)) = 243.0 != 81.0"),
+    "broken_s": (iv.PreimageBroken, "step 3: forward(preimage(1.0)) = 3.0 != 1.0"),
+    "left_carrier": (iv.PreimageBroken, "step 4: preimage 0.5 left the carrier"),
+    "dist_fails_first": (ArithmeticError, "distance failed at 9.0"),
+    "bad_budget": (ValueError, "max_steps must be at least 2"),
+    "bad_start": (ValueError, "start point -1.0 is outside the carrier"),
+}
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "nine_identity",
+        "fixed_at_once",
+        "two_steps",
+        "collapsed_unfixed",
+        "not_collapsed",
+        "labels",
+        *ORBIT_ERRORS,
+    ],
+)
+def test_bound_orbit_loop_matches_the_indexed_loop(case):
+    cases, calls = _orbit_cases()
+    got = _orbit_outcome(iv.inverse_orbit, *cases[case])
+    calls.clear()
+    assert got == _orbit_outcome(_indexed_orbit, *cases[case])
+    if case in ORBIT_ERRORS:
+        assert got == ORBIT_ERRORS[case]
+    else:
+        assert isinstance(got[-1], iv.Termination)
+
+
+def test_orbit_parity_cases_reach_every_ending():
+    cases, _ = _orbit_cases()
+    endings = {
+        name: iv.inverse_orbit(*cases[name]).terminated_by
+        for name in ("nine_identity", "collapsed_unfixed", "not_collapsed")
+    }
+    assert endings == {
+        "nine_identity": iv.Termination.FIXED_POINT_HIT,
+        "collapsed_unfixed": iv.Termination.TOLERANCE_MET,
+        "not_collapsed": iv.Termination.MAX_ITERATIONS,
+    }
+
+
+def test_roundtrip_check_names_the_broken_map(sqrt_square):
+    f, _ = iv.linear_map(9.0)
+    maps = iv.MapPair(f, f, lambda y: y / 9.0, lambda y: y / 3.0, "t9", "s3")
+    with pytest.raises(iv.PreimageBroken) as caught:
+        check_roundtrip(sqrt_square, maps, [81.0])
+    assert str(caught.value) == "map s3: forward(preimage(81.0)) = 243.0 != 81.0"
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,15 @@ def test_an_infinite_gap_exceeds_every_slack():
     assert not exceeds(1.0, math.inf)
 
 
+def test_an_infinite_gap_differs_beyond_every_slack():
+    assert differs(math.inf, 1.0)
+    assert differs(1.0, math.inf)
+    assert differs(-math.inf, 1.0)
+    assert not differs(math.inf, math.inf)
+    assert not differs(math.nan, 1.0)
+    assert not differs(1.0, 1.0 + 1e-12)
+
+
 def test_d_sharp_doubles_dist_on_b_metrics():
     # Self-distances vanish for a genuine metric, so d_sharp is 2*dist.
     s = replace(iv.abs_metric_space(), carrier=iv.FiniteCarrier((0.0, 0.5, 2.0, 7.0)))
