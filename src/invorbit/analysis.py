@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, repeat
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 from .errors import HypothesisNotMet, NegativeDistance
 from .numerics import exceeds, tail_window
@@ -62,6 +62,10 @@ class CauchyVerdict:
     divergent_steps: tuple[int, ...] = ()
 
 
+def _negative(v: float) -> NoReturn:
+    raise NegativeDistance(f"negative successive distance {v}")
+
+
 def geometric_cauchy_check(
     successive_distances: Sequence[float],
     k_const: float,
@@ -80,22 +84,24 @@ def geometric_cauchy_check(
     collapsed its ratios carry quantization noise, not geometry.  A zero
     distance followed by a positive one is flagged as a divergent step.
     A ratio that cannot raise lambda_hat skips the noise-floor test; both
-    tests are pure, so their order leaves lambda_hat as it is.
+    tests are pure, so their order leaves lambda_hat as it is.  The first
+    negative distance raises NegativeDistance from within the ratio pass.
     """
     if len(successive_distances) < 2:
         raise ValueError("need at least two successive distances")
     if k_const < 1.0:
         raise ValueError("k_const must be >= 1")
-    for v in successive_distances:
-        if v < 0:
-            raise NegativeDistance(f"negative successive distance {v}")
     ratios: list[float] = []
     append = ratios.append
     divergent: list[int] = []
     lam = 0.0
     rest = iter(successive_distances)
     d0 = next(rest)
+    if d0 < 0:
+        _negative(d0)
     for i, d1 in enumerate(rest):
+        if d1 < 0:
+            _negative(d1)
         if d0 == 0.0:
             r = 0.0 if d1 == 0.0 else math.inf
             if d1 > 0.0:
@@ -127,9 +133,9 @@ def _runs(tail: Sequence[Point]) -> tuple[list[Point], list[int]]:
     """Split `tail` into its runs of one point: the points and their counts.
 
     A point joins the run before it only if it is that very object, or if
-    both are floats, equal and nonzero (the same double: report._cells's
-    rule).  Zeros stay apart because -0.0 == 0.0 while a distance may tell
-    them apart.
+    both are floats, equal and nonzero (the same double: the rule of
+    `solver.inverse_orbit`'s cycle test).  Zeros stay apart because
+    -0.0 == 0.0 while a distance may tell them apart.
     """
     points: list[Point] = []
     counts: list[int] = []
@@ -158,7 +164,7 @@ def limit_sandwich_check(
     each y then gets its own tail average.
 
     The tail is read once per run of one point, where a run is split off
-    by the rule of the trace CSV writer (`_runs`).  The check relies on the
+    by the rule of the orbit's cycle test (`_runs`).  The check relies on the
     distance being a function: the same point in gives the same distance
     out.  So a run's distance is evaluated once and repeated its count of
     times, and `math.fsum` adds the same values in the same order as over

@@ -66,15 +66,19 @@ _NEEDS_QUOTES = re.compile('[,"\r\n]')
 def _cells(values: Iterable[Any]) -> Iterator[str]:
     """CSV text of each value: floats as .17g, anything else via str.
 
-    A nonzero float equal to the last float of its column is the same
-    double, so that text is reused; zeros are excluded because -0.0 == 0.0.
-    Non-float text is quoted as csv's default dialect would: a cell holding
-    a comma, a quote, CR or LF is wrapped in quotes with its quotes doubled.
+    A float that is the last float of its column, or equal to it with the
+    same sign, is the same double, so that text is reused; the sign test
+    keeps -0.0 apart from 0.0, which it equals.  Non-float text is quoted
+    as csv's default dialect would: a cell holding a comma, a quote, CR or
+    LF is wrapped in quotes with its quotes doubled.
     """
     prev = text = None
     for value in values:
         if isinstance(value, float):
-            if value != prev or not value:
+            if value is not prev and (
+                value != prev
+                or (not value and math.copysign(1.0, value) != math.copysign(1.0, prev))
+            ):
                 prev = value
                 text = format(value, ".17g")  # nan, inf, -inf included
             yield text

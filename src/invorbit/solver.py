@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from itertools import product
+from itertools import cycle, islice, product
 from typing import Callable, Iterable, NoReturn, Sequence, Union
 
 from .analysis import CauchyOutcome, CauchyVerdict, geometric_cauchy_check
@@ -59,6 +59,9 @@ class MapPair:
 
     The selectors must satisfy t_forward(t_preimage(y)) == y and likewise
     for s; round trips are checked at orbit time and by `check_roundtrip`.
+    All four callables must be functions of their argument: the same point
+    in gives the same point out.  `inverse_orbit` repeats a two-step cycle
+    and `audit` reuses a repeated pair's verdict on that assumption.
     """
 
     t_forward: Callable[[Point], Point]
@@ -187,11 +190,23 @@ def inverse_orbit(
 ) -> OrbitTrace:
     """Run the backward orbit from x0, alternating T- and S-preimages.
 
-    Every step re-checks the selector round trip (ambient equality) and
-    records dist(x_n, x_{n+1}).  Stops early only at a point exactly fixed
-    by both maps; a stalled-but-unfixed point (an identity-like map on one
-    side) keeps iterating, since only a common fixed point ends the
-    construction.
+    Every computed step re-checks the selector round trip (ambient
+    equality) and records dist(x_n, x_{n+1}).  Stops early only at a point
+    exactly fixed by both maps; a stalled-but-unfixed point (an
+    identity-like map on one side) keeps iterating, since only a common
+    fixed point ends the construction.
+
+    A two-step cycle is computed once and repeated.  When a new point
+    x_{s+1} is the same point as x_{s-1}, the state (point, side) has
+    recurred: every later step is the computation of step s-1 or step s on
+    the same inputs.  The remaining points and distances are then those two
+    objects repeated, up to `max_steps`, and the orbit ends as a full run
+    does (`max_iterations` or `tolerance_met`).  "Same point" is
+    `analysis._runs`'s rule: the same object, or two floats that are equal
+    and nonzero (the same double; -0.0 == 0.0 while a map or the distance
+    may tell them apart).  This is exact because the maps, the selectors
+    and the distance are functions of their arguments.  Longer cycles are
+    computed step by step.
     """
     if max_steps < 2:
         raise ValueError("max_steps must be at least 2")
@@ -200,13 +215,14 @@ def inverse_orbit(
     pts: list[Point] = [x0]
     dists: list[float] = []
     terminated = Termination.MAX_ITERATIONS
-    # Everything the loop calls is bound once; every check still runs on
-    # every step, in this order.
+    # Everything the loop calls is bound once.  Each computed step runs
+    # every check in this order; only a repeated two-step cycle skips them,
+    # since its steps already passed them on the same inputs.
     dist, equal, contains = space.dist, space.points_equal, space.carrier.contains
     add_point, add_dist = pts.append, dists.append
     t_forward, s_forward = maps.t_forward, maps.s_forward
     sides = ((t_forward, maps.t_preimage), (s_forward, maps.s_preimage))
-    cur = x0
+    prev, cur = object(), x0
     for step in range(max_steps):
         forward, preimage = sides[step & 1]
         nxt = preimage(cur)
@@ -222,8 +238,15 @@ def inverse_orbit(
         if nxt == cur and t_forward(nxt) == nxt and s_forward(nxt) == nxt:
             terminated = Termination.FIXED_POINT_HIT
             break
-        cur = nxt
-    else:
+        if nxt is prev or (
+            type(nxt) is float and type(prev) is float and nxt == prev and nxt
+        ):
+            rest = max_steps - step - 1
+            pts.extend(islice(cycle(pts[-2:]), rest))
+            dists.extend(islice(cycle(dists[-2:]), rest))
+            break
+        prev, cur = cur, nxt
+    if terminated is Termination.MAX_ITERATIONS:
         w = tail_window(len(dists))
         if dists and max(dists[len(dists) - w :]) <= tol_fix:
             terminated = Termination.TOLERANCE_MET
@@ -242,11 +265,7 @@ def orbit_adjacent_pairs(points: Sequence[Point]) -> list[tuple[Point, Point]]:
     adjacent index pair contributes one ordered pair with the odd point
     first.
     """
-    out = []
-    for i in range(1, len(points) - 1):
-        a, b = points[i], points[i + 1]
-        out.append((a, b) if i % 2 == 1 else (b, a))
-    return out
+    return [(points[i | 1], points[(i + 1) & ~1]) for i in range(1, len(points) - 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -339,20 +358,31 @@ def audit(
     Pairs are ordered: x always goes through T and y through S, with no
     symmetrization.  `limit` stops collecting after that many violations
     (the pass flag is already decided), which keeps large sweeps cheap.
+
+    A pair whose x and y are the very objects of the pair before it reuses
+    that pair's verdict, and its violation is appended again if it had one.
+    The maps, the distance and phi are functions of their arguments, so
+    the evaluation would repeat.  The repeated two-step tail of an orbit
+    (`inverse_orbit`) is one such run of pairs, audited at the cost of one.
     """
     check_hypothesis(space, hyp)
     d = space.dist
     sharp = partial(d_sharp, space)
     violations: list[AuditViolation] = []
     checked = 0
+    px = py = object()
+    violation = None
     for x, y in _resolve_pairs(space, pairs):
         checked += 1
-        tx = maps.t_forward(x)
-        sy = maps.s_forward(y)
-        lhs = d(tx, sy)
-        rhs = expansion_violation(hyp, sharp, x, y, tx, sy, d(x, y), lhs)
-        if rhs is not None:
-            violations.append(AuditViolation(x, y, lhs, rhs))
+        if x is not px or y is not py:
+            px, py = x, y
+            tx = maps.t_forward(x)
+            sy = maps.s_forward(y)
+            lhs = d(tx, sy)
+            rhs = expansion_violation(hyp, sharp, x, y, tx, sy, d(x, y), lhs)
+            violation = None if rhs is None else AuditViolation(x, y, lhs, rhs)
+        if violation is not None:
+            violations.append(violation)
             if limit is not None and len(violations) >= limit:
                 break
     return AuditReport(checked, tuple(violations), not violations)

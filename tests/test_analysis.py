@@ -427,6 +427,32 @@ def test_one_pass_cauchy_matches_the_two_index_loop(case, k_const, floor):
     assert _cauchy_bits(got) == _cauchy_bits(_two_index_cauchy(distances, k_const, floor))
 
 
+@pytest.mark.parametrize(
+    "distances, first_negative",
+    [
+        ([-1.0, 0.5, -0.25], -1.0),
+        ([1.0, 0.5, 0.25, -0.25], -0.25),
+        ([1.0, 0.0, -0.5, -2.0], -0.5),
+        ([0.0, -5e-324, 1.0], -5e-324),
+        ([-math.inf, math.nan], -math.inf),
+    ],
+    ids=["first", "last", "after_zero", "subnormal_after_zero", "negative_infinity"],
+)
+def test_the_first_negative_distance_raises(distances, first_negative):
+    with pytest.raises(iv.NegativeDistance) as got:
+        iv.geometric_cauchy_check(distances, 1.0)
+    with pytest.raises(iv.NegativeDistance) as want:
+        _two_index_cauchy(distances, 1.0)
+    assert str(got.value) == str(want.value)
+    assert str(got.value) == f"negative successive distance {first_negative}"
+
+
+def test_nan_and_negative_zero_distances_do_not_raise():
+    distances = [math.nan, -0.0, math.nan, 0.0, -0.0]
+    got = iv.geometric_cauchy_check(distances, 1.0)
+    assert _cauchy_bits(got) == _cauchy_bits(_two_index_cauchy(distances, 1.0))
+
+
 def test_a_step_at_the_noise_floor_is_left_out():
     verdict = iv.geometric_cauchy_check(CAUCHY_CASES["at_noise_floor"], 1.0, noise_floor=FLOOR)
     assert verdict.lambda_hat == 0.5

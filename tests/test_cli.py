@@ -86,6 +86,12 @@ _SIGNED_ZEROS = [0.0, -0.0, 0.0, -0.0, -0.0, 0.0, 0.0]
 _NON_FINITE = [math.nan, math.nan, math.inf, math.inf, -math.inf, -math.inf, math.nan]
 _INT_VS_FLOAT = [1, 1.0, 1.0, 1, 10**20, 1e20, 1e20, 10**20, True, 1.0]
 _LABELS = ["a,b", 'say "hi"', "two\nlines", "cr\rhere", "", None, "plain", "plain"]
+# Repeats of one object and equal values held by distinct objects: zeros of
+# both signs, alternating and in runs, nan, infinities and a subnormal.
+_FRESH = [float(text) for text in ("0.0", "-0.0", "0.0", "-0.0", "nan", "5e-324", "inf")]
+_ZERO_RUNS = [0.0, -0.0, 0.0, -0.0, -0.0, -0.0, 0.0, 0.0, *_FRESH, *_FRESH[::-1], 0.0]
+_ZERO_RUNS += [math.nan, math.nan, math.inf, math.inf, -math.inf, -math.inf, 5e-324, 5e-324]
+_ZERO_RUNS += [*_FRESH[:4], -0.0, -0.0, *_FRESH, 0.0]
 
 
 @pytest.mark.parametrize(
@@ -99,6 +105,7 @@ _LABELS = ["a,b", 'say "hi"', "two\nlines", "cr\rhere", "", None, "plain", "plai
         (_LABELS + _NON_FINITE, [0.5] * 3, [0.25] * 2),
         (_SIGNED_ZEROS, [2e-323] * 12, [4e-323] * 12),
         ([], [1.0], [1.0]),
+        (_ZERO_RUNS, _ZERO_RUNS[1:] + [-0.0], _ZERO_RUNS[::-1]),
     ],
     ids=[
         "subnormal_stall",
@@ -109,6 +116,7 @@ _LABELS = ["a,b", 'say "hi"', "two\nlines", "cr\rhere", "", None, "plain", "plai
         "short_columns",
         "long_columns",
         "empty",
+        "zero_runs",
     ],
 )
 def test_trace_csv_matches_the_csv_writer(tmp_path, points, distances, ratios):

@@ -1,4 +1,6 @@
+import math
 import struct
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -97,6 +99,21 @@ def test_orbit_adjacent_pairs_alternate_ordering():
     assert pairs == [("b", "c"), ("d", "c"), ("d", "e")]
 
 
+def _branching_adjacent_pairs(points):
+    """The per-index loop that orders each pair by its parity, as a reference."""
+    out = []
+    for i in range(1, len(points) - 1):
+        a, b = points[i], points[i + 1]
+        out.append((a, b) if i % 2 == 1 else (b, a))
+    return out
+
+
+@pytest.mark.parametrize("length", range(8))
+def test_orbit_adjacent_pairs_match_the_branching_loop(length):
+    points = tuple(range(length))
+    assert iv.orbit_adjacent_pairs(points) == _branching_adjacent_pairs(points)
+
+
 def _indexed_orbit(space, maps, x0, max_steps=DEFAULT_MAX_STEPS, tol_fix=TOL_FIX):
     """The orbit loop that looks up every callable on every step, as a reference."""
     if max_steps < 2:
@@ -167,6 +184,33 @@ def _broken_below(bound):
     return lambda y: y / 9.0 if y > bound else y / 3.0
 
 
+def _signed_zero_revisit():
+    """Identity maps whose selectors step by 1e-13 (within TOL_POINT).
+
+    From 0.0 the orbit is 0.0, 1e-13, -0.0, 2e-13, 3e-13, ...: the T
+    selector reads the sign of zero, so -0.0 two steps after 0.0 leads
+    elsewhere, and taking the two for one point would repeat 1e-13, -0.0.
+    """
+    ident = lambda x: x  # noqa: E731
+    t_pre = lambda y: y + (1e-13 if math.copysign(1.0, y) > 0 else 2e-13)  # noqa: E731
+    s_pre = lambda y: -0.0 if y == 1e-13 else y + 1e-13  # noqa: E731
+    return iv.MapPair(ident, ident, t_pre, s_pre)
+
+
+# The three families of the long_orbit benchmark workload, T = S = c*x, on
+# the seed-1 maps and starts: each orbit stalls on one subnormal point,
+# after 38,806, 25,411 and 19,151 steps, and runs its 75,000-step budget.
+STALLED = {
+    "stalled_abs_metric": (iv.abs_metric_space, 1.0194201360826156, 206.3985634044328),
+    "stalled_max_partial": (iv.max_partial_space, 1.0297072879420501, 11.289396549241513),
+    "stalled_sum_metric_like": (
+        iv.sum_metric_like_space,
+        1.0396462985255253,
+        17.197997990489224,
+    ),
+}
+
+
 def _orbit_cases():
     sqrt_square = iv.sqrt_square_space()
     abs_metric = iv.abs_metric_space()
@@ -187,7 +231,22 @@ def _orbit_cases():
 
     # The S preimage breaks at step 3, after the distance fails at step 2.
     late_break = iv.Space(abs_metric.carrier, failing_dist)
+    two_labels = iv.table_space(("a", "b"), [[0, 1], [1, 0]])
+    swap = iv.permutation_map({"a": "b", "b": "a"})
+    # S's selector swaps but S is the identity: step 1 breaks on the point
+    # that would close the two-step cycle a, b, a.
+    broken_swing = _pair(swap, (iv.identity_map()[0], swap[1]))
+    stalled = {
+        name: (family(), _linear_pair(c), x0, 75_000)
+        for name, (family, c, x0) in STALLED.items()
+    }
     return {
+        **stalled,
+        "swing": (two_labels, _pair(swap, swap), "a", 50),
+        "swing_cycle_at_last_step": (two_labels, _pair(swap, swap), "a", 2),
+        "swing_one_step_after_cycle": (two_labels, _pair(swap, swap), "a", 3),
+        "signed_zero_revisit": (abs_metric, _signed_zero_revisit(), 0.0, 6),
+        "broken_at_cycle": (two_labels, broken_swing, "a"),
         "nine_identity": (sqrt_square, nine, 81.0),
         "fixed_at_once": (sqrt_square, ident, 7.0),
         "two_steps": (sqrt_square, nine, 81.0, 2),
@@ -210,6 +269,7 @@ ORBIT_ERRORS = {
     "dist_fails_first": (ArithmeticError, "distance failed at 9.0"),
     "bad_budget": (ValueError, "max_steps must be at least 2"),
     "bad_start": (ValueError, "start point -1.0 is outside the carrier"),
+    "broken_at_cycle": (iv.PreimageBroken, "step 1: forward(preimage('b')) = 'a' != 'b'"),
 }
 
 
@@ -222,6 +282,11 @@ ORBIT_ERRORS = {
         "collapsed_unfixed",
         "not_collapsed",
         "labels",
+        *STALLED,
+        "swing",
+        "swing_cycle_at_last_step",
+        "swing_one_step_after_cycle",
+        "signed_zero_revisit",
         *ORBIT_ERRORS,
     ],
 )
@@ -247,6 +312,68 @@ def test_orbit_parity_cases_reach_every_ending():
         "collapsed_unfixed": iv.Termination.TOLERANCE_MET,
         "not_collapsed": iv.Termination.MAX_ITERATIONS,
     }
+
+
+def _same_point(p, q):
+    return p is q or (type(p) is float and type(q) is float and p == q and p)
+
+
+def _counted_preimages(maps, calls):
+    def counted(preimage):
+        def wrapper(y):
+            calls[0] += 1
+            return preimage(y)
+
+        return wrapper
+
+    return replace(maps, t_preimage=counted(maps.t_preimage), s_preimage=counted(maps.s_preimage))
+
+
+@pytest.mark.parametrize("case", list(STALLED))
+def test_a_stalled_orbit_computes_its_two_step_cycle_once(case):
+    space, maps, x0, max_steps = _orbit_cases()[0][case]
+    calls = [0]
+    trace = iv.inverse_orbit(space, _counted_preimages(maps, calls), x0, max_steps)
+    pts = trace.points
+    assert len(pts) == max_steps + 1
+    start = next(i for i in range(len(pts) - 2) if _same_point(pts[i + 2], pts[i]))
+    assert start > 10_000
+    assert calls[0] <= start + 2
+    # Every pair of the repeated tail is one pair, audited at the cost of one.
+    dist_calls = [0]
+
+    def counted_dist(x, y):
+        dist_calls[0] += 1
+        return space.dist(x, y)
+
+    report = iv.audit(
+        replace(space, dist=counted_dist),
+        maps,
+        iv.RLHypothesis(1.001 * space.k_const),
+        iv.orbit_adjacent_pairs(pts),
+    )
+    assert report.checked_pairs == max_steps - 1
+    assert dist_calls[0] <= 2 * (start + 1)
+
+
+@pytest.mark.parametrize(
+    "case, computed",
+    [
+        ("labels", 50),
+        ("signed_zero_revisit", 6),
+        ("swing", 2),
+        ("swing_cycle_at_last_step", 2),
+        ("swing_one_step_after_cycle", 2),
+    ],
+)
+def test_only_a_two_step_cycle_is_repeated(case, computed):
+    # A 3-cycle, and a zero that comes back with the other sign, are
+    # computed step by step; the swing a, b, a repeats from step 1.
+    space, maps, x0, max_steps = _orbit_cases()[0][case]
+    calls = [0]
+    trace = iv.inverse_orbit(space, _counted_preimages(maps, calls), x0, max_steps)
+    assert calls[0] == computed
+    assert len(trace.points) == max_steps + 1
 
 
 def test_roundtrip_check_names_the_broken_map(sqrt_square):
@@ -341,6 +468,52 @@ def test_audit_limit_caps_collection(sqrt_square, nine_identity):
     assert len(report.violations) == 1
 
 
+def _audit_outcome(space, maps, hyp, pairs, limit=None):
+    report = iv.audit(space, maps, hyp, pairs, limit)
+    return (
+        report.checked_pairs,
+        [(v.x, v.y, _bits(v.lhs), _bits(v.rhs)) for v in report.violations],
+        report.passed,
+    )
+
+
+def _pairwise_audit(space, maps, hyp, pairs, limit=None):
+    """`audit` on one pair at a time, so no verdict is reused, as a reference."""
+    checked, violations = 0, []
+    for pair in pairs:
+        if limit is not None and len(violations) >= limit:
+            break
+        checked += 1
+        violations += _audit_outcome(space, maps, hyp, [pair])[1]
+    return checked, violations[:limit], not violations
+
+
+def test_audit_reuses_the_verdict_of_a_repeated_pair(sqrt_square, nine_identity):
+    calls = [0]
+
+    def counted_dist(x, y):
+        calls[0] += 1
+        return sqrt_square.dist(x, y)
+
+    space = replace(sqrt_square, dist=counted_dist)
+    hyp = iv.RLHypothesis(3.0, 0.0)
+    fail, hold = (0.0, 1.0), (1.0, 1.0)  # (0, 1) violates, (1, 1) holds
+    pairs = [fail, fail, fail, hold, hold, fail, (0.0, 1.0 + 2**-52), fail]
+    got = _audit_outcome(space, nine_identity, hyp, pairs)
+    assert calls[0] == 2 * 5  # five runs, two distances each
+    assert got == _pairwise_audit(sqrt_square, nine_identity, hyp, pairs)
+    assert len(got[1]) == 6
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3])
+def test_audit_limit_stops_inside_a_run(sqrt_square, nine_identity, limit):
+    hyp = iv.RLHypothesis(3.0, 0.0)
+    pairs = [(1.0, 1.0)] + [(0.0, 1.0)] * 5
+    got = _audit_outcome(sqrt_square, nine_identity, hyp, pairs, limit)
+    assert got == _pairwise_audit(sqrt_square, nine_identity, hyp, pairs, limit)
+    assert got[0] == 1 + limit
+
+
 # ---------------------------------------------------------------------------
 # audit_phi
 # ---------------------------------------------------------------------------
@@ -370,6 +543,9 @@ def test_audit_phi_codomain_breach_raises(sqrt_square, nine_identity):
     hyp = iv.PhiHypothesis(iv.affine_phi(1.0, 0.0), k_squared=4.0)
     with pytest.raises(iv.PhiBelowKSquared):
         iv.audit(sqrt_square, nine_identity, hyp, [(1.0, 2.0)])
+    # The first pair of a run is evaluated, so the breach still raises.
+    with pytest.raises(iv.PhiBelowKSquared):
+        iv.audit(sqrt_square, nine_identity, hyp, [(1.0, 2.0)] * 3)
 
 
 def test_audit_phi_violations_grow_with_phi(sqrt_square, nine_identity):
