@@ -152,16 +152,7 @@ def _run_axioms(scenario: dict, out_dir: Path) -> tuple[dict, int]:
 
 
 def _run_oracle(scenario: dict, out_dir: Path) -> tuple[dict, int]:
-    params = scenario["oracle"]
-    sweep = falsification_sweep(
-        sizes=tuple(params["sizes"]),
-        entries=tuple(params["entries"]),
-        k_values=tuple(params["k_values"]),
-        r_offsets=tuple(params["r_offsets"]),
-        r_factors=tuple(params["r_factors"]),
-        l_values=tuple(params["l_values"]),
-        n_max=params["n_max"],
-    )
+    sweep = falsification_sweep(**scenario["oracle"])
     # A sweep that walked no instance would pass vacuously.
     if not sweep.spaces_admitted:
         raise InvorbitError("the oracle grid admits no space, so nothing was checked")

@@ -24,21 +24,21 @@ def tail_window(n: int) -> int:
     return min(n, max(MIN_TAIL, -(-n // 4)))
 
 
-def exceeds(value: float, bound: float, tol: float = TOL_AXIOM) -> bool:
+def exceeds(value: float, bound: float) -> bool:
     """True when `value` is above `bound` beyond relative slack.
 
     An infinite gap exceeds every slack, though the slack of an infinite
     value is infinite too.
     """
     gap = value - bound
-    return gap > 0.5 * tol * max(abs(value), abs(bound)) or gap == math.inf
+    return gap > 0.5 * TOL_AXIOM * max(abs(value), abs(bound)) or gap == math.inf
 
 
-def differs(a: float, b: float, tol: float = TOL_AXIOM) -> bool:
+def differs(a: float, b: float) -> bool:
     """True when two values disagree beyond relative slack.
 
     As in `exceeds`, an infinite gap disagrees beyond every slack; it is
     tested second, so a finite disagreement costs nothing extra.
     """
     gap = abs(a - b)
-    return gap > tol * max(abs(a), abs(b)) or gap == _INF
+    return gap > TOL_AXIOM * max(abs(a), abs(b)) or gap == _INF

@@ -88,6 +88,17 @@ from .spaces import (
 )
 
 DEFAULT_N_MAX = 4
+# The shipped sweep grid: the defaults of `falsification_sweep` and of a
+# scenario's `oracle` section.  Lists, as a scenario's JSON arrays are.
+DEFAULT_GRID = {
+    "sizes": [1, 2, 3],
+    "entries": [0.0, 1.0, 2.0, 3.0],
+    "k_values": [1.0, 2.0],
+    "r_offsets": [0.5],
+    "r_factors": [2.0],
+    "l_values": [0.0, 1.0],
+    "n_max": DEFAULT_N_MAX,
+}
 # The most instances a sweep grid may hold, counted as if every matrix were
 # admitted for every K.  The shipped grid holds 1,181,728.
 MAX_SWEEP_INSTANCES = 10**7
@@ -295,13 +306,13 @@ def _bound_work(
 
 
 def falsification_sweep(
-    sizes: Sequence[int] = (1, 2, 3),
-    entries: Sequence[float] = (0.0, 1.0, 2.0, 3.0),
-    k_values: Sequence[float] = (1.0, 2.0),
-    r_offsets: Sequence[float] = (0.5,),
-    r_factors: Sequence[float] = (2.0,),
-    l_values: Sequence[float] = (0.0, 1.0),
-    n_max: int = DEFAULT_N_MAX,
+    sizes: Sequence[int] = DEFAULT_GRID["sizes"],
+    entries: Sequence[float] = DEFAULT_GRID["entries"],
+    k_values: Sequence[float] = DEFAULT_GRID["k_values"],
+    r_offsets: Sequence[float] = DEFAULT_GRID["r_offsets"],
+    r_factors: Sequence[float] = DEFAULT_GRID["r_factors"],
+    l_values: Sequence[float] = DEFAULT_GRID["l_values"],
+    n_max: int = DEFAULT_GRID["n_max"],
 ) -> SweepReport:
     """Grid-search distance matrices for counterexamples to uniqueness.
 

@@ -19,7 +19,9 @@ from typing import Any, Callable, NamedTuple
 import jsonschema
 
 from .errors import ScenarioError
+from .oracle import DEFAULT_GRID
 from .solver import (
+    DEFAULT_MAX_STEPS,
     MapPair,
     PhiHypothesis,
     RLHypothesis,
@@ -29,6 +31,7 @@ from .solver import (
     permutation_map,
 )
 from .spaces import (
+    SAMPLE_BOUND,
     Space,
     SpaceKind,
     abs_metric_space,
@@ -107,12 +110,9 @@ def _permutation(space: Space, spec: dict) -> tuple:
     return permutation_map(table)
 
 
-def _affine_phi(spec: dict, attested: bool) -> PhiHypothesis:
+def _affine_phi(spec: dict) -> PhiHypothesis:
     return PhiHypothesis(
-        affine_phi(float(spec["a"]), float(spec["b"])),
-        float(spec["codomain_bound"]),
-        attested,
-        label=f"affine(a={spec['a']}, b={spec['b']})",
+        affine_phi(float(spec["a"]), float(spec["b"])), float(spec["codomain_bound"])
     )
 
 
@@ -120,13 +120,13 @@ def _affine_phi(spec: dict, attested: bool) -> PhiHypothesis:
 # Variant tables
 # ---------------------------------------------------------------------------
 
-_K1 = {"k_const": 1.0, "sample_bound": 10.0}  # interval families whose K is 1
+_K1 = {"k_const": 1.0, "sample_bound": SAMPLE_BOUND}  # interval families whose K is 1
 
 # Space families, in schema enum order; a builder takes the normalized spec.
 FAMILIES = {
     "sqrt_square": Variant(
         lambda s: sqrt_square_space(float(s["k_const"]), s["sample_bound"]),
-        {"k_const": 2.0, "sample_bound": 10.0},
+        {"k_const": 2.0, "sample_bound": SAMPLE_BOUND},
     ),
     "two_point_sigma": Variant(
         lambda s: two_point_sigma_space(), {"k_const": 1.0}, fixed=("k_const",)
@@ -146,7 +146,7 @@ FAMILIES = {
     ),
     "square_diff": Variant(
         lambda s: square_diff_space(float(s["k_const"]), s["sample_bound"]),
-        {"k_const": 2.0, "sample_bound": 10.0},
+        {"k_const": 2.0, "sample_bound": SAMPLE_BOUND},
     ),
     "table": Variant(
         lambda s: table_space(
@@ -167,11 +167,11 @@ MAP_KINDS = {
     "permutation": Variant(_permutation, required=("table",)),
 }
 
-# Hypothesis forms; a builder takes the spec and the attested limit flag.
-# A null codomain_bound stands for the space's K**2.
+# Hypothesis forms; a builder takes the spec.  A null codomain_bound stands
+# for the space's K**2.
 FORMS = {
     "rl": Variant(
-        lambda s, attested: RLHypothesis(float(s["r_const"]), float(s["l_const"])),
+        lambda s: RLHypothesis(float(s["r_const"]), float(s["l_const"])),
         {"l_const": 0.0},
         ("r_const",),
     ),
@@ -189,6 +189,10 @@ def _required_when(key: str, table: dict) -> list:
         for name, variant in table.items()
         if variant.required
     ]
+
+
+def _grid_array(items: dict) -> dict:
+    return {"type": "array", "uniqueItems": True, "items": items}
 
 
 SCENARIO_SCHEMA: dict = {
@@ -270,12 +274,13 @@ SCENARIO_SCHEMA: dict = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "sizes": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-                "entries": {"type": "array", "items": {"type": "number", "minimum": 0}},
-                "k_values": {"type": "array", "items": {"type": "number", "minimum": 1}},
-                "r_offsets": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}},
-                "r_factors": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 1}},
-                "l_values": {"type": "array", "items": {"type": "number", "minimum": 0}},
+                # A repeated value would sweep the same instances again.
+                "sizes": _grid_array({"type": "integer", "minimum": 1}),
+                "entries": _grid_array({"type": "number", "minimum": 0}),
+                "k_values": _grid_array({"type": "number", "minimum": 1}),
+                "r_offsets": _grid_array({"type": "number", "exclusiveMinimum": 0}),
+                "r_factors": _grid_array({"type": "number", "exclusiveMinimum": 1}),
+                "l_values": _grid_array({"type": "number", "minimum": 0}),
                 "n_max": {"type": "integer", "minimum": 1},
             },
         },
@@ -296,23 +301,14 @@ SCENARIO_SCHEMA: dict = {
 }
 
 _RUN_DEFAULTS = {
-    "max_steps": 10_000,
+    "max_steps": DEFAULT_MAX_STEPS,
     "seed": 0,
     "n_samples": 10_000,
     "tol": 1e-6,
 }
 
+# The limit flag is echoed in the report; no check reads it.
 _ASSUMPTION_DEFAULTS = {"complete": False, "phi_limit_condition_attested": False}
-
-_ORACLE_DEFAULTS = {
-    "sizes": [1, 2, 3],
-    "entries": [0.0, 1.0, 2.0, 3.0],
-    "k_values": [1.0, 2.0],
-    "r_offsets": [0.5],
-    "r_factors": [2.0],
-    "l_values": [0.0, 1.0],
-    "n_max": 4,
-}
 
 
 def validate_scenario(doc: Any) -> None:
@@ -360,7 +356,7 @@ def normalize_scenario(doc: dict) -> dict:
     out["run"] = {**_RUN_DEFAULTS, **doc["run"]}
     out["assumptions"] = {**_ASSUMPTION_DEFAULTS, **doc.get("assumptions", {})}
     if doc["run"]["command"] == "oracle" or "oracle" in doc:
-        out["oracle"] = {**_ORACLE_DEFAULTS, **doc.get("oracle", {})}
+        out["oracle"] = {**DEFAULT_GRID, **doc.get("oracle", {})}
     return out
 
 
@@ -419,5 +415,4 @@ def build_hypothesis(scenario: dict, space: Space):
     if "hypothesis" not in scenario:
         raise ScenarioError("this command requires a 'hypothesis' section")
     spec = scenario["hypothesis"]
-    attested = scenario["assumptions"]["phi_limit_condition_attested"]
-    return FORMS[spec["form"]].build(spec, attested)
+    return FORMS[spec["form"]].build(spec)

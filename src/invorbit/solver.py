@@ -137,16 +137,14 @@ class RLHypothesis:
 class PhiHypothesis:
     """dist(Tx, Sy) >= phi(dist(x, y)) * dist(x, y) for positive distances.
 
-    `k_squared` is the codomain floor phi must stay strictly above; the
+    `k_squared` is the codomain floor phi must stay strictly above.  The
     limit condition (phi(t_n) approaching the floor forces t_n -> 0) is a
     property over all sequences, not machine-checkable for a black-box
-    phi, so it is carried as the attested assumption flag.
+    phi: no check here reads it.  A scenario may record it as attested.
     """
 
     phi: Callable[[float], float]
     k_squared: float
-    limit_condition_attested: bool = False
-    label: str = "custom"
 
 
 Hypothesis = Union[RLHypothesis, PhiHypothesis]
@@ -186,7 +184,6 @@ def inverse_orbit(
     maps: MapPair,
     x0: Point,
     max_steps: int = DEFAULT_MAX_STEPS,
-    tol_fix: float = TOL_FIX,
 ) -> OrbitTrace:
     """Run the backward orbit from x0, alternating T- and S-preimages.
 
@@ -248,10 +245,10 @@ def inverse_orbit(
         prev, cur = cur, nxt
     if terminated is Termination.MAX_ITERATIONS:
         w = tail_window(len(dists))
-        if dists and max(dists[len(dists) - w :]) <= tol_fix:
+        if dists and max(dists[len(dists) - w :]) <= TOL_FIX:
             terminated = Termination.TOLERANCE_MET
     cauchy = (
-        geometric_cauchy_check(dists, space.k_const, noise_floor=tol_fix)
+        geometric_cauchy_check(dists, space.k_const, noise_floor=TOL_FIX)
         if len(dists) >= 2
         else _trivial_verdict(space.k_const)
     )
@@ -357,7 +354,8 @@ def audit(
 
     Pairs are ordered: x always goes through T and y through S, with no
     symmetrization.  `limit` stops collecting after that many violations
-    (the pass flag is already decided), which keeps large sweeps cheap.
+    (the pass flag is already decided), which bounds the work and the
+    report of an audit that needs only a verdict or a few witnesses.
 
     A pair whose x and y are the very objects of the pair before it reuses
     that pair's verdict, and its violation is appended again if it had one.
@@ -415,7 +413,6 @@ def solve(
     hyp: Hypothesis,
     x0: Point,
     max_steps: int = DEFAULT_MAX_STEPS,
-    tol_fix: float = TOL_FIX,
 ) -> SolveReport:
     """Run the inverse orbit and certify its endpoint as a common fixed point.
 
@@ -424,27 +421,23 @@ def solve(
     fixed points even when self-distances do not.  The hypothesis is
     audited along the orbit-adjacent pairs the construction actually
     consumed; failures there are reported but do not block certification,
-    which requires only residuals within tol_fix and a certified
-    geometric-decay verdict.
+    which requires only residuals within TOL_FIX and a certified
+    geometric-decay verdict.  An orbit that consumed no pair still has its
+    hypothesis checked: a constant-form R at or below K raises ValueError.
     """
     if not space.complete:
         raise ValueError(
             "space must be declared complete (set complete=True) before solving"
         )
     check_roundtrip(space, maps, _probe_points(space))
-    trace = inverse_orbit(space, maps, x0, max_steps=max_steps, tol_fix=tol_fix)
+    trace = inverse_orbit(space, maps, x0, max_steps=max_steps)
     z = trace.points[-1]
     t_res = d_sharp(space, z, maps.t_forward(z))
     s_res = d_sharp(space, z, maps.s_forward(z))
-    pairs = orbit_adjacent_pairs(trace.points)
-    hyp_audit = (
-        audit(space, maps, hyp, pairs)
-        if pairs
-        else AuditReport(0, (), True)
-    )
+    hyp_audit = audit(space, maps, hyp, orbit_adjacent_pairs(trace.points))
     certified = (
-        t_res <= tol_fix
-        and s_res <= tol_fix
+        t_res <= TOL_FIX
+        and s_res <= TOL_FIX
         and trace.cauchy.verdict is CauchyOutcome.CAUCHY_CERTIFIED
     )
     return SolveReport(z, t_res, s_res, trace, certified, hyp_audit)

@@ -35,6 +35,7 @@ from .numerics import TOL_POINT, differs, exceeds
 Point = Any
 DistanceFn = Callable[[Point, Point], float]
 
+SAMPLE_BOUND = 10.0  # default cap on the sampled range of an unbounded interval
 GRID_POINTS = 33
 POOL_SIZE = 1024
 DRAW_CHUNK = 1 << 11  # Mersenne words per bulk draw
@@ -81,7 +82,7 @@ class IntervalCarrier:
 
     lower: float
     upper: float = math.inf
-    sample_bound: float = 10.0
+    sample_bound: float = SAMPLE_BOUND
 
     def __post_init__(self):
         if not self.lower < self.upper:
@@ -134,7 +135,6 @@ class Space:
     dist: DistanceFn
     k_const: float = 1.0
     kind: SpaceKind = SpaceKind.B_METRIC_LIKE
-    name: str = "custom"
     complete: bool = False
 
     def __post_init__(self):
@@ -473,7 +473,7 @@ def min_valid_k(space: Space) -> float:
 # ---------------------------------------------------------------------------
 
 
-def sqrt_square_space(k_const: float = 2.0, sample_bound: float = 10.0) -> Space:
+def sqrt_square_space(k_const: float = 2.0, sample_bound: float = SAMPLE_BOUND) -> Space:
     """(sqrt(x) + sqrt(y))**2 on [0, inf): self-distance 4x, valid with K = 2."""
 
     def dist(x, y):
@@ -484,7 +484,6 @@ def sqrt_square_space(k_const: float = 2.0, sample_bound: float = 10.0) -> Space
         dist,
         k_const,
         SpaceKind.B_METRIC_LIKE,
-        "sqrt_square",
         complete=True,
     )
 
@@ -495,18 +494,11 @@ def two_point_sigma_space() -> Space:
     def dist(x, y):
         return 2.0 if x == 0 and y == 0 else 1.0
 
-    return Space(
-        FiniteCarrier((0, 1)),
-        dist,
-        1.0,
-        SpaceKind.METRIC_LIKE,
-        "two_point_sigma",
-        complete=True,
-    )
+    return Space(FiniteCarrier((0, 1)), dist, 1.0, SpaceKind.METRIC_LIKE, complete=True)
 
 
 def abs_metric_space(
-    lower: float = 0.0, upper: float = math.inf, sample_bound: float = 10.0
+    lower: float = 0.0, upper: float = math.inf, sample_bound: float = SAMPLE_BOUND
 ) -> Space:
     """|x - y|: a genuine metric, tagged as a b-metric with K = 1."""
     return Space(
@@ -514,43 +506,39 @@ def abs_metric_space(
         lambda x, y: abs(x - y),
         1.0,
         SpaceKind.B_METRIC,
-        "abs_metric",
         complete=True,
     )
 
 
-def max_partial_space(sample_bound: float = 10.0) -> Space:
+def max_partial_space(sample_bound: float = SAMPLE_BOUND) -> Space:
     """max(x, y) on [0, inf): the standard partial metric with P(x,x) = x."""
     return Space(
         IntervalCarrier(0.0, math.inf, sample_bound),
         lambda x, y: float(max(x, y)),
         1.0,
         SpaceKind.PARTIAL_METRIC,
-        "max_partial",
         complete=True,
     )
 
 
-def sum_metric_like_space(sample_bound: float = 10.0) -> Space:
+def sum_metric_like_space(sample_bound: float = SAMPLE_BOUND) -> Space:
     """x + y on [0, inf): metric-like with positive self-distances."""
     return Space(
         IntervalCarrier(0.0, math.inf, sample_bound),
         lambda x, y: float(x + y),
         1.0,
         SpaceKind.METRIC_LIKE,
-        "sum_metric_like",
         complete=True,
     )
 
 
-def square_diff_space(k_const: float = 2.0, sample_bound: float = 10.0) -> Space:
+def square_diff_space(k_const: float = 2.0, sample_bound: float = SAMPLE_BOUND) -> Space:
     """(x - y)**2 on [0, inf): a b-metric needing K = 2."""
     return Space(
         IntervalCarrier(0.0, math.inf, sample_bound),
         lambda x, y: (x - y) ** 2,
         k_const,
         SpaceKind.B_METRIC,
-        "square_diff",
         complete=True,
     )
 
@@ -560,10 +548,8 @@ def table_space(
     matrix: Sequence[Sequence[float]],
     k_const: float = 1.0,
     kind: SpaceKind = SpaceKind.B_METRIC_LIKE,
-    complete: bool = True,
-    name: str = "table",
 ) -> Space:
-    """A finite space from an n x n symmetric nonnegative matrix."""
+    """A finite space, declared complete, from an n x n symmetric nonnegative matrix."""
     n = len(labels)
     rows = [tuple(float(v) for v in row) for row in matrix]
     if len(rows) != n or any(len(r) != n for r in rows):
@@ -579,4 +565,4 @@ def table_space(
     def dist(x, y):
         return rows[index[x]][index[y]]
 
-    return Space(FiniteCarrier(tuple(labels)), dist, k_const, kind, name, complete)
+    return Space(FiniteCarrier(tuple(labels)), dist, k_const, kind, complete=True)

@@ -1,6 +1,8 @@
+import ast
 import contextlib
 import csv
 import hashlib
+import importlib.util
 import json
 import math
 import multiprocessing
@@ -17,6 +19,7 @@ from invorbit import cli
 from invorbit.cli import COMMANDS, main, run_batch, run_scenario
 from invorbit.report import canonical_json, write_trace_csv
 from invorbit.errors import ScenarioError
+from invorbit.oracle import DEFAULT_GRID
 from invorbit.scenario import (
     SCENARIO_SCHEMA,
     build_space,
@@ -837,6 +840,64 @@ def test_command_override_to_oracle_fills_the_oracle_defaults(tmp_path):
     assert report["scenario"]["run"]["command"] == "oracle"
 
 
+def test_a_seed_override_reruns_an_oracle_scenario_on_the_default_grid(tmp_path):
+    # The override normalizes the filled document again, so the grid
+    # defaults it was filled with must pass the schema's array type.
+    doc = {
+        "space": {"family": "two_point_sigma"},
+        "run": {"command": "oracle"},
+        "oracle": {"sizes": [1, 2]},
+    }
+    out = tmp_path / "out"
+    assert run_scenario(_write(tmp_path, "partial_grid.json", doc), out, seed=5) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["scenario"]["oracle"] == {**DEFAULT_GRID, "sizes": [1, 2]}
+    assert report["results"] == {
+        "counterexamples": [],
+        "hypothesis_holders": 8,
+        "instances_checked": 1456,
+        "matrices_checked": 68,
+        "spaces_admitted": 97,
+    }
+
+
+def test_an_oracle_grid_with_a_repeated_value_is_an_error(tmp_path, capsys):
+    # Swept as given, this grid walked 57 matrices; its distinct values give 10.
+    doc = {
+        "space": {"family": "abs_metric"},
+        "run": {"command": "oracle"},
+        "oracle": {"sizes": [1, 2, 2], "entries": [1.0, 1.0, 2.0], "k_values": [1.0, 1.0]},
+    }
+    path = _write(tmp_path, "repeats.json", doc)
+    assert run_scenario(path, tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: schema violations:")
+    assert [line.split(":")[0] for line in err.splitlines()[1:]] == [
+        "$.oracle.entries",
+        "$.oracle.k_values",
+        "$.oracle.sizes",
+    ]
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("x0", [0.0, 5.0])
+def test_a_solve_whose_orbit_stops_at_once_still_checks_the_hypothesis(tmp_path, capsys, x0):
+    # From 0.0 the orbit has no adjacent pair; R = 0.5 <= K is refused still.
+    doc = {
+        "space": {"family": "abs_metric"},
+        "maps": {"t": {"kind": "linear", "a": 3}, "s": {"kind": "linear", "a": 3}},
+        "hypothesis": {"form": "rl", "r_const": 0.5},
+        "run": {"command": "solve", "x0": x0},
+        "assumptions": {"complete": True},
+    }
+    path = _write(tmp_path, "low_r.json", doc)
+    assert run_scenario(path, tmp_path / "out") == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: r_const must exceed the space's k_const\n"
+    )
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN", "1e999"])
 def test_non_finite_numbers_are_rejected_at_load(tmp_path, literal):
     path = tmp_path / "scenario.json"
@@ -878,3 +939,30 @@ def test_print_schema_emits_valid_json(capsys):
 def test_main_requires_a_scenario_or_batch(capsys):
     assert main([]) == 1
     assert "required" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# names the benchmark reaches
+# ---------------------------------------------------------------------------
+
+
+def test_the_names_the_benchmark_tracer_wraps_resolve():
+    # perfbench/spans.py wraps invorbit attributes by name, and its worker
+    # imports from invorbit.scenario: deleting or renaming one breaks the
+    # benchmark, not an invorbit run.
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module, attr, _, _ in spans.WRAPPED:
+        assert callable(getattr(importlib.import_module(f"invorbit.{module}"), attr, None)), (
+            f"invorbit.{module}.{attr}"
+        )
+    tree = ast.parse((ROOT / "perfbench" / "worker.py").read_text())
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "invorbit.scenario"
+        for alias in node.names
+    ]
+    scenario = importlib.import_module("invorbit.scenario")
+    assert imported and all(callable(getattr(scenario, name, None)) for name in imported)

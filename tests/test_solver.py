@@ -604,9 +604,20 @@ def test_solve_identity_pair_is_not_certified(sqrt_square, identity_pair):
 
 def test_solve_requires_declared_completeness(nine_identity):
     s = iv.sqrt_square_space()
-    undeclared = iv.Space(s.carrier, s.dist, s.k_const, s.kind, s.name, complete=False)
+    undeclared = iv.Space(s.carrier, s.dist, s.k_const, s.kind, complete=False)
     with pytest.raises(ValueError):
         iv.solve(undeclared, nine_identity, iv.RLHypothesis(3.0, 0.0), 81.0)
+
+
+@pytest.mark.parametrize("x0", [0.0, 5.0])
+def test_solve_checks_the_hypothesis_when_the_orbit_has_no_adjacent_pair(x0):
+    # From 0.0, T = S = 3x stops at once on the common fixed point: the
+    # orbit has no adjacent pair to audit, and R = 0.5 <= K is refused still.
+    f, p = iv.linear_map(3.0)
+    maps = iv.MapPair(f, f, p, p, "linear", "linear")
+    assert iv.orbit_adjacent_pairs(iv.inverse_orbit(iv.abs_metric_space(), maps, 0.0).points) == []
+    with pytest.raises(ValueError, match="r_const must exceed the space's k_const"):
+        iv.solve(iv.abs_metric_space(), maps, iv.RLHypothesis(0.5), x0)
 
 
 def test_contraction_along_fully_audited_orbit(sqrt_square, quadruple_pair):

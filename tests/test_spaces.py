@@ -345,10 +345,10 @@ def test_min_valid_k_is_sharp(points):
     # k* passes the triangle axiom; shaving it by 1e-9 relative must fail.
     s = replace(iv.sqrt_square_space(), carrier=iv.FiniteCarrier(tuple(points)))
     k_star = iv.min_valid_k(s)
-    at_k = iv.Space(s.carrier, s.dist, k_star, s.kind, s.name, True)
+    at_k = iv.Space(s.carrier, s.dist, k_star, s.kind, True)
     assert iv.check_axioms(at_k, iv.Exhaustive()).passed
     if k_star > 1.0:
-        shaved = iv.Space(s.carrier, s.dist, k_star * (1 - 1e-9), s.kind, s.name, True)
+        shaved = iv.Space(s.carrier, s.dist, k_star * (1 - 1e-9), s.kind, True)
         report = iv.check_axioms(shaved, iv.Exhaustive())
         assert any(v.axiom_id == "D3" for v in report.violations)
 
