@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, repeat
+from itertools import chain, cycle, islice, repeat
 from typing import Iterable, NoReturn, Sequence
 
 from .errors import HypothesisNotMet, NegativeDistance
@@ -70,6 +70,7 @@ def geometric_cauchy_check(
     successive_distances: Sequence[float],
     k_const: float,
     noise_floor: float = 0.0,
+    cycle_from: int | None = None,
 ) -> CauchyVerdict:
     """Certify geometric decay of successive distances.
 
@@ -86,6 +87,14 @@ def geometric_cauchy_check(
     A ratio that cannot raise lambda_hat skips the noise-floor test; both
     tests are pure, so their order leaves lambda_hat as it is.  The first
     negative distance raises NegativeDistance from within the ratio pass.
+
+    `cycle_from` is an orbit's (`OrbitTrace.cycle_from`): from that index
+    on, every distance is the one two places before it.  The pass then
+    stops after distance `cycle_from`, whose ratio is the second of the
+    repeated period; every later ratio, and a divergent step among the
+    last two, repeats with period two.  A repeated ratio tests the same
+    two distances, so it cannot raise lambda_hat.  The result is that of
+    the whole pass.
     """
     if len(successive_distances) < 2:
         raise ValueError("need at least two successive distances")
@@ -95,7 +104,10 @@ def geometric_cauchy_check(
     append = ratios.append
     divergent: list[int] = []
     lam = 0.0
+    n = len(successive_distances)
     rest = iter(successive_distances)
+    if cycle_from is not None:
+        rest = islice(rest, cycle_from + 1)
     d0 = next(rest)
     if d0 < 0:
         _negative(d0)
@@ -112,6 +124,13 @@ def geometric_cauchy_check(
         if r > lam and max(d0, d1) > noise_floor:
             lam = r
         d0 = d1
+    if cycle_from is not None:
+        c = cycle_from
+        ratios.extend(islice(cycle(ratios[c - 2 :]), n - 1 - c))
+        # Ratios c - 2 and c - 1 cannot both be divergent: one's second
+        # distance is the other's first, positive in one and zero in the other.
+        if divergent and divergent[-1] >= c - 2:
+            divergent.extend(range(divergent[-1] + 2, n - 1, 2))
     threshold = 1.0 / k_const
     outcome = (
         CauchyOutcome.CAUCHY_CERTIFIED

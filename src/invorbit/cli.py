@@ -93,6 +93,7 @@ def _run_solve(scenario: dict, out_dir: Path) -> tuple[dict, int]:
         trace.successive_distances,
         trace.cauchy.per_step_ratios,
         out_dir / "trace.csv",
+        trace.cycle_from,
     )
     results = {
         "candidate": report.candidate,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from itertools import chain, count, repeat
+from itertools import chain, count, cycle, islice, repeat
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
@@ -89,19 +89,37 @@ def _cells(values: Iterable[Any]) -> Iterator[str]:
             yield cell
 
 
-def write_trace_csv(points, distances, ratios, path: str | Path) -> None:
+def write_trace_csv(
+    points, distances, ratios, path: str | Path, cycle_from: int | None = None
+) -> None:
     """Per-step orbit table: step, point, dist_to_next, ratio.
 
     Row n's ratio is distances[n] / distances[n-1]; the cells are blank
     where a value is undefined (the first row and the trailing edge).
     Rows end in CRLF, as csv's default dialect writes them, and are
     streamed, not built up front.
+
+    `cycle_from` is the trace's (`OrbitTrace.cycle_from`), given with the
+    full columns of an orbit.  Rows up to it are written as above.  From
+    the next row on, each row but the last is the row two before it with
+    another step number, so those rows are the step followed by the text
+    of rows cycle_from - 1 and cycle_from, in turn; the last row has only
+    its step and point.
     """
+    row_points = points if cycle_from is None else islice(points, cycle_from + 1)
     dists = chain(_cells(distances), repeat(""))
-    ratios = chain(("",), _cells(ratios), repeat(""))
+    ratio_cells = chain(("",), _cells(ratios), repeat(""))
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write("step,point,dist_to_next,ratio\r\n")
         handle.writelines(
             f"{step},{point},{dist},{ratio}\r\n"
-            for step, point, dist, ratio in zip(count(), _cells(points), dists, ratios)
+            for step, point, dist, ratio in zip(count(), _cells(row_points), dists, ratio_cells)
         )
+        if cycle_from is not None:
+            c, last = cycle_from, len(points) - 1
+            period = [
+                ",{},{},{}\r\n".format(*_cells((points[n], distances[n], ratios[n - 1])))
+                for n in (c - 1, c)
+            ]
+            handle.writelines(map(str.__add__, map(str, range(c + 1, last)), cycle(period)))
+            handle.write(f"{last},{next(_cells((points[last],)))},,\r\n")

@@ -10,6 +10,7 @@ normalization and resolution all read.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import math
@@ -356,7 +357,8 @@ def normalize_scenario(doc: dict) -> dict:
     out["run"] = {**_RUN_DEFAULTS, **doc["run"]}
     out["assumptions"] = {**_ASSUMPTION_DEFAULTS, **doc.get("assumptions", {})}
     if doc["run"]["command"] == "oracle" or "oracle" in doc:
-        out["oracle"] = {**DEFAULT_GRID, **doc.get("oracle", {})}
+        # Each fill gets its own lists: they are the sweep's defaults too.
+        out["oracle"] = {**copy.deepcopy(DEFAULT_GRID), **doc.get("oracle", {})}
     return out
 
 

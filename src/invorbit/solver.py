@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from itertools import cycle, islice, product
+from itertools import cycle, islice, product, repeat
 from typing import Callable, Iterable, NoReturn, Sequence, Union
 
 from .analysis import CauchyOutcome, CauchyVerdict, geometric_cauchy_check
@@ -168,10 +168,22 @@ class Termination(Enum):
 
 @dataclass(frozen=True)
 class OrbitTrace:
+    """The points and distances of an orbit, its Cauchy verdict and its ending.
+
+    `cycle_from` is the number of steps actually computed when the orbit
+    repeats a two-step cycle after them, and None when nothing repeated.
+    From it on every distance is the one two places before it, and from
+    the next point on every point is the very object two places before it.
+    The readers of a trace (`geometric_cauchy_check`, `audit`,
+    `write_trace_csv`) check the computed part plus one period and repeat
+    the rest.
+    """
+
     points: tuple[Point, ...]
     successive_distances: tuple[float, ...]
     cauchy: CauchyVerdict
     terminated_by: Termination
+    cycle_from: int | None = None
 
 
 def _trivial_verdict(k_const: float) -> CauchyVerdict:
@@ -202,8 +214,10 @@ def inverse_orbit(
     `analysis._runs`'s rule: the same object, or two floats that are equal
     and nonzero (the same double; -0.0 == 0.0 while a map or the distance
     may tell them apart).  This is exact because the maps, the selectors
-    and the distance are functions of their arguments.  Longer cycles are
-    computed step by step.
+    and the distance are functions of their arguments.  The trace records
+    the number of computed steps as `cycle_from` when any step was
+    repeated, and the Cauchy check reads the repeated distances once.
+    Longer cycles are computed step by step.
     """
     if max_steps < 2:
         raise ValueError("max_steps must be at least 2")
@@ -212,6 +226,7 @@ def inverse_orbit(
     pts: list[Point] = [x0]
     dists: list[float] = []
     terminated = Termination.MAX_ITERATIONS
+    cycle_from = None
     # Everything the loop calls is bound once.  Each computed step runs
     # every check in this order; only a repeated two-step cycle skips them,
     # since its steps already passed them on the same inputs.
@@ -239,8 +254,10 @@ def inverse_orbit(
             type(nxt) is float and type(prev) is float and nxt == prev and nxt
         ):
             rest = max_steps - step - 1
-            pts.extend(islice(cycle(pts[-2:]), rest))
-            dists.extend(islice(cycle(dists[-2:]), rest))
+            if rest:
+                cycle_from = step + 1
+                pts.extend(islice(cycle(pts[-2:]), rest))
+                dists.extend(islice(cycle(dists[-2:]), rest))
             break
         prev, cur = cur, nxt
     if terminated is Termination.MAX_ITERATIONS:
@@ -248,11 +265,11 @@ def inverse_orbit(
         if dists and max(dists[len(dists) - w :]) <= TOL_FIX:
             terminated = Termination.TOLERANCE_MET
     cauchy = (
-        geometric_cauchy_check(dists, space.k_const, noise_floor=TOL_FIX)
+        geometric_cauchy_check(dists, space.k_const, TOL_FIX, cycle_from)
         if len(dists) >= 2
         else _trivial_verdict(space.k_const)
     )
-    return OrbitTrace(tuple(pts), tuple(dists), cauchy, terminated)
+    return OrbitTrace(tuple(pts), tuple(dists), cauchy, terminated, cycle_from)
 
 
 def orbit_adjacent_pairs(points: Sequence[Point]) -> list[tuple[Point, Point]]:
@@ -285,19 +302,29 @@ class AuditReport:
     passed: bool
 
 
-PairSource = Union[Exhaustive, Sampled, Iterable[tuple[Point, Point]]]
+PairSource = Union[Exhaustive, Sampled, OrbitTrace, Iterable[tuple[Point, Point]]]
 
 
-def _resolve_pairs(space: Space, pairs: PairSource) -> list[tuple[Point, Point]]:
+def _resolve_pairs(
+    space: Space, pairs: PairSource
+) -> tuple[list[tuple[Point, Point]], int]:
+    """The pairs to walk, and how many times the last of them repeats after."""
     if isinstance(pairs, Exhaustive):
         if not space.is_finite:
             raise ExhaustiveOnInfiniteCarrier(
                 "exhaustive pair auditing needs a finite carrier"
             )
-        return list(product(space.carrier.points, repeat=2))
+        return list(product(space.carrier.points, repeat=2)), 0
     if isinstance(pairs, Sampled):
-        return sample_pairs(space, pairs.n, pairs.seed)
-    return list(pairs)
+        return sample_pairs(space, pairs.n, pairs.seed), 0
+    if isinstance(pairs, OrbitTrace):
+        # Pair i holds points i and i + 1.  From i = cycle_from on, point
+        # i + 1 is point i - 1, so pair i is pair i - 1: the same objects.
+        pts, c = pairs.points, pairs.cycle_from
+        if c is None:
+            return orbit_adjacent_pairs(pts), 0
+        return orbit_adjacent_pairs(pts[: c + 1]), len(pts) - 1 - c
+    return list(pairs), 0
 
 
 def check_hypothesis(space: Space, hyp: Hypothesis) -> None:
@@ -360,8 +387,12 @@ def audit(
     A pair whose x and y are the very objects of the pair before it reuses
     that pair's verdict, and its violation is appended again if it had one.
     The maps, the distance and phi are functions of their arguments, so
-    the evaluation would repeat.  The repeated two-step tail of an orbit
-    (`inverse_orbit`) is one such run of pairs, audited at the cost of one.
+    the evaluation would repeat.  An `OrbitTrace` stands for the pairs its
+    orbit consumed (`orbit_adjacent_pairs`).  From its `cycle_from` on,
+    every pair is the last computed pair again, so the loop walks the
+    computed pairs and the rest is added as one run: counted in
+    `checked_pairs`, with that pair's violation repeated (up to `limit`)
+    if it had one.
     """
     check_hypothesis(space, hyp)
     d = space.dist
@@ -370,7 +401,8 @@ def audit(
     checked = 0
     px = py = object()
     violation = None
-    for x, y in _resolve_pairs(space, pairs):
+    walked, repeats = _resolve_pairs(space, pairs)
+    for x, y in walked:
         checked += 1
         if x is not px or y is not py:
             px, py = x, y
@@ -383,6 +415,12 @@ def audit(
             violations.append(violation)
             if limit is not None and len(violations) >= limit:
                 break
+    else:
+        if violation is not None:
+            if limit is not None:
+                repeats = min(repeats, limit - len(violations))
+            violations.extend(repeat(violation, repeats))
+        checked += repeats
     return AuditReport(checked, tuple(violations), not violations)
 
 
@@ -434,7 +472,7 @@ def solve(
     z = trace.points[-1]
     t_res = d_sharp(space, z, maps.t_forward(z))
     s_res = d_sharp(space, z, maps.s_forward(z))
-    hyp_audit = audit(space, maps, hyp, orbit_adjacent_pairs(trace.points))
+    hyp_audit = audit(space, maps, hyp, trace)
     certified = (
         t_res <= TOL_FIX
         and s_res <= TOL_FIX

@@ -396,24 +396,56 @@ LONG_ORBIT_SHA256 = {
     ("solve", "trace.csv"): "efeadac5eb4f226c396149bb633fc580bb91062189410fc46bc341915e0b9775",
     ("lemmas", "report.json"): "d7b663917e69ecf2923a0fda4ac15bda9d78d7685fa42d9b86341c772493c123",
 }
+# The other two families of the long_orbit benchmark, on its seed-1 maps and
+# starts, recorded before the Cauchy check, the orbit audit and the trace
+# writer read a repeated two-step tail once.  Their orbits stall after
+# 25,411 and 19,151 steps, so 66% and 74% of each trace is that tail; on
+# max_partial the self-distance of the stalled point is the point itself.
+OTHER_LONG_ORBITS = {
+    "max_partial": (1.0297072879420501, 11.289396549241513),
+    "sum_metric_like": (1.0396462985255253, 17.197997990489224),
+}
+OTHER_LONG_ORBIT_SHA256 = {
+    ("max_partial", "solve", "report.json"): "8ef2eaf2d39ec8369d1b3ce97b7c3048a74134f1dcc37b5300fa06ca03fb7944",
+    ("max_partial", "solve", "trace.csv"): "9bf94ad035e67fd7438160d34c771fd338407bbe18ef3dabf3e6422c53ce5fbe",
+    ("max_partial", "lemmas", "report.json"): "c148962d7f3900e28361524f1b85a0e92e2dd5f553058959d2370d8a739b33a3",
+    ("sum_metric_like", "solve", "report.json"): "4bda93d9f81a76611584805ba8ac8da2b1357a8faa557fde231f0be67e229e46",
+    ("sum_metric_like", "solve", "trace.csv"): "011d6bccbb5a88a9998471c22677d3feed418a51cdfb430182b7e4f930a42de1",
+    ("sum_metric_like", "lemmas", "report.json"): "8541eae857a43e1e95dd136bb8bba769d2f834183823f7d5c00fedcba54122eb",
+}
+
+
+def _long_orbit_outputs(tmp_path, family, c, x0, command):
+    """Run a 75,000-step T = S = c*x scenario; return its output directory."""
+    linear = {"kind": "linear", "a": c}
+    doc = {
+        "space": {"family": family},
+        "maps": {"t": linear, "s": linear},
+        "run": {"command": command, "x0": x0, "max_steps": 75_000, "seed": 803},
+        "assumptions": {"complete": True},
+    }
+    if command == "solve":
+        doc["hypothesis"] = {"form": "rl", "r_const": (1.0 + c) / 2.0, "l_const": 0.0}
+    out = tmp_path / "out"
+    assert run_scenario(_write(tmp_path, f"{command}.json", doc), out) == 0
+    assert json.loads((out / "report.json").read_bytes())["results"]["orbit_steps"] == 75_000
+    return out
 
 
 @pytest.mark.parametrize("command", ["solve", "lemmas"])
 def test_long_orbit_outputs_are_pinned(tmp_path, command):
-    linear = {"kind": "linear", "a": LONG_ORBIT_C}
-    doc = {
-        "space": {"family": "abs_metric"},
-        "maps": {"t": linear, "s": linear},
-        "run": {"command": command, "x0": 206.3985634044328, "max_steps": 75_000, "seed": 803},
-        "assumptions": {"complete": True},
-    }
-    if command == "solve":
-        doc["hypothesis"] = {"form": "rl", "r_const": (1.0 + LONG_ORBIT_C) / 2.0, "l_const": 0.0}
-    out = tmp_path / "out"
-    assert run_scenario(_write(tmp_path, f"{command}.json", doc), out) == 0
-    assert json.loads((out / "report.json").read_bytes())["results"]["orbit_steps"] == 75_000
+    out = _long_orbit_outputs(tmp_path, "abs_metric", LONG_ORBIT_C, 206.3985634044328, command)
     for (cmd, name), digest in LONG_ORBIT_SHA256.items():
         if cmd == command:
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("command", ["solve", "lemmas"])
+@pytest.mark.parametrize("family", list(OTHER_LONG_ORBITS))
+def test_other_long_orbit_families_are_pinned(tmp_path, family, command):
+    out = _long_orbit_outputs(tmp_path, family, *OTHER_LONG_ORBITS[family], command)
+    for (fam, cmd, name), digest in OTHER_LONG_ORBIT_SHA256.items():
+        if (fam, cmd) == (family, command):
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 

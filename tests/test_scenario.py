@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from invorbit.cli import main, run_scenario
+from invorbit.oracle import DEFAULT_GRID, falsification_sweep
 from invorbit.scenario import normalize_scenario
 
 GOLDENS = Path(__file__).resolve().parent / "goldens"
@@ -117,3 +118,14 @@ def test_fields_a_variant_never_reads_are_rejected(tmp_path, capsys, space, t_ma
 def test_a_family_with_k_one_accepts_k_one_restated(family):
     doc = {"space": {"family": family, "k_const": 1}, "run": {"command": "axioms"}}
     assert normalize_scenario(doc)["space"]["k_const"] == 1
+
+
+def test_a_filled_oracle_grid_shares_no_list_with_the_defaults():
+    doc = {"space": {"family": "two_point_sigma"}, "run": {"command": "oracle"}}
+    first = normalize_scenario(doc)
+    first["oracle"]["sizes"].append(4)
+    first["oracle"]["entries"].clear()
+    assert normalize_scenario(doc)["oracle"]["sizes"] == [1, 2, 3]
+    assert DEFAULT_GRID["sizes"] == [1, 2, 3]
+    assert DEFAULT_GRID["entries"] == [0.0, 1.0, 2.0, 3.0]
+    assert falsification_sweep.__defaults__[0] == [1, 2, 3]

@@ -1,12 +1,14 @@
 import math
 import struct
 from dataclasses import replace
+from functools import lru_cache
 from itertools import product
 
 import pytest
 
 import invorbit as iv
 from invorbit.numerics import TOL_FIX, exceeds, tail_window
+from invorbit.report import write_trace_csv
 from invorbit.solver import DEFAULT_MAX_STEPS, check_roundtrip, expansion_violation
 
 
@@ -374,6 +376,140 @@ def test_only_a_two_step_cycle_is_repeated(case, computed):
     trace = iv.inverse_orbit(space, _counted_preimages(maps, calls), x0, max_steps)
     assert calls[0] == computed
     assert len(trace.points) == max_steps + 1
+
+
+def _scaling_pair(c):
+    """T = c*x and S = x/c, whose preimages round: from some x0 the orbit
+    reaches its two-step cycle after a computed step, not at once."""
+    return iv.MapPair(lambda x: c * x, lambda x: x / c, lambda y: y / c, lambda y: y * c)
+
+
+def _cycle_at_the_end(extra):
+    """The stalled x/1.3 orbit from 5.0, its budget ending `extra` steps
+    after the step that finds its two-step cycle, as a case."""
+    space, maps = iv.abs_metric_space(), _linear_pair(1.3)
+    found = iv.inverse_orbit(space, maps, 5.0, 5_000).cycle_from
+    return space, maps, 5.0, found + extra, found if extra else None
+
+
+@lru_cache(maxsize=None)
+def _cycled_cases():
+    """(space, maps, x0, max_steps, expected cycle_from) per case.
+
+    An expected cycle_from of True means "some step past 10,000"."""
+    abs_metric = iv.abs_metric_space()
+    two_labels = iv.table_space(("a", "b"), [[0, 1], [1, 0]])
+    swap = _pair(*[iv.permutation_map({"a": "b", "b": "a"})] * 2)
+    tiny_swap = iv.table_space(("a", "b"), [[0, 1e-13], [1e-13, 0]])
+    # (positive, 0) and (0, positive) cycle distances: a divergent step on
+    # every other ratio, through the tail.
+    forward_only = replace(abs_metric, dist=lambda x, y: max(x - y, 0.0))
+    backward_only = replace(abs_metric, dist=lambda x, y: max(y - x, 0.0))
+    nan_upward = replace(abs_metric, dist=lambda x, y: math.nan if x < y else x - y)
+    all_nan = replace(abs_metric, dist=lambda x, y: math.nan)
+    stalled = {
+        name: (family(), _linear_pair(c), x0, 75_000, True)
+        for name, (family, c, x0) in STALLED.items()
+    }
+    return {
+        **stalled,
+        "swap_cycle_at_step_1": (two_labels, swap, "a", 50, 2),
+        "swap_max_steps_2": (two_labels, swap, "a", 2, None),
+        "swap_max_steps_3": (two_labels, swap, "a", 3, 2),
+        "tiny_swap_repro": (tiny_swap, swap, "a", DEFAULT_MAX_STEPS, 2),
+        "float_cycle_at_last_step": _cycle_at_the_end(0),
+        "float_cycle_one_step_before_end": _cycle_at_the_end(1),
+        "float_cycle_two_steps_before_end": _cycle_at_the_end(2),
+        "signed_zeros_do_not_cycle": (abs_metric, _signed_zero_revisit(), 0.0, 6, None),
+        "asymmetric_positive_then_zero": (forward_only, _scaling_pair(10.0), 5.3, 41, 3),
+        "asymmetric_positive_then_zero_even": (forward_only, _scaling_pair(10.0), 5.3, 40, 3),
+        "asymmetric_zero_then_positive": (backward_only, _scaling_pair(10.0), 5.3, 41, 3),
+        "asymmetric_at_step_1": (backward_only, _scaling_pair(3.0), 1.0, 40, 2),
+        "nan_distances": (nan_upward, _scaling_pair(10.0), 123.456, 33, 3),
+        "all_nan_distances": (all_nan, _scaling_pair(10.0), 5.3, 34, 3),
+    }
+
+
+CYCLED = list(_cycled_cases())
+
+
+@lru_cache(maxsize=None)
+def _cycled_trace(case):
+    """The case's orbit, checked for its expected cycle start; traces are immutable."""
+    space, maps, x0, max_steps, expected = _cycled_cases()[case]
+    trace = iv.inverse_orbit(space, maps, x0, max_steps)
+    if expected is True:
+        assert trace.cycle_from > 10_000
+    else:
+        assert trace.cycle_from == expected
+    return space, maps, trace
+
+
+@pytest.mark.parametrize("case", CYCLED)
+def test_cycle_aware_cauchy_check_matches_the_whole_pass(case):
+    space, _, trace = _cycled_trace(case)
+    whole = iv.geometric_cauchy_check(trace.successive_distances, space.k_const, TOL_FIX)
+    got = trace.cauchy
+    assert _bits(got.lambda_hat) == _bits(whole.lambda_hat)
+    assert (got.threshold, got.verdict) == (whole.threshold, whole.verdict)
+    assert list(map(_bits, got.per_step_ratios)) == list(map(_bits, whole.per_step_ratios))
+    assert got.divergent_steps == whole.divergent_steps
+    assert len(got.per_step_ratios) == len(trace.successive_distances) - 1
+
+
+def test_divergent_steps_grow_through_a_repeated_tail():
+    for case, first in (("asymmetric_positive_then_zero", 1), ("asymmetric_zero_then_positive", 0)):
+        _, _, trace = _cycled_trace(case)
+        assert trace.cauchy.divergent_steps == tuple(range(first, 40, 2))
+
+
+@pytest.mark.parametrize("limit", [None, 1, 2, 7, 5_000])
+@pytest.mark.parametrize("case", CYCLED)
+def test_orbit_audit_matches_the_pairwise_audit(case, limit):
+    space, maps, trace = _cycled_trace(case)
+    hyp = iv.RLHypothesis(1.5)
+    got = _audit_outcome(space, maps, hyp, trace, limit)
+    pairs = iv.orbit_adjacent_pairs(trace.points)
+    assert got == _pairwise_audit(space, maps, hyp, pairs, limit)
+    assert got[0] == len(pairs) or len(got[1]) == limit
+
+
+def test_the_swap_repro_lists_its_one_violation_for_every_pair():
+    # T = S = swap on d(a, b) = 1e-13: every pair of the orbit is (b, a).
+    space, maps, trace = _cycled_trace("tiny_swap_repro")
+    report = iv.audit(space, maps, iv.RLHypothesis(1.5), trace)
+    assert report.checked_pairs == len(report.violations) == 9_999
+    assert len(set(report.violations)) == 1
+    # A limit inside the repeated run stops there, and counts the pairs
+    # up to the one that reached it.
+    report = iv.audit(space, maps, iv.RLHypothesis(1.5), trace, limit=40)
+    assert (report.checked_pairs, len(report.violations)) == (40, 40)
+
+
+def test_a_stalled_max_partial_orbit_repeats_its_violation():
+    # d(p, p) = p on max_partial, so the stalled pair violates R = 1.5.
+    space, maps, trace = _cycled_trace("stalled_max_partial")
+    report = iv.audit(space, maps, iv.RLHypothesis(1.5), trace)
+    tail = len(trace.points) - 1 - trace.cycle_from
+    assert len(report.violations) > tail
+    assert len(set(report.violations[-tail - 1 :])) == 1
+    # A limit that the prefix does not reach stops inside the repeated run.
+    limit = len(report.violations) - tail + 100
+    got = _audit_outcome(space, maps, iv.RLHypothesis(1.5), trace, limit)
+    pairs = iv.orbit_adjacent_pairs(trace.points)
+    assert got == _pairwise_audit(space, maps, iv.RLHypothesis(1.5), pairs, limit)
+    assert trace.cycle_from < got[0] < len(pairs)
+
+
+@pytest.mark.parametrize("case", CYCLED)
+def test_cycle_aware_trace_csv_matches_the_row_by_row_writer(tmp_path, case):
+    _, _, trace = _cycled_trace(case)
+    columns = (trace.points, trace.successive_distances, trace.cauchy.per_step_ratios)
+    write_trace_csv(*columns, tmp_path / "cycled.csv", trace.cycle_from)
+    write_trace_csv(*columns, tmp_path / "rows.csv")
+    cycled = (tmp_path / "cycled.csv").read_bytes()
+    assert cycled == (tmp_path / "rows.csv").read_bytes()
+    assert cycled.count(b"\r\n") == len(trace.points) + 1
 
 
 def test_roundtrip_check_names_the_broken_map(sqrt_square):
