@@ -151,18 +151,14 @@ class SandwichBounds:
 def _runs(tail: Sequence[Point]) -> tuple[list[Point], list[int]]:
     """Split `tail` into its runs of one point: the points and their counts.
 
-    A point joins the run before it only if it is that very object, or if
-    both are floats, equal and nonzero (the same double: the rule of
-    `solver.inverse_orbit`'s cycle test).  Zeros stay apart because
-    -0.0 == 0.0 while a distance may tell them apart.
+    A point joins the run before it only if it is the same point, by the
+    rule of `solver.inverse_orbit`'s cycle test, defined in its docstring.
     """
     points: list[Point] = []
     counts: list[int] = []
     prev = object()
     for p in tail:
-        if p is prev or (
-            isinstance(p, float) and isinstance(prev, float) and p == prev and p
-        ):
+        if p is prev or (type(p) is float and type(prev) is float and p == prev and p):
             counts[-1] += 1
         else:
             points.append(p)

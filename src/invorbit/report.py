@@ -66,22 +66,13 @@ _NEEDS_QUOTES = re.compile('[,"\r\n]')
 def _cells(values: Iterable[Any]) -> Iterator[str]:
     """CSV text of each value: floats as .17g, anything else via str.
 
-    A float that is the last float of its column, or equal to it with the
-    same sign, is the same double, so that text is reused; the sign test
-    keeps -0.0 apart from 0.0, which it equals.  Non-float text is quoted
-    as csv's default dialect would: a cell holding a comma, a quote, CR or
-    LF is wrapped in quotes with its quotes doubled.
+    Non-float text is quoted as csv's default dialect would: a cell holding
+    a comma, a quote, CR or LF is wrapped in quotes with its quotes doubled.
+    A repeated two-step tail is formatted once by `write_trace_csv`.
     """
-    prev = text = None
     for value in values:
         if isinstance(value, float):
-            if value is not prev and (
-                value != prev
-                or (not value and math.copysign(1.0, value) != math.copysign(1.0, prev))
-            ):
-                prev = value
-                text = format(value, ".17g")  # nan, inf, -inf included
-            yield text
+            yield format(value, ".17g")  # nan, inf, -inf included
         else:
             cell = str(value)
             if _NEEDS_QUOTES.search(cell):

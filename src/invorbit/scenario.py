@@ -47,6 +47,12 @@ from .spaces import (
 # The commands a scenario may request; the CLI's command table runs them.
 COMMANDS = ("solve", "audit", "axioms", "oracle", "lemmas")
 
+# The largest `run.max_steps` and `run.n_samples`, and the most table
+# labels, a scenario may ask for: memory and output grow linearly with the
+# first two, and exhaustive axioms walk n**3 label triples.
+MAX_RUN_SIZE = 1_000_000
+MAX_LABELS = 100
+
 
 class Variant(NamedTuple):
     """One space family, map kind or hypothesis form.
@@ -216,6 +222,7 @@ SCENARIO_SCHEMA: dict = {
                 "labels": {
                     "type": "array",
                     "minItems": 1,
+                    "maxItems": MAX_LABELS,
                     "items": {"type": ["string", "number", "boolean", "null"]},
                 },
                 "matrix": {
@@ -257,9 +264,9 @@ SCENARIO_SCHEMA: dict = {
             "properties": {
                 "command": {"enum": list(COMMANDS)},
                 "x0": {"type": ["number", "string"]},
-                "max_steps": {"type": "integer", "minimum": 2},
+                "max_steps": {"type": "integer", "minimum": 2, "maximum": MAX_RUN_SIZE},
                 "seed": {"type": "integer", "minimum": 0},
-                "n_samples": {"type": "integer", "minimum": 1},
+                "n_samples": {"type": "integer", "minimum": 1, "maximum": MAX_RUN_SIZE},
                 "tol": {"type": "number", "exclusiveMinimum": 0},
             },
         },

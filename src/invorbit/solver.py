@@ -61,7 +61,7 @@ class MapPair:
     for s; round trips are checked at orbit time and by `check_roundtrip`.
     All four callables must be functions of their argument: the same point
     in gives the same point out.  `inverse_orbit` repeats a two-step cycle
-    and `audit` reuses a repeated pair's verdict on that assumption.
+    on that assumption, and `audit` reads the repeated tail as one run.
     """
 
     t_forward: Callable[[Point], Point]
@@ -210,14 +210,16 @@ def inverse_orbit(
     recurred: every later step is the computation of step s-1 or step s on
     the same inputs.  The remaining points and distances are then those two
     objects repeated, up to `max_steps`, and the orbit ends as a full run
-    does (`max_iterations` or `tolerance_met`).  "Same point" is
-    `analysis._runs`'s rule: the same object, or two floats that are equal
-    and nonzero (the same double; -0.0 == 0.0 while a map or the distance
-    may tell them apart).  This is exact because the maps, the selectors
-    and the distance are functions of their arguments.  The trace records
-    the number of computed steps as `cycle_from` when any step was
-    repeated, and the Cauchy check reads the repeated distances once.
-    Longer cycles are computed step by step.
+    does (`max_iterations` or `tolerance_met`).  Two points are the same
+    point when they are the same object, or both of type float exactly,
+    equal and nonzero: the same double.  Zeros stay apart, since -0.0 ==
+    0.0 while a map or the distance may tell them apart, and so do equal
+    float-subclass points, which may carry state of their own;
+    `analysis._runs` groups a sandwich tail by this rule too.  It is exact
+    because the maps, the selectors and the distance are functions of
+    their arguments.  The trace records the number of computed steps as
+    `cycle_from` when any step was repeated, and the Cauchy check reads
+    the repeated distances once.  Longer cycles are computed step by step.
     """
     if max_steps < 2:
         raise ValueError("max_steps must be at least 2")
@@ -383,34 +385,32 @@ def audit(
     symmetrization.  `limit` stops collecting after that many violations
     (the pass flag is already decided), which bounds the work and the
     report of an audit that needs only a verdict or a few witnesses.
+    `limit=1` is also the reference for the oracle's enumeration kernel,
+    which stops at an instance's first violation: a phi below its floor
+    on a later pair is then never evaluated, and never raised.
 
-    A pair whose x and y are the very objects of the pair before it reuses
-    that pair's verdict, and its violation is appended again if it had one.
-    The maps, the distance and phi are functions of their arguments, so
-    the evaluation would repeat.  An `OrbitTrace` stands for the pairs its
-    orbit consumed (`orbit_adjacent_pairs`).  From its `cycle_from` on,
+    Every walked pair is evaluated.  An `OrbitTrace` stands for the pairs
+    its orbit consumed (`orbit_adjacent_pairs`).  From its `cycle_from` on,
     every pair is the last computed pair again, so the loop walks the
     computed pairs and the rest is added as one run: counted in
     `checked_pairs`, with that pair's violation repeated (up to `limit`)
-    if it had one.
+    if it had one.  This relies on the maps, the distance and phi being
+    functions of their arguments.
     """
     check_hypothesis(space, hyp)
     d = space.dist
     sharp = partial(d_sharp, space)
     violations: list[AuditViolation] = []
     checked = 0
-    px = py = object()
     violation = None
     walked, repeats = _resolve_pairs(space, pairs)
     for x, y in walked:
         checked += 1
-        if x is not px or y is not py:
-            px, py = x, y
-            tx = maps.t_forward(x)
-            sy = maps.s_forward(y)
-            lhs = d(tx, sy)
-            rhs = expansion_violation(hyp, sharp, x, y, tx, sy, d(x, y), lhs)
-            violation = None if rhs is None else AuditViolation(x, y, lhs, rhs)
+        tx = maps.t_forward(x)
+        sy = maps.s_forward(y)
+        lhs = d(tx, sy)
+        rhs = expansion_violation(hyp, sharp, x, y, tx, sy, d(x, y), lhs)
+        violation = None if rhs is None else AuditViolation(x, y, lhs, rhs)
         if violation is not None:
             violations.append(violation)
             if limit is not None and len(violations) >= limit:

@@ -50,6 +50,22 @@ def identity_pair():
     return iv.MapPair(f, f, p, p, "identity", "identity")
 
 
+class _TaggedFloat(float):
+    """A float that carries a tag beside its value."""
+
+    def __new__(cls, value, tag):
+        point = super().__new__(cls, value)
+        point.tag = tag
+        return point
+
+
+@pytest.fixture
+def tagged_float():
+    """A float subclass whose instances carry state: two of equal value may
+    be different points to a distance that reads their `tag`."""
+    return _TaggedFloat
+
+
 @pytest.fixture
 def edge_values():
     """Distances at the edges of the slack tests: nan, infinities, signed

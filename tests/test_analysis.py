@@ -365,6 +365,24 @@ def test_signed_zero_runs_stay_apart():
     assert bound.estimate == 1.0
 
 
+def test_equal_float_subclass_points_are_read_one_by_one(tagged_float):
+    # Every tail point is 1.0 with a tag of its own, and the distance reads
+    # the tags: points of equal value are not the same point, so no two of
+    # them may share a run.
+    space = iv.Space(
+        iv.IntervalCarrier(0.0, 2.0),
+        lambda x, y: abs(x - y) + abs(getattr(x, "tag", 0.0) - getattr(y, "tag", 0.0)),
+    )
+    seq = [tagged_float(1.0, 1e-9 * (i % 7)) for i in range(1, 61)]
+    args = (space, seq, 1.0, [0.0, 2.0], 1e-6)
+    got = _sandwich_outcome(iv.limit_sandwich_check, *args)
+    assert got == _sandwich_outcome(_whole_tail_sandwich, *args)
+    tail = seq[-tail_window(len(seq)) :]
+    (bound, _) = iv.limit_sandwich_check(*args)
+    assert bound.estimate == math.fsum(space.dist(p, 0.0) for p in tail) / len(tail)
+    assert bound.estimate != space.dist(tail[0], 0.0)
+
+
 def _two_index_cauchy(successive_distances, k_const, noise_floor=0.0):
     """The decay check that indexes both distances of each step, as a reference."""
     for v in successive_distances:

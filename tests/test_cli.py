@@ -386,6 +386,32 @@ def test_sampled_reports_are_pinned(tmp_path, name, digest):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+# SHA-256 of the outputs of the shipped scenarios that have no golden, in
+# `sha256sum` format, with paths in the `--batch` layout: an output
+# directory per scenario, named by its file stem.  CI checks the same file
+# with `sha256sum -c` against a batch run of the installed console script.
+SCENARIO_SHA256 = ROOT / "tests" / "goldens" / "scenarios.sha256"
+
+
+def test_shipped_scenarios_without_a_golden_are_pinned(tmp_path):
+    digests = {}
+    for line in SCENARIO_SHA256.read_text().splitlines():
+        digest, path = line.split("  ")
+        digests[path] = digest
+    out = tmp_path / "out"
+    codes = {}
+    for stem in sorted({path.split("/")[0] for path in digests}):
+        codes[stem] = run_scenario(SCENARIOS / f"{stem}.json", out / stem)
+    assert codes == {
+        "lemmas_sqrt_square": 0,
+        "sqrt_square_audit": 2,
+        "sqrt_square_axioms": 0,
+        "sqrt_square_solve": 0,
+    }
+    for path, digest in digests.items():
+        assert hashlib.sha256((out / path).read_bytes()).hexdigest() == digest, path
+
+
 # SHA-256 of the outputs of a 75,000-step orbit of T = S = c*x, recorded
 # before the orbit loop and the orbit lemmas bound their callables once and
 # read a stalled tail once per run of one point.  The orbit stalls on one

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from invorbit.cli import main, run_scenario
+from invorbit.errors import ScenarioError
 from invorbit.oracle import DEFAULT_GRID, falsification_sweep
 from invorbit.scenario import normalize_scenario
 
@@ -129,3 +130,36 @@ def test_a_filled_oracle_grid_shares_no_list_with_the_defaults():
     assert DEFAULT_GRID["sizes"] == [1, 2, 3]
     assert DEFAULT_GRID["entries"] == [0.0, 1.0, 2.0, 3.0]
     assert falsification_sweep.__defaults__[0] == [1, 2, 3]
+
+
+def _sized(field, size):
+    """A document whose `field` asks for `size` steps, samples or labels."""
+    if field == "labels":
+        space = dict(TABLE, labels=list(range(size)), matrix=[[0] * size] * size)
+        return {"space": space, "run": {"command": "axioms"}}
+    command = "solve" if field == "max_steps" else "audit"
+    doc = _maps(SQRT, LINEAR, RL, command)
+    doc["run"][field] = size
+    return doc
+
+
+# A run grows linearly with max_steps and n_samples, and exhaustive axioms
+# walk n**3 label triples: a size past its bound is a schema error before
+# any orbit, sample or triple, not an out-of-memory kill or a full disk.
+@pytest.mark.parametrize(
+    "field, bound, path",
+    [
+        ("max_steps", 1_000_000, "$.run.max_steps"),
+        ("n_samples", 1_000_000, "$.run.n_samples"),
+        ("labels", 100, "$.space.labels"),
+    ],
+)
+def test_a_run_size_is_bounded(field, bound, path):
+    at_bound = normalize_scenario(_sized(field, bound))
+    got = len(at_bound["space"]["labels"]) if field == "labels" else at_bound["run"][field]
+    assert got == bound
+    with pytest.raises(ScenarioError) as caught:
+        normalize_scenario(_sized(field, bound + 1))
+    lines = str(caught.value).splitlines()
+    assert lines[0] == "schema violations:"
+    assert [line.split(":")[0] for line in lines[1:]] == [path]

@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 import invorbit as iv
+from invorbit.analysis import _runs
 from invorbit.numerics import TOL_FIX, exceeds, tail_window
 from invorbit.report import write_trace_csv
 from invorbit.solver import DEFAULT_MAX_STEPS, check_roundtrip, expansion_violation
@@ -320,6 +321,33 @@ def _same_point(p, q):
     return p is q or (type(p) is float and type(q) is float and p == q and p)
 
 
+def test_sandwich_runs_group_where_the_orbit_sees_the_same_point(tagged_float):
+    nan, one, tiny = math.nan, float("1.5"), float("5e-324")
+    table = [
+        0.0,
+        -0.0,
+        nan,
+        nan,  # the same object
+        float("nan"),
+        tiny,
+        float("5e-324"),  # an equal subnormal, another object
+        one,
+        float("1.5"),  # an equal float, another object
+        tagged_float(1.5, "a"),
+        tagged_float(1.5, "b"),
+        "a",
+    ]
+    table.append(table[-3])  # the same subclass object again
+    grouped = 0
+    for p, q in product(table, repeat=2):
+        same = bool(_same_point(q, p))
+        points, counts = _runs([p, q])
+        assert counts == ([2] if same else [1, 1]), (p, q)
+        assert points[0] is p and (same or points[1] is q)
+        grouped += same
+    assert 0 < grouped < len(table) ** 2
+
+
 def _counted_preimages(maps, calls):
     def counted(preimage):
         def wrapper(y):
@@ -341,7 +369,8 @@ def test_a_stalled_orbit_computes_its_two_step_cycle_once(case):
     start = next(i for i in range(len(pts) - 2) if _same_point(pts[i + 2], pts[i]))
     assert start > 10_000
     assert calls[0] <= start + 2
-    # Every pair of the repeated tail is one pair, audited at the cost of one.
+    # `solve` audits the trace, whose repeated tail is one run of one pair,
+    # evaluated once.
     dist_calls = [0]
 
     def counted_dist(x, y):
@@ -352,7 +381,7 @@ def test_a_stalled_orbit_computes_its_two_step_cycle_once(case):
         replace(space, dist=counted_dist),
         maps,
         iv.RLHypothesis(1.001 * space.k_const),
-        iv.orbit_adjacent_pairs(pts),
+        trace,
     )
     assert report.checked_pairs == max_steps - 1
     assert dist_calls[0] <= 2 * (start + 1)
@@ -614,7 +643,7 @@ def _audit_outcome(space, maps, hyp, pairs, limit=None):
 
 
 def _pairwise_audit(space, maps, hyp, pairs, limit=None):
-    """`audit` on one pair at a time, so no verdict is reused, as a reference."""
+    """`audit` called on one pair at a time, so no tail is added as one run: a reference."""
     checked, violations = 0, []
     for pair in pairs:
         if limit is not None and len(violations) >= limit:
@@ -624,19 +653,11 @@ def _pairwise_audit(space, maps, hyp, pairs, limit=None):
     return checked, violations[:limit], not violations
 
 
-def test_audit_reuses_the_verdict_of_a_repeated_pair(sqrt_square, nine_identity):
-    calls = [0]
-
-    def counted_dist(x, y):
-        calls[0] += 1
-        return sqrt_square.dist(x, y)
-
-    space = replace(sqrt_square, dist=counted_dist)
+def test_audit_of_repeated_pairs_matches_the_pairwise_audit(sqrt_square, nine_identity):
     hyp = iv.RLHypothesis(3.0, 0.0)
     fail, hold = (0.0, 1.0), (1.0, 1.0)  # (0, 1) violates, (1, 1) holds
     pairs = [fail, fail, fail, hold, hold, fail, (0.0, 1.0 + 2**-52), fail]
-    got = _audit_outcome(space, nine_identity, hyp, pairs)
-    assert calls[0] == 2 * 5  # five runs, two distances each
+    got = _audit_outcome(sqrt_square, nine_identity, hyp, pairs)
     assert got == _pairwise_audit(sqrt_square, nine_identity, hyp, pairs)
     assert len(got[1]) == 6
 
