@@ -5,7 +5,10 @@ hypothesis, and a run request.  Normalization fills every default so the
 echoed document in a report is complete and re-parseable; resolution
 turns the declarative parts into live objects.  Each space family, map
 kind and hypothesis form is one `Variant` entry, which the schema,
-normalization and resolution all read.
+normalization and resolution all read.  The schema is a JSON Schema
+(draft 2020-12) document; a small interpreter of the keywords it uses
+validates a scenario with `jsonschema`'s messages, so the package needs
+no third-party module.
 """
 
 from __future__ import annotations
@@ -14,10 +17,10 @@ import copy
 import dataclasses
 import json
 import math
+from collections.abc import Mapping, Sequence
+from numbers import Number
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
-
-import jsonschema
 
 from .errors import ScenarioError
 from .oracle import DEFAULT_GRID
@@ -319,17 +322,205 @@ _RUN_DEFAULTS = {
 _ASSUMPTION_DEFAULTS = {"complete": False, "phi_limit_condition_attested": False}
 
 
+# ---------------------------------------------------------------------------
+# Validation: an interpreter of the draft 2020-12 keywords SCENARIO_SCHEMA
+# uses.  It reports what jsonschema 4.26 reports, in the same order and
+# with the same messages; a keyword or `$ref` form it does not implement
+# raises, so a schema edit is never silently ignored.
+# ---------------------------------------------------------------------------
+
+
+def _number(value: Any) -> bool:
+    return isinstance(value, Number) and not isinstance(value, bool)
+
+
+_TYPES = {
+    "object": lambda value: isinstance(value, dict),
+    "array": lambda value: isinstance(value, list),
+    "string": lambda value: isinstance(value, str),
+    "boolean": lambda value: isinstance(value, bool),
+    "null": lambda value: value is None,
+    "number": _number,
+    # 50.0 is an integer too; normalization makes it 50.
+    "integer": lambda value: (
+        _number(value)
+        and (isinstance(value, int) or isinstance(value, float) and value.is_integer())
+    ),
+}
+
+
+def _unbool(value: Any, true: object = object(), false: object = object()) -> Any:
+    """Tell true and false apart from 1 and 0."""
+    return true if value is True else false if value is False else value
+
+
+def _equal(one: Any, two: Any) -> bool:
+    """JSON equality: 1 equals 1.0 but true does not, in arrays and objects too."""
+    if one is two:
+        return True
+    if isinstance(one, str) or isinstance(two, str):
+        return one == two
+    if isinstance(one, Sequence) and isinstance(two, Sequence):
+        return len(one) == len(two) and all(map(_equal, one, two))
+    if isinstance(one, Mapping) and isinstance(two, Mapping):
+        return len(one) == len(two) and all(k in two and _equal(v, two[k]) for k, v in one.items())
+    return _unbool(one) == _unbool(two)
+
+
+def _unique(items: list) -> bool:
+    """No two items are equal: compare sorted neighbours, or every pair if unsortable."""
+    try:
+        ordered = sorted(map(_unbool, items))
+        return not any(map(_equal, ordered, ordered[1:]))
+    except (NotImplementedError, TypeError):
+        seen: list = []
+        for item in map(_unbool, items):
+            if any(_equal(other, item) for other in seen):
+                return False
+            seen.append(item)
+        return True
+
+
+def _type(types, doc, schema):
+    types = [types] if isinstance(types, str) else types
+    for name in types:
+        if _TYPES[name](doc):
+            return None
+    return f"{doc!r} is not of type {', '.join(map(repr, types))}"
+
+
+def _no_extras(allowed, doc, schema):
+    if allowed is not False:
+        raise ValueError(f"additionalProperties {allowed!r} is not implemented")
+    if isinstance(doc, dict):
+        extras = sorted(set(doc).difference(schema.get("properties", {})), key=str)
+        names = ", ".join(map(repr, extras))
+        verb = "was" if len(extras) == 1 else "were"
+        return extras and f"Additional properties are not allowed ({names} {verb} unexpected)"
+
+
+# Keywords that judge the document itself: (value, doc, schema) -> the
+# message of its violation, or a false value.
+_CHECKS: dict[str, Callable] = {
+    "type": _type,
+    "additionalProperties": _no_extras,
+    "enum": lambda values, doc, schema: (
+        not any(_equal(value, doc) for value in values) and f"{doc!r} is not one of {values!r}"
+    ),
+    "const": lambda value, doc, schema: not _equal(doc, value) and f"{value!r} was expected",
+    "minimum": lambda bound, doc, schema: (
+        _number(doc) and doc < bound and f"{doc!r} is less than the minimum of {bound!r}"
+    ),
+    "exclusiveMinimum": lambda bound, doc, schema: (
+        _number(doc) and doc <= bound
+        and f"{doc!r} is less than or equal to the minimum of {bound!r}"
+    ),
+    "maximum": lambda bound, doc, schema: (
+        _number(doc) and doc > bound and f"{doc!r} is greater than the maximum of {bound!r}"
+    ),
+    "minItems": lambda n, doc, schema: (
+        isinstance(doc, list) and len(doc) < n
+        and f"{doc!r} {'should be non-empty' if n == 1 else 'is too short'}"
+    ),
+    "maxItems": lambda n, doc, schema: (
+        isinstance(doc, list) and len(doc) > n
+        and f"{doc!r} {'is expected to be empty' if n == 0 else 'is too long'}"
+    ),
+    "uniqueItems": lambda unique, doc, schema: (
+        unique and isinstance(doc, list) and not _unique(doc) and f"{doc!r} has non-unique elements"
+    ),
+}
+
+
+def _resolve(ref: str, root: dict) -> dict:
+    prefix = "#/$defs/"
+    if not ref.startswith(prefix):
+        raise ValueError(f"$ref {ref!r} is not implemented")
+    return root["$defs"][ref[len(prefix) :]]
+
+
+def _within(key, doc, schema, root):
+    """The errors of `doc` under `schema`, with `key` put before each path."""
+    for path, message in _errors(doc, schema, root):
+        yield (key, *path), message
+
+
+def _required(names, doc, schema, root):
+    if isinstance(doc, dict):
+        for name in names:
+            if name not in doc:
+                yield (), f"{name!r} is a required property"
+
+
+def _properties(subschemas, doc, schema, root):
+    if isinstance(doc, dict):
+        for name, subschema in subschemas.items():
+            if name in doc:
+                yield from _within(name, doc[name], subschema, root)
+
+
+def _items(subschema, doc, schema, root):
+    if isinstance(doc, list):
+        for index, item in enumerate(doc):
+            yield from _within(index, item, subschema, root)
+
+
+def _if(condition, doc, schema, root):
+    if "then" in schema and next(_errors(doc, condition, root), None) is None:
+        yield from _errors(doc, schema["then"], root)
+
+
+# Keywords with any number of errors: (value, doc, schema, root) -> (path, message)s.
+_KEYWORDS: dict[str, Callable] = {
+    "required": _required,
+    "properties": _properties,
+    "items": _items,
+    "allOf": lambda subschemas, doc, schema, root: (
+        error for subschema in subschemas for error in _errors(doc, subschema, root)
+    ),
+    "if": _if,
+    "$ref": lambda ref, doc, schema, root: _errors(doc, _resolve(ref, root), root),
+}
+
+# Keywords that judge nothing; "if" reads "then".
+_SKIPPED = frozenset({"$schema", "title", "$defs", "then"})
+
+
+def _errors(doc, schema: dict, root: dict):
+    """(path, message) for each keyword of `schema` that `doc` breaks, in schema order."""
+    for key, value in schema.items():
+        if key in _CHECKS:
+            message = _CHECKS[key](value, doc, schema)
+            if message:
+                yield (), message
+        elif key in _KEYWORDS:
+            yield from _KEYWORDS[key](value, doc, schema, root)
+        elif key not in _SKIPPED:
+            raise ValueError(f"schema keyword {key!r} is not implemented")
+
+
 def validate_scenario(doc: Any) -> None:
-    validator = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
+    errors = sorted(_errors(doc, SCENARIO_SCHEMA, SCENARIO_SCHEMA), key=lambda error: error[0])
     if errors:
         lines = []
-        for err in errors:
-            path = "$" + "".join(
-                f"[{p}]" if isinstance(p, int) else f".{p}" for p in err.absolute_path
-            )
-            lines.append(f"{path}: {err.message}")
+        for path, message in errors:
+            where = "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+            lines.append(f"{where}: {message}")
         raise ScenarioError("schema violations:\n" + "\n".join(lines))
+
+
+def _as_integers(doc: Any, schema: dict, root: dict) -> Any:
+    """`doc` with each number `schema` types as integer made an int, as `range` needs."""
+    if "$ref" in schema:
+        schema = _resolve(schema["$ref"], root)
+    if schema.get("type") == "integer":
+        return int(doc)
+    if isinstance(doc, dict) and "properties" in schema:
+        fields = schema["properties"]
+        return {k: _as_integers(v, fields[k], root) if k in fields else v for k, v in doc.items()}
+    if isinstance(doc, list) and "items" in schema:
+        return [_as_integers(item, schema["items"], root) for item in doc]
+    return doc
 
 
 def _filled(section: dict, where: str, key: str, table: dict) -> dict:
@@ -366,7 +557,7 @@ def normalize_scenario(doc: dict) -> dict:
     if doc["run"]["command"] == "oracle" or "oracle" in doc:
         # Each fill gets its own lists: they are the sweep's defaults too.
         out["oracle"] = {**copy.deepcopy(DEFAULT_GRID), **doc.get("oracle", {})}
-    return out
+    return _as_integers(out, SCENARIO_SCHEMA, SCENARIO_SCHEMA)
 
 
 def _finite_float(literal: str | float) -> float:
