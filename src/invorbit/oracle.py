@@ -68,12 +68,13 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CarrierTooLarge
 from .solver import (
+    ExpansionTest,
     Hypothesis,
     MapPair,
     RLHypothesis,
     audit,
     check_hypothesis,
-    expansion_violation,
+    expansion_test,
     permutation_map,
 )
 from .spaces import (
@@ -172,14 +173,14 @@ def _pairs(dist: tuple) -> Iterator[tuple]:
             yield t, t_fixed, t_walk, s, s_fixed
 
 
-def _holds(hyp: Hypothesis, sharp: Callable, pair: tuple) -> bool:
-    """Whether the `_pairs` item (T, S) meets `hyp` on every ordered pair;
-    stops at the first violation, so any PhiBelowKSquared arises where
-    `audit` raises it."""
+def _holds(test: ExpansionTest, pair: tuple) -> bool:
+    """Whether the `_pairs` item (T, S) passes the `expansion_test` `test`
+    on every ordered pair; stops at the first violation, so any
+    PhiBelowKSquared arises where `audit` raises it."""
     _, _, t_walk, s, _ = pair
     for i, j, a, dxy, a_row in t_walk:
         b = s[j]
-        if expansion_violation(hyp, sharp, i, j, a, b, dxy, a_row[b]) is not None:
+        if test(i, j, a, b, dxy, a_row[b]) is not None:
             return False
     return True
 
@@ -193,15 +194,15 @@ def _holders(
     the order of `hyps`.  Each holder is confirmed by `audit` on the
     equivalent `MapPair`.
     """
-    # Built and checked one at a time, so an invalid hypothesis raises the
-    # error `audit` raised on the first instance.
-    checked_hyps = []
+    # Checked one at a time, so an invalid hypothesis raises the error
+    # `audit` raised on the first instance.  Each test is built once.
+    tests = []
     for hyp in hyps:
         check_hypothesis(space, hyp)
-        checked_hyps.append(hyp)
+        tests.append((hyp, expansion_test(hyp, sharp)))
     for pair in pairs:
-        for hyp in checked_hyps:
-            if _holds(hyp, sharp, pair):
+        for hyp, test in tests:
+            if _holds(test, pair):
                 t, t_fixed, _, s, s_fixed = pair
                 yield _holder(space, hyp, t, s, t_fixed & s_fixed)
 
@@ -357,9 +358,10 @@ def falsification_sweep(
             # One walk per (T, S) under the grid's weakest hypothesis: by the
             # dominance lemma only the pairs it keeps can hold any other.
             h0 = weakest[admitted]
-            survivors = (
-                [] if h0 is None else [p for p in _pairs(dist) if _holds(h0, sharp, p)]
-            )
+            survivors = []
+            if h0 is not None:
+                test = expansion_test(h0, sharp)
+                survivors = [p for p in _pairs(dist) if _holds(test, p)]
             for k in admitted:
                 spaces_admitted += 1
                 space = replace(base, k_const=k)

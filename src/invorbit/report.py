@@ -4,7 +4,12 @@ Reports must be byte-identical across runs with the same seed, so floats
 are printed with a fixed 17-significant-digit format (enough to round-trip
 any double) and object keys are emitted in sorted order.  The stdlib JSON
 encoder delegates float formatting to repr, which is shortest-round-trip
-rather than fixed, hence the small writer here.
+rather than fixed, hence the small writer here.  It writes a document in
+one pass: text parts go onto a list, and once the list holds
+JSON_CHUNK_PARTS parts they are joined into a chunk, which bounds the
+list; the chunks are joined once.  Finite floats are formatted as they
+are met; separators, closing lines and the text before each key are made
+once per depth and call.
 """
 
 from __future__ import annotations
@@ -17,6 +22,9 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator
 
 
+JSON_CHUNK_PARTS = 4096  # text parts the report writer joins at a time
+
+
 def format_float(x: float) -> str:
     if math.isnan(x):
         return '"nan"'
@@ -25,9 +33,7 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def canonical_json(value: Any, indent: int = 0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+def _scalar(value: Any) -> str:
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -38,24 +44,84 @@ def canonical_json(value: Any, indent: int = 0) -> str:
         return format_float(value)
     if isinstance(value, str):
         return json.dumps(value)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [
-            f"{inner}{json.dumps(str(k))}: {canonical_json(value[k], indent + 1)}"
-            for k in sorted(value, key=str)
-        ]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [f"{inner}{canonical_json(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
+def _json_chunks(value: Any, indent: int) -> list[str]:
+    """The text of `canonical_json(value, indent)`, as chunks to be joined.
+
+    A finite float of type float is formatted here; every other scalar
+    goes through `_scalar`, the rules the writer has always applied.
+    """
+    chunks: list[str] = []
+    parts: list[str] = []
+    add = parts.append
+    levels: dict[int, tuple] = {}
+
+    def level(depth: int) -> tuple:
+        """(list open, list separator, list close, dict close, key heads)."""
+        found = levels.get(depth)
+        if found is None:
+            pad, inner = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
+            found = levels[depth] = ("[" + inner, "," + inner, pad + "]", pad + "}", {})
+        return found
+
+    def write(value: Any, depth: int) -> None:
+        if len(parts) >= JSON_CHUNK_PARTS:
+            flush()
+        if type(value) is float and value - value == 0.0:
+            add(format(value, ".17g"))
+        elif isinstance(value, dict):
+            if not value:
+                add("{}")
+                return
+            _, _, _, close, heads = level(depth)
+            later = 0  # indexes a head: 0 opens the object, 1 follows a value
+            for key in sorted(value, key=str):
+                name = str(key)
+                head = heads.get(name)
+                if head is None:
+                    text = "\n" + "  " * (depth + 1) + json.dumps(name) + ": "
+                    head = heads[name] = ("{" + text, "," + text)
+                add(head[later])
+                write(value[key], depth + 1)
+                later = 1
+            add(close)
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                add("[]")
+                return
+            mark, sep, close, _, _ = level(depth)
+            for item in value:
+                add(mark)
+                write(item, depth + 1)
+                mark = sep
+            add(close)
+        else:
+            add(_scalar(value))
+
+    def flush() -> None:
+        chunks.append("".join(parts))
+        parts.clear()
+
+    write(value, indent)
+    flush()
+    return chunks
+
+
+def canonical_json(value: Any, indent: int = 0) -> str:
+    """JSON text with sorted keys, two-space indentation and .17g floats.
+
+    `indent` is the depth the value starts at: it sets the indentation of
+    the value's inner lines and closing bracket, not of its first line.
+    """
+    return "".join(_json_chunks(value, indent))
+
+
 def emit_report(report: dict, path: str | Path) -> bytes:
-    data = (canonical_json(report) + "\n").encode("ascii")
+    chunks = _json_chunks(report, 0)
+    chunks.append("\n")
+    data = "".join(chunks).encode("ascii")
     Path(path).write_bytes(data)
     return data
 

@@ -490,7 +490,12 @@ def _errors(doc, schema: dict, root: dict):
     """(path, message) for each keyword of `schema` that `doc` breaks, in schema order."""
     for key, value in schema.items():
         if key in _CHECKS:
-            message = _CHECKS[key](value, doc, schema)
+            try:
+                message = _CHECKS[key](value, doc, schema)
+            except RecursionError:
+                # Python's comparisons and repr recurse into nested values;
+                # jsonschema cannot judge such a document either.
+                message = f"nested too deeply to check {key!r}"
             if message:
                 yield (), message
         elif key in _KEYWORDS:

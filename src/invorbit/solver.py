@@ -335,41 +335,51 @@ def check_hypothesis(space: Space, hyp: Hypothesis) -> None:
         raise ValueError("r_const must exceed the space's k_const")
 
 
-def expansion_violation(
-    hyp: Hypothesis,
-    sharp: Callable[[Point, Point], float],
-    x: Point,
-    y: Point,
-    tx: Point,
-    sy: Point,
-    dxy: float,
-    lhs: float,
-) -> float | None:
-    """Test the expansion inequality d(Tx, Sy) >= coeff * d(x, y) on one pair.
+ExpansionTest = Callable[[Point, Point, Point, Point, float, float], Union[float, None]]
 
-    `dxy` is d(x, y), `lhs` is d(Tx, Sy), and `sharp` gives the diagonal
-    residuals of the constant form, evaluated only when L > 0.  Returns the
-    right-hand side when it exceeds `lhs` beyond slack, else None.  Pairs at
-    distance zero are vacuously compliant under the rate form (phi is only
-    defined for positive arguments), and a rate at or below its codomain
-    floor raises PhiBelowKSquared.
+
+def expansion_test(hyp: Hypothesis, sharp: Callable[[Point, Point], float]) -> ExpansionTest:
+    """The per-pair test of the expansion inequality d(Tx, Sy) >= coeff * d(x, y).
+
+    The test takes (x, y, Tx, Sy, d(x, y), d(Tx, Sy)) and returns the
+    right-hand side when it exceeds d(Tx, Sy) beyond slack, else None.
+    Its form is picked here, once per hypothesis: R * d(x, y); the
+    constant form with L > 0, whose coefficient R + L * min of the four
+    diagonal residuals reads them through `sharp`; or the rate form.
+    Pairs at distance zero are vacuously compliant under the rate form
+    (phi is only defined for positive arguments), and a rate at or below
+    its codomain floor raises PhiBelowKSquared.  exceeds(rhs, lhs) implies
+    rhs > lhs, the cheaper exact test, which goes first.
     """
     if isinstance(hyp, RLHypothesis):
-        coeff = hyp.r_const
-        if hyp.l_const > 0:
-            coeff += hyp.l_const * min(sharp(x, tx), sharp(y, sy), sharp(x, sy), sharp(y, tx))
-        rhs = coeff * dxy
-    else:
+        r, l = hyp.r_const, hyp.l_const
+        if l > 0:
+
+            def residual_test(x, y, tx, sy, dxy, lhs):
+                coeff = r + l * min(sharp(x, tx), sharp(y, sy), sharp(x, sy), sharp(y, tx))
+                rhs = coeff * dxy
+                return rhs if rhs > lhs and exceeds(rhs, lhs) else None
+
+            return residual_test
+
+        def constant_test(x, y, tx, sy, dxy, lhs):
+            rhs = r * dxy
+            return rhs if rhs > lhs and exceeds(rhs, lhs) else None
+
+        return constant_test
+
+    phi, floor = hyp.phi, hyp.k_squared
+
+    def rate_test(x, y, tx, sy, dxy, lhs):
         if dxy <= 0.0:
             return None
-        rate = hyp.phi(dxy)
-        if rate <= hyp.k_squared:
-            raise PhiBelowKSquared(
-                f"phi({dxy}) = {rate} is not above the floor {hyp.k_squared}"
-            )
+        rate = phi(dxy)
+        if rate <= floor:
+            raise PhiBelowKSquared(f"phi({dxy}) = {rate} is not above the floor {floor}")
         rhs = rate * dxy
-    # exceeds(rhs, lhs) implies rhs > lhs, the cheaper exact test.
-    return rhs if rhs > lhs and exceeds(rhs, lhs) else None
+        return rhs if rhs > lhs and exceeds(rhs, lhs) else None
+
+    return rate_test
 
 
 def audit(
@@ -399,17 +409,18 @@ def audit(
     """
     check_hypothesis(space, hyp)
     d = space.dist
-    sharp = partial(d_sharp, space)
+    t_forward, s_forward = maps.t_forward, maps.s_forward
+    test = expansion_test(hyp, partial(d_sharp, space))
     violations: list[AuditViolation] = []
     checked = 0
     violation = None
     walked, repeats = _resolve_pairs(space, pairs)
     for x, y in walked:
         checked += 1
-        tx = maps.t_forward(x)
-        sy = maps.s_forward(y)
+        tx = t_forward(x)
+        sy = s_forward(y)
         lhs = d(tx, sy)
-        rhs = expansion_violation(hyp, sharp, x, y, tx, sy, d(x, y), lhs)
+        rhs = test(x, y, tx, sy, d(x, y), lhs)
         violation = None if rhs is None else AuditViolation(x, y, lhs, rhs)
         if violation is not None:
             violations.append(violation)

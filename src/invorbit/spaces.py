@@ -25,7 +25,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, islice, product
+from itertools import chain, cycle, islice, product, repeat
 from struct import unpack
 from typing import Any, Callable, Iterable, Iterator, Sequence, Union
 
@@ -295,45 +295,53 @@ def _exhaustive_points(space: Space) -> tuple[Point, ...]:
     return space.carrier.points
 
 
-def _pair_violations(
-    space: Space, pairs: Iterable[tuple[Point, Point]], singles: Iterable[Point]
-) -> list[AxiomViolation]:
-    """The pair axioms on `pairs`: nonnegativity, symmetry and zero distance
-    (P1 and P2 on a partial metric), plus D1 of a b-metric on `singles`."""
-    d = space.dist
-    kind = space.kind
-    sym_id, zero_id, _ = _AXIOM_IDS[kind]
-    violations: list[AxiomViolation] = []
+def _pair_axioms(space: Space, found: list) -> Callable[[Point, Point], float]:
+    """The pair-axiom test of `space`, as a function of (x, y).
 
-    # Each slack test sits behind the exact comparison it implies:
-    # exceeds(a, b) needs a > b, and differs(a, b) needs a != b.
-    for x, y in pairs:
+    It appends to `found` the violations at (x, y) of nonnegativity,
+    symmetry and zero distance (P1 and P2 on a partial metric), and
+    returns d(x, y).  Each slack test sits behind the exact comparison it
+    implies: exceeds(a, b) needs a > b, and differs(a, b) needs a != b,
+    so a == b makes not differs(a, b) true.
+    """
+    d = space.dist
+    equal = space.points_equal
+    add = found.append
+    sym_id, zero_id, _ = _AXIOM_IDS[space.kind]
+    partial = space.kind is SpaceKind.PARTIAL_METRIC
+
+    def check(x: Point, y: Point) -> float:
         dxy = d(x, y)
         if dxy < 0.0 and exceeds(0.0, dxy):
-            violations.append(AxiomViolation("nonneg", (x, y), dxy, 0.0))
+            add(AxiomViolation("nonneg", (x, y), dxy, 0.0))
         dyx = d(y, x)
         if dxy != dyx and differs(dxy, dyx):
-            violations.append(AxiomViolation(sym_id, (x, y), dxy, dyx))
-        if kind is SpaceKind.PARTIAL_METRIC:
+            add(AxiomViolation(sym_id, (x, y), dxy, dyx))
+        if partial:
             dxx = d(x, x)
             dyy = d(y, y)
             if (
-                not space.points_equal(x, y)
-                and not differs(dxx, dxy)
-                and not differs(dyy, dxy)
+                (dxx == dxy or not differs(dxx, dxy))
+                and (dyy == dxy or not differs(dyy, dxy))
+                and not equal(x, y)
             ):
-                violations.append(AxiomViolation("P1", (x, y), dxy, dxx))
+                add(AxiomViolation("P1", (x, y), dxy, dxx))
             if dxx > dxy and exceeds(dxx, dxy):
-                violations.append(AxiomViolation("P2", (x, y), dxx, dxy))
-        else:
-            if dxy == 0.0 and not space.points_equal(x, y):
-                violations.append(AxiomViolation(zero_id, (x, y), dxy, 0.0))
+                add(AxiomViolation("P2", (x, y), dxx, dxy))
+        elif dxy == 0.0 and not equal(x, y):
+            add(AxiomViolation(zero_id, (x, y), dxy, 0.0))
+        return dxy
 
+    return check
+
+
+def _d1_violations(space: Space, singles: Iterable[Point], found: list) -> None:
+    """Append to `found` the D1 violations of a b-metric on `singles`."""
+    d = space.dist
     for x in singles:
         dxx = d(x, x)
         if exceeds(dxx, 0.0):
-            violations.append(AxiomViolation("D1", (x, x), dxx, 0.0))
-    return violations
+            found.append(AxiomViolation("D1", (x, x), dxx, 0.0))
 
 
 def _triangle_fails(
@@ -360,48 +368,60 @@ def check_axioms(space: Space, strategy: Strategy) -> AxiomReport:
     """Audit the kind-specific distance axioms and collect every violation.
 
     For the triangle-type violations the witness is stored as (x, y, z)
-    with z the midpoint of the detour.  When sampling, pair axioms are
-    checked on the leading pair of each triple, so the anchor pairs are
-    always covered.  Deterministic for a fixed seed.
+    with z the midpoint of the detour.  One loop serves both strategies:
+    it checks the pair axioms of each (x, y) once, then the triangle for
+    each midpoint z.  An exhaustive check pairs every (x, y) with every
+    point; a sampled one checks the leading pair of each triple with its
+    own z, so the anchor pairs are always covered.  Each d(x, y) is read
+    once and serves both the pair axioms and the triangle, which relies on
+    the distance being a function of its points.  Violations come out as
+    pair violations, then D1 (b-metrics only), then triangle violations.
+    Deterministic for a fixed seed.
     """
     d = space.dist
     kind = space.kind
-
     if isinstance(strategy, Exhaustive):
         pts = _exhaustive_points(space)
-        pairs = list(product(pts, repeat=2))
-        triples = list(product(pts, repeat=3))
+        triples: Iterable[tuple] = product(pts, repeat=3)
+        # In product order each (x, y) leads the run of its len(pts) midpoints.
+        leads: Iterable[bool] = cycle((True,) + (False,) * (len(pts) - 1))
+        checked_pairs, checked_triples = len(pts) ** 2, len(pts) ** 3
     elif isinstance(strategy, Sampled):
         triples = sample_triples(space, strategy.n, strategy.seed)
-        pairs = [(x, y) for x, y, _ in triples]
+        leads = repeat(True)
+        checked_pairs = checked_triples = len(triples)
     else:
         raise TypeError(f"unknown strategy: {strategy!r}")
 
-    singles = ()
-    if kind is SpaceKind.B_METRIC:
-        singles = (
-            space.carrier.points
-            if isinstance(strategy, Exhaustive)
-            else dict.fromkeys(p for t in triples for p in t)
-        )
-    violations = _pair_violations(space, pairs, singles)
+    violations: list[AxiomViolation] = []
+    triangles: list[AxiomViolation] = []
+    check_pair = _pair_axioms(space, violations)
     tri_id = _AXIOM_IDS[kind][2]
     factor = _triangle_factor(space, space.k_const)
     subtract_mid = kind is SpaceKind.PARTIAL_METRIC
-    for x, y, z in triples:
-        lhs = d(x, y)
+    for (x, y, z), lead in zip(triples, leads):
+        if lead:
+            lhs = check_pair(x, y)
         detour = d(x, z) + d(z, y)
         rhs = factor * detour
         if subtract_mid:
             rhs -= d(z, z)
         if lhs >= rhs and _triangle_fails(lhs, rhs, detour, factor, subtract_mid):
-            violations.append(AxiomViolation(tri_id, (x, y, z), lhs, rhs))
+            triangles.append(AxiomViolation(tri_id, (x, y, z), lhs, rhs))
+    if kind is SpaceKind.B_METRIC:
+        singles = (
+            pts
+            if isinstance(strategy, Exhaustive)
+            else dict.fromkeys(chain.from_iterable(triples))
+        )
+        _d1_violations(space, singles, violations)
+    violations.extend(triangles)
 
     return AxiomReport(
         passed=not violations,
         violations=tuple(violations),
-        checked_pairs=len(pairs),
-        checked_triples=len(triples),
+        checked_pairs=checked_pairs,
+        checked_triples=checked_triples,
     )
 
 
@@ -417,8 +437,13 @@ def admitted_k_values(space: Space, k_values: Sequence[float]) -> list[float]:
         if k < 1.0:
             raise ValueError("k_const must be >= 1")
     pts = _exhaustive_points(space)
-    singles = pts if space.kind is SpaceKind.B_METRIC else ()
-    if _pair_violations(space, product(pts, repeat=2), singles):
+    found: list[AxiomViolation] = []
+    check_pair = _pair_axioms(space, found)
+    for x, y in product(pts, repeat=2):
+        check_pair(x, y)
+    if space.kind is SpaceKind.B_METRIC:
+        _d1_violations(space, pts, found)
+    if found:
         return []
     subtract_mid = space.kind is SpaceKind.PARTIAL_METRIC
     rows = [[space.dist(x, y) for y in pts] for x in pts]

@@ -12,12 +12,15 @@ import signal
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from invorbit import cli
+from invorbit import cli, report
 from invorbit.cli import COMMANDS, main, run_batch, run_scenario
-from invorbit.report import canonical_json, write_trace_csv
+from invorbit.report import canonical_json, format_float, write_trace_csv
 from invorbit.errors import ScenarioError
 from invorbit.oracle import DEFAULT_GRID
 from invorbit.scenario import (
@@ -56,6 +59,77 @@ def test_non_finite_floats_become_strings():
 def test_keys_are_sorted():
     out = canonical_json({"b": 1, "a": 2})
     assert out.index('"a"') < out.index('"b"')
+
+
+def _reference_canonical_json(value, indent=0):
+    """The recursive writer that the one-pass writer replaced."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return format_float(value)
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            f"{inner}{json.dumps(str(k))}: {_reference_canonical_json(value[k], indent + 1)}"
+            for k in sorted(value, key=str)
+        ]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [f"{inner}{_reference_canonical_json(v, indent + 1)}" for v in value]
+        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+_EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7e308, 0.1, 1.0]
+_TEXT = st.text(alphabet=st.sampled_from('ab"\\/\n\t\x00é€😀'), max_size=4)
+# Scalars of every type the writer takes, with bool beside int and the
+# float edges; containers hold them and each other, empty ones included.
+_JSON_DOCS = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([0, 1, True, False])
+    | st.floats()
+    | st.sampled_from(_EDGE_FLOATS)
+    | _TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    # int and str keys side by side, sorted by str: 1 and "1" keep their order
+    | st.dictionaries(
+        st.integers(-2, 11) | st.sampled_from(["1", "10", "2", "a", "B"]) | _TEXT,
+        inner,
+        max_size=4,
+    ),
+    max_leaves=12,
+)
+
+
+@given(_JSON_DOCS, st.integers(0, 3), st.sampled_from([1, 2, 3, 7, report.JSON_CHUNK_PARTS]))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_writer_matches_the_recursive_reference(doc, indent, chunk):
+    # A small chunk size joins the parts at many places inside a document.
+    with mock.patch.object(report, "JSON_CHUNK_PARTS", chunk):
+        assert canonical_json(doc, indent) == _reference_canonical_json(doc, indent)
+    assert canonical_json(doc, indent) == _reference_canonical_json(doc, indent)
+
+
+@pytest.mark.parametrize("value", [object(), {1, 2}, b"x", {"a": [1.0, {"b": complex(1, 2)}]}])
+def test_writer_refuses_unsupported_types(value):
+    with pytest.raises(TypeError, match="cannot serialize"):
+        _reference_canonical_json(value)
+    with pytest.raises(TypeError, match="cannot serialize"):
+        canonical_json(value)
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +430,16 @@ SQUARE_DIFF_K1_AXIOMS = {
     "run": {"command": "axioms", "n_samples": 2000, "seed": 7},
     "assumptions": {"complete": True},
 }
+# The rl audit of scenarios/sqrt_square_audit.json (T = 9x, S = identity)
+# at 20,000 samples: a report of about 0.5 MB, written in many chunks.
+SQRT_SQUARE_AUDIT_20000 = {
+    **json.loads((SCENARIOS / "sqrt_square_audit.json").read_text()),
+    "run": {"command": "audit", "n_samples": 20000, "seed": 1},
+}
+INLINE_SAMPLED = {
+    "square_diff_k1_axioms": SQUARE_DIFF_K1_AXIOMS,
+    "sqrt_square_audit_20000": SQRT_SQUARE_AUDIT_20000,
+}
 SAMPLED_REPORT_SHA256 = [
     (
         "sqrt_square_audit",
@@ -364,6 +448,10 @@ SAMPLED_REPORT_SHA256 = [
     (
         "square_diff_k1_axioms",
         "5821e28abc840ccc7ededdf2760e9ecdfe9ae20ce370d53a4521e7a6cf5ca6d7",
+    ),
+    (
+        "sqrt_square_audit_20000",
+        "447117d274148772d82094b139741945b04d10fa8473e699ecb2a2ad981080fc",
     ),
 ]
 
@@ -375,7 +463,7 @@ def test_sampled_reports_are_pinned(tmp_path, name, digest):
     if name == "sqrt_square_audit":
         path = SCENARIOS / "sqrt_square_audit.json"
     else:
-        path = _write(tmp_path, f"{name}.json", SQUARE_DIFF_K1_AXIOMS)
+        path = _write(tmp_path, f"{name}.json", INLINE_SAMPLED[name])
     out = tmp_path / "out"
     assert run_scenario(path, out) == 2
     data = (out / "report.json").read_bytes()

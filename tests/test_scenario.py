@@ -422,6 +422,25 @@ def test_validation_matches_jsonschema_on_edge_documents(case):
     assert _validator_text(doc) == _jsonschema_text(doc)
 
 
+def test_a_grid_nested_too_deeply_to_compare_is_a_schema_error(tmp_path, capsys):
+    # Two grid items nested 900 deep: the uniqueItems sort compares them
+    # recursively, past Python's recursion limit, and jsonschema raises
+    # RecursionError on this document itself.  It is a schema error.
+    deep = "[" * 900 + "1" + "]" * 900
+    text = (
+        '{"space": {"family": "two_point_sigma"}, "run": {"command": "oracle"}, '
+        f'"oracle": {{"sizes": [{deep}, [{deep}]]}}}}'
+    )
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    assert main(["--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: schema violations:\n$.oracle.sizes")
+    assert "RecursionError" not in err
+    with pytest.raises(ScenarioError, match=r"^schema violations:\n\$\.oracle\.sizes"):
+        validate_scenario(json.loads(text))
+
+
 # ---------------------------------------------------------------------------
 # Integral floats in integer fields
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import invorbit as iv
 from invorbit.analysis import _runs
 from invorbit.numerics import TOL_FIX, exceeds, tail_window
 from invorbit.report import write_trace_csv
-from invorbit.solver import DEFAULT_MAX_STEPS, check_roundtrip, expansion_violation
+from invorbit.solver import DEFAULT_MAX_STEPS, check_roundtrip, expansion_test
 
 
 # ---------------------------------------------------------------------------
@@ -812,9 +812,10 @@ def test_residual_zero_without_fixedness_needs_degeneracy():
 )
 def test_expansion_guard_agrees_with_bare_slack_test(hyp, coeff, edge_values):
     # The rhs > lhs guard may only skip pairs the slack test would pass.
+    test = expansion_test(hyp, None)
     for dxy, lhs in product(edge_values, repeat=2):
         rhs = coeff * dxy
         vacuous = isinstance(hyp, iv.PhiHypothesis) and dxy <= 0.0
         bare = None if vacuous or not exceeds(rhs, lhs) else rhs
-        got = expansion_violation(hyp, None, 0, 1, 0, 1, dxy, lhs)
+        got = test(0, 1, 0, 1, dxy, lhs)
         assert repr(got) == repr(bare), (dxy, lhs)

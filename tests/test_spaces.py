@@ -441,12 +441,14 @@ def test_bulk_sampler_matches_randrange(space, pool_size, arity, sampler, refere
             assert iv.sample(space, n, seed, arity) == expected, (seed, n)
 
 
-def _bare_violations(space):
-    """check_axioms on a finite carrier with every slack test unguarded."""
-    d, kind, pts = space.dist, space.kind, space.carrier.points
+def _bare_two_pass(space, pairs, singles, triples):
+    """check_axioms with every slack test unguarded, in two passes: the
+    pair axioms on `pairs`, D1 of a b-metric on `singles`, then the
+    triangle on `triples`."""
+    d, kind = space.dist, space.kind
     sym_id, zero_id, tri_id = _AXIOM_IDS[kind]
     out = []
-    for x, y in product(pts, repeat=2):
+    for x, y in pairs:
         dxy = d(x, y)
         if exceeds(0.0, dxy):
             out.append(("nonneg", (x, y), dxy, 0.0))
@@ -462,13 +464,13 @@ def _bare_violations(space):
         elif dxy == 0.0 and x != y:
             out.append((zero_id, (x, y), dxy, 0.0))
     if kind is iv.SpaceKind.B_METRIC:
-        for x in pts:
+        for x in singles:
             if exceeds(d(x, x), 0.0):
                 out.append(("D1", (x, x), d(x, x), 0.0))
     b_kind = kind in (iv.SpaceKind.B_METRIC, iv.SpaceKind.B_METRIC_LIKE)
     factor = space.k_const if b_kind else 1.0
     partial = kind is iv.SpaceKind.PARTIAL_METRIC
-    for x, y, z in product(pts, repeat=3):
+    for x, y, z in triples:
         lhs = d(x, y)
         detour = d(x, z) + d(z, y)
         rhs = factor * detour
@@ -481,8 +483,23 @@ def _bare_violations(space):
     return out
 
 
-@pytest.mark.parametrize("kind", list(iv.SpaceKind))
-def test_axiom_guards_agree_with_bare_slack_tests(kind, edge_values):
+def _bare_violations(space):
+    """The two-pass reference of an exhaustive check on a finite carrier."""
+    pts = space.carrier.points
+    return _bare_two_pass(space, product(pts, repeat=2), pts, product(pts, repeat=3))
+
+
+def _bare_sampled_violations(space, triples):
+    """The two-pass reference of a sampled check on `triples`: the pair
+    axioms on their leading pairs and D1 on each of their points once."""
+    pairs = [(x, y) for x, y, _ in triples]
+    singles = dict.fromkeys(p for t in triples for p in t)
+    return _bare_two_pass(space, pairs, singles, triples)
+
+
+def _edge_tables(kind, edge_values):
+    """400 seeded 3-point spaces of `kind`, their distances drawn from the
+    edge values, half of them symmetric, with K drawn from 1, 1.5 and 2."""
     rng = random.Random(f"guards:{kind.value}")
     pts = (0, 1, 2)
     for _ in range(400):
@@ -490,7 +507,26 @@ def test_axiom_guards_agree_with_bare_slack_tests(kind, edge_values):
         if rng.random() < 0.5:
             table.update({(y, x): v for (x, y), v in list(table.items()) if x < y})
         k = rng.choice((1.0, 1.5, 2.0))
-        space = iv.Space(iv.FiniteCarrier(pts), lambda x, y: table[x, y], k, kind)
+        yield table, iv.Space(iv.FiniteCarrier(pts), lambda x, y, t=table: t[x, y], k, kind)
+
+
+def _listed(report):
+    return [(v.axiom_id, v.witness, v.lhs, v.rhs) for v in report.violations]
+
+
+@pytest.mark.parametrize("kind", list(iv.SpaceKind))
+def test_axiom_guards_agree_with_bare_slack_tests(kind, edge_values):
+    for table, space in _edge_tables(kind, edge_values):
         report = iv.check_axioms(space, iv.Exhaustive())
-        got = [(v.axiom_id, v.witness, v.lhs, v.rhs) for v in report.violations]
-        assert repr(got) == repr(_bare_violations(space)), table
+        assert repr(_listed(report)) == repr(_bare_violations(space)), table
+
+
+@pytest.mark.parametrize("kind", list(iv.SpaceKind))
+def test_sampled_axioms_agree_with_the_two_pass_reference(kind, edge_values):
+    # 27 anchor triples, then 33 drawn ones: leading pairs and points repeat.
+    for seed, (table, space) in enumerate(_edge_tables(kind, edge_values)):
+        report = iv.check_axioms(space, iv.Sampled(60, seed))
+        triples = iv.sample_triples(space, 60, seed)
+        assert report.checked_pairs == report.checked_triples == len(triples) == 60
+        expected = _bare_sampled_violations(space, triples)
+        assert repr(_listed(report)) == repr(expected), (seed, table)
