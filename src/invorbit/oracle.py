@@ -46,10 +46,35 @@ nan residual makes every coefficient nan, and nan complies).  A sweep
 therefore finds every holder of its grid among the pairs that hold the
 grid's weakest hypothesis, the least R and the least L.
 
+Relabelling lemma.  Renaming the points by a bijection p turns a matrix
+M into M' = (M[p(i)][p(j)]), and every verdict of the sweep is the same
+on M and M'.  M' holds the same doubles, and the kernel forms each value
+on M' from the same operands, in the same order, as the matching value
+on M: the pair check of (x, y) on M' reads what that of (p x, p y) on M
+reads, a triangle's lhs, detour and K * detour on M' are those of
+(p x, p y, p z) on M, and so are the residuals
+|2 d(x, y) - (d(x, x) + d(y, y))| and each per-pair expansion test.
+Admission is a verdict over all pairs and triples, so M' admits exactly
+the K that M admits.  (T, S) holds a hypothesis on M' exactly when its
+conjugate (p T p^-1, p S p^-1) holds it on M: the walk meets the same
+inequalities in another order, and the order decides only which
+violation comes first (the constant form raises nothing).  Conjugation
+is a bijection of the ordered pairs, and x is a common fixed point of
+(T, S) exactly when p x is one of the conjugate, so holders conjugate to
+holders with the same number of common fixed points, and the holder
+counts agree.
+
 The sweep walks one enumeration kernel.  Per carrier size it lists the
-bijections as index tuples, with their fixed indices, once; per space it
-reads the distances and diagonal residuals into tables, once.  Per matrix
-it walks every (T, S) once, under the weakest hypothesis of every K the
+bijections as index tuples, with their fixed indices, once.  The one
+matrix enumeration, run over entry indices, yields each matrix with its
+relabelling class; a class is named by its first member, the one whose
+index tuple no relabelling puts earlier.  Per class the sweep builds one
+table, from the first member, and counts its verdicts once per distinct
+member; a class whose first member has a holder is walked member by
+member instead, each at its own place in the enumeration, so every holder
+is re-audited and the counterexamples keep their order.  Per walked
+matrix it reads the distances and diagonal residuals into tables, once,
+and walks every (T, S) once, under the weakest hypothesis of every K the
 matrix admits; per admitted K it walks only the surviving (T, S) under
 each of that K's hypotheses.  Every walk takes the ordered pairs in the
 order `audit` uses and stops at the first violation, through the per-pair
@@ -64,7 +89,8 @@ import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import permutations, product
-from typing import Callable, Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .errors import CarrierTooLarge
 from .solver import (
@@ -255,14 +281,48 @@ def _symmetric_matrices(n: int, entries: Sequence[float]) -> Iterable[list[list[
         yield matrix
 
 
+def _relabelling_classes(
+    n: int, n_entries: int
+) -> Iterator[tuple[list[list[int]], Hashable, int]]:
+    """Every symmetric n x n matrix over the entry indices range(n_entries),
+    in `_symmetric_matrices` order, with its relabelling class.
+
+    A relabelling by a bijection p maps the matrix M to the matrix
+    (M[p(i)][p(j)]).  Each item is (matrix, first, size): `first` is the
+    upper-triangle index tuple of the class's first member in enumeration
+    order (for n = 1, its one index), which is the least of its members'
+    tuples, as `product` runs in lexicographic order; `size` is the number
+    of distinct members for the first member itself and 0 for every other.
+    Index tuples are compared, not values, so entries in any order, or
+    repeated, give the same classes.  Only the n! relabellings of one
+    matrix are held at a time.
+    """
+    upper = [(i, j) for i in range(n) for j in range(i, n)]
+    # Read off the row-major flattened matrix; the identity comes first.
+    moves = [itemgetter(*(p[i] * n + p[j] for i, j in upper)) for p, _ in _bijections(n)]
+    for matrix in _symmetric_matrices(n, range(n_entries)):
+        flat = sum(matrix, [])
+        images = [move(flat) for move in moves]
+        first = min(images)
+        yield matrix, first, len(set(images)) if first == images[0] else 0
+
+
 def _hypothesis_grid(
     k: float,
     r_offsets: Sequence[float],
     r_factors: Sequence[float],
     l_values: Sequence[float],
 ) -> tuple[RLHypothesis, ...]:
-    """The hypotheses a space with constant K is audited under, R-major."""
+    """The hypotheses a space with constant K is audited under, R-major.
+
+    Raises ValueError if an R rounds onto K.
+    """
     r_values = sorted({k + o for o in r_offsets} | {k * f for f in r_factors})
+    if r_values and not r_values[0] > k:
+        raise ValueError(
+            f"sweep R = {r_values[0]!r} does not exceed K = {k!r}: "
+            "an r_offset or r_factor of the grid rounds onto K"
+        )
     return tuple(RLHypothesis(float(r), float(l)) for r in r_values for l in l_values)
 
 
@@ -272,6 +332,36 @@ def _weakest(hyps: Sequence[RLHypothesis]) -> RLHypothesis | None:
     if not hyps:
         return None
     return RLHypothesis(min(h.r_const for h in hyps), min(h.l_const for h in hyps))
+
+
+def _walk(
+    base: Space,
+    k_values: Sequence[float],
+    grids: dict[float, tuple[RLHypothesis, ...]],
+    weakest: dict[tuple, RLHypothesis | None],
+) -> tuple[tuple[float, ...], list[_Holder]]:
+    """The K of `k_values` that admit the table `base`, and its holders
+    under the hypotheses `grids` gives each of them, K by K.
+
+    `weakest` caches the weakest hypothesis per admitted K tuple.
+    """
+    admitted = tuple(admitted_k_values(base, k_values))
+    found: list[_Holder] = []
+    if not admitted:
+        return admitted, found
+    dist, sharp = _tables(base)  # read once, shared by every admitting K
+    if admitted not in weakest:
+        weakest[admitted] = _weakest([h for k in admitted for h in grids[k]])
+    # One walk per (T, S) under the grid's weakest hypothesis: by the
+    # dominance lemma only the pairs it keeps can hold any other.
+    h0 = weakest[admitted]
+    survivors = []
+    if h0 is not None:
+        test = expansion_test(h0, sharp)
+        survivors = [p for p in _pairs(dist) if _holds(test, p)]
+    for k in admitted:
+        found.extend(_holders(replace(base, k_const=k), sharp, grids[k], survivors))
+    return admitted, found
 
 
 def _bound_work(
@@ -327,14 +417,22 @@ def falsification_sweep(
     hypothesis holder had exactly one common fixed point.  By the counting
     lemma (module docstring) every holder has n = 1.
 
-    The grid is bounded before the walk starts: a size above `n_max`, or
+    The matrices are walked one relabelling class at a time (see the
+    relabelling lemma): a class whose first member has no holder is
+    counted from that member alone, and every member of a class with a
+    holder is walked at its own place in the enumeration.
+
+    The grid is checked before the walk starts: a size above `n_max`, or
     more than MAX_SWEEP_INSTANCES instances were every matrix admitted
-    for every K, raises CarrierTooLarge.
+    for every K, raises CarrierTooLarge; a non-finite entry, a size below
+    1, or an R that rounds onto its K, raises ValueError.
     """
     per_pair = len(k_values) * (len(r_offsets) + len(r_factors)) * len(l_values)
     _bound_work(sizes, len(entries), per_pair, n_max)
     if not all(math.isfinite(e) for e in entries):
         raise ValueError("sweep entries must be finite")
+    if min(sizes, default=1) < 1:
+        raise ValueError("sweep sizes must be at least 1")
     k_floats = [float(k) for k in k_values]
     grids = {k: _hypothesis_grid(k, r_offsets, r_factors, l_values) for k in k_floats}
     weakest: dict[tuple, RLHypothesis | None] = {}  # per admitted K tuple
@@ -346,33 +444,27 @@ def falsification_sweep(
     for n in sizes:
         labels = tuple(range(n))
         n_pairs = len(_bijections(n)) ** 2
-        for matrix in _symmetric_matrices(n, entries):
-            matrices_checked += 1
+        held = set()  # the classes with a holder, by their first member
+        for index, first, size in _relabelling_classes(n, len(entries)):
+            if not size and first not in held:
+                continue  # counted with the first member of its class
+            matrix = [[entries[v] for v in row] for row in index]
             base = table_space(labels, matrix, k_const=1.0, kind=SpaceKind.B_METRIC_LIKE)
-            admitted = tuple(admitted_k_values(base, k_floats))
-            if not admitted:
-                continue
-            dist, sharp = _tables(base)  # read once, shared by every admitting K
-            if admitted not in weakest:
-                weakest[admitted] = _weakest([h for k in admitted for h in grids[k]])
-            # One walk per (T, S) under the grid's weakest hypothesis: by the
-            # dominance lemma only the pairs it keeps can hold any other.
-            h0 = weakest[admitted]
-            survivors = []
-            if h0 is not None:
-                test = expansion_test(h0, sharp)
-                survivors = [p for p in _pairs(dist) if _holds(test, p)]
-            for k in admitted:
-                spaces_admitted += 1
-                space = replace(base, k_const=k)
-                hyps = grids[k]
-                instances_checked += n_pairs * len(hyps)
-                # D1 leaves no two labels of an admitted space at distance
-                # zero to identify, so any count but one is a counterexample.
-                for holder in _holders(space, sharp, hyps, survivors):
-                    holders += 1
-                    if len(holder.fixed_points) != 1:
-                        counterexamples.append(_counterexample(holder))
+            admitted, found = _walk(base, k_floats, grids, weakest)
+            if found:
+                held.add(first)
+            # A first member without a holder counts for every member of
+            # its class; a walked member of a class with one, for itself.
+            weight = size if size and not found else 1
+            matrices_checked += weight
+            spaces_admitted += weight * len(admitted)
+            instances_checked += weight * n_pairs * sum(len(grids[k]) for k in admitted)
+            holders += len(found)
+            # D1 leaves no two labels of an admitted space at distance
+            # zero to identify, so any count but one is a counterexample.
+            counterexamples.extend(
+                _counterexample(h) for h in found if len(h.fixed_points) != 1
+            )
     return SweepReport(
         matrices_checked,
         spaces_admitted,

@@ -423,6 +423,29 @@ def test_an_oracle_grid_that_checks_no_instance_is_an_error(tmp_path, capsys, gr
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "grid, r, k",
+    [
+        ({"r_offsets": [1e-300]}, "1.0", "1.0"),
+        ({"k_values": [1e308], "entries": [0, 1e308]}, "1e+308", "1e+308"),
+    ],
+    ids=["offset_below_ulp", "offset_at_the_largest_k"],
+)
+def test_an_oracle_grid_whose_r_rounds_onto_k_is_refused(tmp_path, capsys, grid, r, k):
+    # K + offset rounds back onto K.  Both grids used to end mid-sweep,
+    # at the first admitted space, with a message that named no grid value.
+    doc = {"space": {"family": "two_point_sigma"}, "run": {"command": "oracle"}, "oracle": grid}
+    path = _write(tmp_path, "r_onto_k.json", doc)
+    assert run_scenario(path, tmp_path / "out") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {path}: sweep R = {r} does not exceed K = {k}: "
+        "an r_offset or r_factor of the grid rounds onto K\n"
+    )
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 # SHA-256 of report.json for two sampled runs, recorded before the samplers
 # drew in bulk: a changed draw order or a changed slack test breaks these.
 SQUARE_DIFF_K1_AXIOMS = {

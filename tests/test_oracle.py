@@ -7,6 +7,7 @@ import pytest
 import invorbit as iv
 from invorbit import oracle
 from invorbit.oracle import pair_from_tables
+from invorbit.solver import expansion_test
 
 
 def _abs_table(points):
@@ -162,6 +163,19 @@ def test_sweep_rejects_non_finite_entries(entry):
         iv.falsification_sweep(sizes=(1,), entries=(0.0, entry))
 
 
+def test_sweep_rejects_an_empty_carrier():
+    with pytest.raises(ValueError, match="sweep sizes must be at least 1"):
+        iv.falsification_sweep(sizes=(1, 0))
+
+
+def test_sweep_rejects_an_r_that_rounds_onto_k_before_the_walk(monkeypatch):
+    # K + 0.5 rounds onto K = 1e308; the grid is refused before any table
+    # is built.
+    monkeypatch.setattr(oracle, "table_space", None)
+    with pytest.raises(ValueError, match=r"sweep R = 1e\+308 does not exceed K = 1e\+308"):
+        iv.falsification_sweep(entries=(0.0, 1.0), k_values=(1.0, 1e308))
+
+
 # ---------------------------------------------------------------------------
 # falsification_sweep
 # ---------------------------------------------------------------------------
@@ -208,35 +222,122 @@ def test_sweep_counts_do_not_depend_on_the_scale(scale):
     ) == (4164, 2877, 401776, 8, ())
 
 
+def _relabelled(matrix, p):
+    """The matrix (M[p(i)][p(j)]): the same space with its labels renamed."""
+    n = len(matrix)
+    return tuple(tuple(matrix[p[i]][p[j]] for j in range(n)) for i in range(n))
+
+
+def _upper(matrix):
+    n = len(matrix)
+    return tuple(matrix[i][j] for i in range(n) for j in range(i, n))
+
+
+def _first_of_class(matrix):
+    """The relabelling of `matrix` with the least upper triangle: the first
+    member of its class in the enumeration, for distinct ascending entries."""
+    n = len(matrix)
+    return min((_relabelled(matrix, p) for p in permutations(range(n))), key=_upper)
+
+
 def test_sweep_admits_like_per_k_check_axioms(monkeypatch):
-    # The sweep decides admission without check_axioms, and walks exactly
-    # the (matrix, K) that per-K check_axioms admits.
+    # The sweep decides admission without check_axioms, once per
+    # relabelling class: it builds only the first member of each class and
+    # walks it for exactly the K that per-K check_axioms admits for every
+    # member of the class.
     def no_check_axioms(*args):
         raise AssertionError("the sweep called check_axioms")
 
-    walked = []
-    holders = oracle._holders
+    built, walked = [], {}
+    table_space, holders = oracle.table_space, oracle._holders
+
+    def recording_table_space(labels, matrix, **kwargs):
+        built.append(tuple(map(tuple, matrix)))
+        walked[built[-1]] = []
+        return table_space(labels, matrix, **kwargs)
 
     def recording_holders(space, *args):
         pts = space.carrier.points
-        walked.append((tuple(tuple(space.dist(x, y) for y in pts) for x in pts), space.k_const))
+        walked[tuple(tuple(space.dist(x, y) for y in pts) for x in pts)].append(space.k_const)
         return holders(space, *args)
 
     monkeypatch.setattr(oracle, "check_axioms", no_check_axioms)
+    monkeypatch.setattr(oracle, "table_space", recording_table_space)
     monkeypatch.setattr(oracle, "_holders", recording_holders)
     entries, k_values = (0.0, 1.0, 3.0), (1.0, 1.5, 3.0)
     sweep = iv.falsification_sweep(entries=entries, k_values=k_values)
-    expected = [
-        (tuple(map(tuple, matrix)), k)
+    matrices = [
+        tuple(map(tuple, matrix))
         for n in (1, 2, 3)
         for matrix in oracle._symmetric_matrices(n, entries)
-        for k in k_values
-        if iv.check_axioms(
-            iv.table_space(tuple(range(n)), matrix, k_const=k), iv.Exhaustive()
-        ).passed
     ]
-    assert walked == expected
-    assert sweep.spaces_admitted == len(expected)
+    # Only one-point classes, of one member each, hold a hypothesis here.
+    assert built == [m for m in matrices if _first_of_class(m) == m]
+    admitted = 0
+    for matrix in matrices:
+        expected = [
+            k
+            for k in k_values
+            if iv.check_axioms(
+                iv.table_space(tuple(range(len(matrix))), matrix, k_const=k), iv.Exhaustive()
+            ).passed
+        ]
+        assert walked[_first_of_class(matrix)] == expected, matrix
+        admitted += len(expected)
+    assert sweep.matrices_checked == len(matrices)
+    assert sweep.spaces_admitted == admitted
+
+
+def _verdicts(matrix, grids):
+    """The K that admit `matrix`, and per admitted K and grid hypothesis the
+    common-fixed-point counts of its holders, sorted."""
+    space = iv.table_space(tuple(range(len(matrix))), matrix)
+    admitted = iv.admitted_k_values(space, list(grids))
+    dist, sharp = oracle._tables(space)
+    counts = []
+    for k in admitted:
+        for hyp in grids[k]:
+            test = expansion_test(hyp, sharp)
+            held = (p for p in oracle._pairs(dist) if oracle._holds(test, p))
+            counts.append(sorted(len(t_fixed & s_fixed) for _, t_fixed, _, _, s_fixed in held))
+    return admitted, counts
+
+
+@pytest.mark.parametrize(
+    "entries", [(0.0, 1.0, 2.0, 3.0), (0.0, 5e-324, 1e-323)], ids=["default", "subnormal"]
+)
+def test_relabelling_keeps_admission_and_holders(entries):
+    # The relabelling lemma, for every matrix of sizes 1 to 3 and every
+    # relabelling of it.  R = K + 1e-10 is added to the default grid: the
+    # isometries hold it on every size, so holders with n >= 2 are compared.
+    grids = {k: oracle._hypothesis_grid(k, (1e-10, 0.5), (2.0,), (0.0, 1.0)) for k in (1.0, 2.0)}
+    wide_holders = 0
+    for n in (1, 2, 3):
+        verdicts = {
+            tuple(map(tuple, m)): _verdicts(m, grids)
+            for m in oracle._symmetric_matrices(n, entries)
+        }
+        for matrix, verdict in verdicts.items():
+            for p in permutations(range(n)):
+                assert verdicts[_relabelled(matrix, p)] == verdict, (matrix, p)
+            if n >= 2:
+                wide_holders += sum(map(len, verdict[1]))
+    assert wide_holders > 0
+
+
+def test_default_sweep_builds_one_table_per_relabelling_class(monkeypatch):
+    built = []
+    table_space = oracle.table_space
+
+    def counting_table_space(*args, **kwargs):
+        built.append(args[1])
+        return table_space(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "table_space", counting_table_space)
+    sweep = iv.falsification_sweep()
+    # 4 + 40 + 816 classes of the 4 + 64 + 4,096 matrices.
+    assert len(built) == 860
+    assert sweep.matrices_checked == 4164
 
 
 def _reference_sweep(
@@ -301,6 +402,23 @@ def test_pruned_sweep_matches_the_full_walk(grid):
     # By the dominance lemma, walking every (T, S) once under the grid's
     # weakest hypothesis, and the rest only on its survivors, loses nothing.
     assert iv.falsification_sweep(**grid) == _reference_sweep(**grid)
+
+
+# Holders on every size, so classes of several members are walked member by
+# member: entries out of order, and entries repeated.
+CLASS_ORDER_GRIDS = {
+    "unsorted": dict(entries=(2.0, 0.0, 1.0), k_values=(1.0,), r_offsets=(1e-10,)),
+    "repeated": dict(entries=(1.0, 0.0, 1.0), k_values=(1.0,), r_offsets=(1e-10,)),
+}
+
+
+@pytest.mark.parametrize("grid", CLASS_ORDER_GRIDS.values(), ids=CLASS_ORDER_GRIDS.keys())
+def test_class_sweep_keeps_the_counterexample_order(grid):
+    # A class is named by the least entry-index tuple of its members, which
+    # comes first in the enumeration whatever the order of the values.
+    sweep = iv.falsification_sweep(**grid)
+    assert sweep == _reference_sweep(**grid)
+    assert len(sweep.counterexamples) > 0
 
 
 def test_counting_lemma_leaves_only_one_point_holders():
