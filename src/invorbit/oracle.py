@@ -65,22 +65,27 @@ holders with the same number of common fixed points, and the holder
 counts agree.
 
 The sweep walks one enumeration kernel.  Per carrier size it lists the
-bijections as index tuples, with their fixed indices, once.  The one
-matrix enumeration, run over entry indices, yields each matrix with its
-relabelling class; a class is named by its first member, the one whose
-index tuple no relabelling puts earlier.  Per class the sweep builds one
-table, from the first member, and counts its verdicts once per distinct
-member; a class whose first member has a holder is walked member by
-member instead, each at its own place in the enumeration, so every holder
-is re-audited and the counterexamples keep their order.  Per walked
-matrix it reads the distances and diagonal residuals into tables, once,
-and walks every (T, S) once, under the weakest hypothesis of every K the
-matrix admits; per admitted K it walks only the surviving (T, S) under
-each of that K's hypotheses.  Every walk takes the ordered pairs in the
-order `audit` uses and stops at the first violation, through the per-pair
-test `audit` itself uses.  Holders are re-audited by `audit` on the
-equivalent `MapPair`, so the kernel and the reference audit cannot drift
-apart unnoticed.
+bijections as index tuples, with their fixed indices and the
+(x, y, Tx) of their pair walks, once.  The one matrix enumeration runs
+over upper-triangle tuples of entry indices and yields each tuple with
+its relabelling class, relabelling the tuple itself by one getter per
+bijection; a class is named by its first member, the one whose index
+tuple no relabelling puts earlier.  Per class the sweep builds one
+matrix and one table, from the first member, and counts its verdicts
+once per distinct member; a class whose first member has a holder is
+walked member by member instead, each at its own place in the
+enumeration, so every holder is re-audited and the counterexamples keep
+their order.  Per walked matrix that some K admits, it forms the
+distance and diagonal residual tables once, from the matrix it built the
+table from (the residuals by `sharp_residual`, the arithmetic of
+`d_sharp`), and walks every (T, S) once, in one loop, under the weakest
+hypothesis of every K the matrix admits.  Only where some (T, S)
+survives does it set up the audit of each admitted K, and walk the
+survivors under each of that K's hypotheses.  Every walk takes the
+ordered pairs in the order `audit` uses and stops at the first
+violation, through the per-pair test `audit` itself uses.  Holders are
+re-audited by `audit` on the equivalent `MapPair`, so the kernel and the
+reference audit cannot drift apart unnoticed.
 """
 
 from __future__ import annotations
@@ -88,9 +93,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import permutations, product, repeat
 from operator import itemgetter
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CarrierTooLarge
 from .solver import (
@@ -110,7 +115,7 @@ from .spaces import (
     SpaceKind,
     admitted_k_values,
     check_axioms,  # not called here; perfbench/spans.py wraps oracle.check_axioms
-    d_sharp,
+    sharp_residual,
     table_space,
 )
 
@@ -154,19 +159,32 @@ def _freeze(table: dict) -> tuple:
 
 
 @lru_cache(maxsize=DEFAULT_N_MAX)
-def _bijections(n: int) -> tuple[tuple[tuple[int, ...], frozenset[int]], ...]:
-    """Every bijection of range(n) as an index tuple, with its fixed indices."""
+def _bijections(n: int) -> tuple[tuple[tuple[int, ...], frozenset[int], tuple], ...]:
+    """Every bijection T of range(n) as an index tuple, with its fixed
+    indices and its pair walk: the S-independent part of a walk of (T, S),
+    shared by every S and every table, which is (x, y, Tx) per ordered pair
+    (x, y), in the order of `audit` on an exhaustive source."""
+    index_pairs = tuple(product(range(n), repeat=2))
     return tuple(
-        (t, frozenset(i for i in range(n) if t[i] == i))
+        (
+            t,
+            frozenset(i for i in range(n) if t[i] == i),
+            tuple((i, j, t[i]) for i, j in index_pairs),
+        )
         for t in permutations(range(n))
     )
 
 
-def _tables(space: Space) -> tuple[tuple, Callable[[int, int], float]]:
-    """A finite space's distance table, and its diagonal residuals by position."""
-    pts = space.carrier.points
-    dist = tuple(tuple(space.dist(x, y) for y in pts) for x in pts)
-    sharp_rows = tuple(tuple(d_sharp(space, x, y) for y in pts) for x in pts)
+def _tables(matrix: Sequence[Sequence[float]]) -> tuple[tuple, Callable[[int, int], float]]:
+    """A matrix's distance table, each entry read with float(v) as
+    `table_space` reads it, and its diagonal residuals by position, each
+    formed from that table by the arithmetic of `d_sharp`."""
+    dist = tuple(tuple(map(float, row)) for row in matrix)
+    diagonal = [row[i] for i, row in enumerate(dist)]
+    sharp_rows = tuple(
+        tuple(map(sharp_residual, row, repeat(dxx), diagonal))
+        for row, dxx in zip(dist, diagonal)
+    )
 
     def sharp(i: int, j: int) -> float:
         return sharp_rows[i][j]
@@ -182,42 +200,46 @@ class _Holder:
     fixed_points: tuple[Point, ...]
 
 
-def _pairs(dist: tuple) -> Iterator[tuple]:
-    """Every ordered bijection pair (T, S) on a table, T-major, then S.
+def _survivors(dist: tuple, test: ExpansionTest) -> Iterator[tuple]:
+    """Every ordered bijection pair (T, S) on the distance table `dist`
+    that passes the `expansion_test` `test` on every ordered pair, T-major,
+    then S, as (t, t_fixed, t_walk, s, s_fixed) from `_bijections`.
 
-    Each comes as (t, t_fixed, t_walk, s, s_fixed), where `t_walk` is the
-    S-independent part of the pair walk, shared by every S: per ordered
-    pair (x, y), in the order of `audit` on an exhaustive source, the
-    indices x, y and Tx, d(x, y) and the row of Tx.
+    Each walk stops at its first violation, so any PhiBelowKSquared arises
+    where `audit` raises it.
     """
-    n = len(dist)
-    bijections = _bijections(n)
-    index_pairs = tuple(product(range(n), repeat=2))
-    for t, t_fixed in bijections:
-        t_walk = tuple((i, j, t[i], dist[i][j], dist[t[i]]) for i, j in index_pairs)
-        for s, s_fixed in bijections:
-            yield t, t_fixed, t_walk, s, s_fixed
+    bijections = _bijections(len(dist))
+    for t, t_fixed, t_walk in bijections:
+        for s, s_fixed, _ in bijections:
+            for i, j, a in t_walk:
+                b = s[j]
+                if test(i, j, a, b, dist[i][j], dist[a][b]) is not None:
+                    break
+            else:
+                yield t, t_fixed, t_walk, s, s_fixed
 
 
-def _holds(test: ExpansionTest, pair: tuple) -> bool:
-    """Whether the `_pairs` item (T, S) passes the `expansion_test` `test`
-    on every ordered pair; stops at the first violation, so any
-    PhiBelowKSquared arises where `audit` raises it."""
-    _, _, t_walk, s, _ = pair
-    for i, j, a, dxy, a_row in t_walk:
+def _holds(test: ExpansionTest, dist: tuple, t_walk: tuple, s: tuple) -> bool:
+    """Whether (T, S) passes `test` as well, walked as `_survivors` walks it."""
+    for i, j, a in t_walk:
         b = s[j]
-        if test(i, j, a, b, dxy, a_row[b]) is not None:
+        if test(i, j, a, b, dist[i][j], dist[a][b]) is not None:
             return False
     return True
 
 
 def _holders(
-    space: Space, sharp: Callable, hyps: Iterable[Hypothesis], pairs: Iterable[tuple]
+    space: Space,
+    dist: tuple,
+    sharp: Callable,
+    hyps: Iterable[Hypothesis],
+    pairs: Iterable[tuple],
 ) -> Iterator[_Holder]:
-    """Audit every (T, S, hypothesis) instance of `pairs`; yield the holders.
+    """Audit every (T, S, hypothesis) instance of `pairs` on the tables
+    `dist` and `sharp` of `space`; yield the holders.
 
-    `pairs` are `_pairs` items, and instances run in their order, then in
-    the order of `hyps`.  Each holder is confirmed by `audit` on the
+    `pairs` are `_survivors` items, and instances run in their order, then
+    in the order of `hyps`.  Each holder is confirmed by `audit` on the
     equivalent `MapPair`.
     """
     # Checked one at a time, so an invalid hypothesis raises the error
@@ -226,10 +248,9 @@ def _holders(
     for hyp in hyps:
         check_hypothesis(space, hyp)
         tests.append((hyp, expansion_test(hyp, sharp)))
-    for pair in pairs:
+    for t, t_fixed, t_walk, s, s_fixed in pairs:
         for hyp, test in tests:
-            if _holds(test, pair):
-                t, t_fixed, _, s, s_fixed = pair
+            if _holds(test, dist, t_walk, s):
                 yield _holder(space, hyp, t, s, t_fixed & s_fixed)
 
 
@@ -271,40 +292,58 @@ class SweepReport:
     counterexamples: tuple[Counterexample, ...]
 
 
+def _upper(n: int) -> list[tuple[int, int]]:
+    """The upper triangle of an n x n matrix, row by row."""
+    return [(i, j) for i in range(n) for j in range(i, n)]
+
+
+def _matrix(n: int, values: Iterable) -> list[list]:
+    """The symmetric n x n matrix whose upper triangle, row by row, is `values`."""
+    matrix = [[0.0] * n for _ in range(n)]
+    for (i, j), v in zip(_upper(n), values):
+        matrix[i][j] = v
+        matrix[j][i] = v
+    return matrix
+
+
 def _symmetric_matrices(n: int, entries: Sequence[float]) -> Iterable[list[list[float]]]:
-    upper = [(i, j) for i in range(n) for j in range(i, n)]
-    for values in product(entries, repeat=len(upper)):
-        matrix = [[0.0] * n for _ in range(n)]
-        for (i, j), v in zip(upper, values):
-            matrix[i][j] = v
-            matrix[j][i] = v
-        yield matrix
+    """Every symmetric n x n matrix over `entries`, in enumeration order."""
+    for values in product(entries, repeat=n * (n + 1) // 2):
+        yield _matrix(n, values)
 
 
 def _relabelling_classes(
     n: int, n_entries: int
-) -> Iterator[tuple[list[list[int]], Hashable, int]]:
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
     """Every symmetric n x n matrix over the entry indices range(n_entries),
-    in `_symmetric_matrices` order, with its relabelling class.
+    as its upper-triangle index tuple, in `_symmetric_matrices` order, with
+    its relabelling class.
 
     A relabelling by a bijection p maps the matrix M to the matrix
-    (M[p(i)][p(j)]).  Each item is (matrix, first, size): `first` is the
-    upper-triangle index tuple of the class's first member in enumeration
-    order (for n = 1, its one index), which is the least of its members'
-    tuples, as `product` runs in lexicographic order; `size` is the number
-    of distinct members for the first member itself and 0 for every other.
-    Index tuples are compared, not values, so entries in any order, or
-    repeated, give the same classes.  Only the n! relabellings of one
-    matrix are held at a time.
+    (M[p(i)][p(j)]).  Each item is (index, first, size): `first` is the
+    index tuple of the class's first member in enumeration order, which is
+    the least of its members' tuples, as `product` runs in lexicographic
+    order; `size` is the number of distinct members for the first member
+    itself and 0 for every other.  Index tuples are compared, not values,
+    so entries in any order, or repeated, give the same classes.  Only the
+    n! relabellings of one tuple are held at a time, and no matrix is built.
     """
-    upper = [(i, j) for i in range(n) for j in range(i, n)]
-    # Read off the row-major flattened matrix; the identity comes first.
-    moves = [itemgetter(*(p[i] * n + p[j] for i, j in upper)) for p, _ in _bijections(n)]
-    for matrix in _symmetric_matrices(n, range(n_entries)):
-        flat = sum(matrix, [])
-        images = [move(flat) for move in moves]
-        first = min(images)
-        yield matrix, first, len(set(images)) if first == images[0] else 0
+    upper = _upper(n)
+    slot = {}
+    for k, (i, j) in enumerate(upper):
+        slot[i, j] = slot[j, i] = k
+    # One getter per relabelling but the identity, which comes first and
+    # leaves the tuple as it is; so n = 1 has none.
+    moves = [
+        itemgetter(*(slot[p[i], p[j]] for i, j in upper)) for p, _, _ in _bijections(n)[1:]
+    ]
+    for index in product(range(n_entries), repeat=len(upper)):
+        images = [move(index) for move in moves]
+        first = min(images, default=index)
+        if index <= first:
+            yield index, index, len({index, *images})
+        else:
+            yield index, first, 0
 
 
 def _hypothesis_grid(
@@ -336,12 +375,14 @@ def _weakest(hyps: Sequence[RLHypothesis]) -> RLHypothesis | None:
 
 def _walk(
     base: Space,
+    matrix: Sequence[Sequence[float]],
     k_values: Sequence[float],
     grids: dict[float, tuple[RLHypothesis, ...]],
     weakest: dict[tuple, RLHypothesis | None],
 ) -> tuple[tuple[float, ...], list[_Holder]]:
-    """The K of `k_values` that admit the table `base`, and its holders
-    under the hypotheses `grids` gives each of them, K by K.
+    """The K of `k_values` that admit the table `base`, built from
+    `matrix`, and its holders under the hypotheses `grids` gives each of
+    them, K by K.
 
     `weakest` caches the weakest hypothesis per admitted K tuple.
     """
@@ -349,18 +390,20 @@ def _walk(
     found: list[_Holder] = []
     if not admitted:
         return admitted, found
-    dist, sharp = _tables(base)  # read once, shared by every admitting K
     if admitted not in weakest:
         weakest[admitted] = _weakest([h for k in admitted for h in grids[k]])
-    # One walk per (T, S) under the grid's weakest hypothesis: by the
-    # dominance lemma only the pairs it keeps can hold any other.
     h0 = weakest[admitted]
-    survivors = []
-    if h0 is not None:
-        test = expansion_test(h0, sharp)
-        survivors = [p for p in _pairs(dist) if _holds(test, p)]
-    for k in admitted:
-        found.extend(_holders(replace(base, k_const=k), sharp, grids[k], survivors))
+    if h0 is None:
+        return admitted, found
+    dist, sharp = _tables(matrix)  # formed once, shared by every admitting K
+    # One walk per (T, S) under the grid's weakest hypothesis: by the
+    # dominance lemma only the pairs it keeps can hold any other.  Where
+    # none does, no K has a holder, and `_hypothesis_grid` has already
+    # checked every R against its K.
+    survivors = list(_survivors(dist, expansion_test(h0, sharp)))
+    if survivors:
+        for k in admitted:
+            found.extend(_holders(replace(base, k_const=k), dist, sharp, grids[k], survivors))
     return admitted, found
 
 
@@ -448,9 +491,9 @@ def falsification_sweep(
         for index, first, size in _relabelling_classes(n, len(entries)):
             if not size and first not in held:
                 continue  # counted with the first member of its class
-            matrix = [[entries[v] for v in row] for row in index]
+            matrix = _matrix(n, [entries[v] for v in index])
             base = table_space(labels, matrix, k_const=1.0, kind=SpaceKind.B_METRIC_LIKE)
-            admitted, found = _walk(base, k_floats, grids, weakest)
+            admitted, found = _walk(base, matrix, k_floats, grids, weakest)
             if found:
                 held.add(first)
             # A first member without a holder counts for every member of

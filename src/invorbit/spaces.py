@@ -160,7 +160,11 @@ def d_sharp(space: Space, x: Point, y: Point) -> float:
     instead: halving is exact at that scale, and the result stays a number,
     not the nan of inf - inf.
     """
-    dxy, dxx, dyy = space.dist(x, y), space.dist(x, x), space.dist(y, y)
+    return sharp_residual(space.dist(x, y), space.dist(x, x), space.dist(y, y))
+
+
+def sharp_residual(dxy: float, dxx: float, dyy: float) -> float:
+    """The arithmetic of `d_sharp` on the distances it reads, in that order."""
     sharp = abs(2.0 * dxy - (dxx + dyy))
     if math.isfinite(sharp):
         return sharp

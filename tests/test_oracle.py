@@ -20,9 +20,15 @@ def _flat_table(points):
     return iv.table_space(points, [[0.0] * len(points)] * len(points))
 
 
+def _every_pair(dist):
+    """Every (T, S) on a table: the survivors of a test that no pair breaks."""
+    return oracle._survivors(dist, lambda *pair: None)
+
+
 def _kernel_holders(space, hyps):
-    dist, sharp = oracle._tables(space)
-    return oracle._holders(space, sharp, hyps, oracle._pairs(dist))
+    pts = space.carrier.points
+    dist, sharp = oracle._tables([[space.dist(x, y) for y in pts] for x in pts])
+    return oracle._holders(space, dist, sharp, hyps, _every_pair(dist))
 
 
 def _kernel_theorem_audit(space, hyp):
@@ -249,21 +255,20 @@ def test_sweep_admits_like_per_k_check_axioms(monkeypatch):
         raise AssertionError("the sweep called check_axioms")
 
     built, walked = [], {}
-    table_space, holders = oracle.table_space, oracle._holders
+    table_space, walk = oracle.table_space, oracle._walk
 
     def recording_table_space(labels, matrix, **kwargs):
         built.append(tuple(map(tuple, matrix)))
-        walked[built[-1]] = []
         return table_space(labels, matrix, **kwargs)
 
-    def recording_holders(space, *args):
-        pts = space.carrier.points
-        walked[tuple(tuple(space.dist(x, y) for y in pts) for x in pts)].append(space.k_const)
-        return holders(space, *args)
+    def recording_walk(base, matrix, *args):
+        admitted, found = walk(base, matrix, *args)
+        walked[tuple(map(tuple, matrix))] = list(admitted)
+        return admitted, found
 
     monkeypatch.setattr(oracle, "check_axioms", no_check_axioms)
     monkeypatch.setattr(oracle, "table_space", recording_table_space)
-    monkeypatch.setattr(oracle, "_holders", recording_holders)
+    monkeypatch.setattr(oracle, "_walk", recording_walk)
     entries, k_values = (0.0, 1.0, 3.0), (1.0, 1.5, 3.0)
     sweep = iv.falsification_sweep(entries=entries, k_values=k_values)
     matrices = [
@@ -293,12 +298,11 @@ def _verdicts(matrix, grids):
     common-fixed-point counts of its holders, sorted."""
     space = iv.table_space(tuple(range(len(matrix))), matrix)
     admitted = iv.admitted_k_values(space, list(grids))
-    dist, sharp = oracle._tables(space)
+    dist, sharp = oracle._tables(matrix)
     counts = []
     for k in admitted:
         for hyp in grids[k]:
-            test = expansion_test(hyp, sharp)
-            held = (p for p in oracle._pairs(dist) if oracle._holds(test, p))
+            held = oracle._survivors(dist, expansion_test(hyp, sharp))
             counts.append(sorted(len(t_fixed & s_fixed) for _, t_fixed, _, _, s_fixed in held))
     return admitted, counts
 
@@ -325,19 +329,57 @@ def test_relabelling_keeps_admission_and_holders(entries):
     assert wide_holders > 0
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_relabelling_classes_match_a_brute_force_reference(n):
+    # Entries out of order and with a repeat: classes are formed on
+    # entry-index tuples, so two index tuples with the same values stay
+    # apart, and every member's matrix is a relabelling of its first
+    # member's.
+    entries = (3.0, 0.0, 1.0, 1.0)
+    items = list(oracle._relabelling_classes(n, len(entries)))
+    matrices = list(oracle._symmetric_matrices(n, entries))
+    assert len(items) == len(matrices) == len(entries) ** (n * (n + 1) // 2)
+    relabellings = list(permutations(range(n)))
+    for (index, first, size), values in zip(items, matrices):
+        built = oracle._matrix(n, [entries[v] for v in index])
+        assert built == values  # in enumeration order
+        images = {_upper(_relabelled(oracle._matrix(n, index), p)) for p in relabellings}
+        assert type(first) is tuple and first == min(images), index
+        assert size == (len(images) if index == first else 0), index
+        first_values = oracle._matrix(n, [entries[v] for v in first])
+        assert tuple(map(tuple, built)) in {_relabelled(first_values, p) for p in relabellings}
+
+
 def test_default_sweep_builds_one_table_per_relabelling_class(monkeypatch):
-    built = []
-    table_space = oracle.table_space
+    # The work of the default sweep, counted on every table it builds:
+    # distance reads through the table's own `dist` (admission, 15,016,
+    # and the holder re-audits, 64), and the per-K copies of a table that
+    # `_holders` audits (one per admitted K of [[0]]).
+    built, reads, copies = [], [], []
+    table_space, copy = oracle.table_space, oracle.replace
 
     def counting_table_space(*args, **kwargs):
         built.append(args[1])
-        return table_space(*args, **kwargs)
+        space = table_space(*args, **kwargs)
+
+        def dist(x, y):
+            reads.append((x, y))
+            return space.dist(x, y)
+
+        return replace(space, dist=dist)
+
+    def counting_replace(*args, **kwargs):
+        copies.append(kwargs)
+        return copy(*args, **kwargs)
 
     monkeypatch.setattr(oracle, "table_space", counting_table_space)
+    monkeypatch.setattr(oracle, "replace", counting_replace)
     sweep = iv.falsification_sweep()
     # 4 + 40 + 816 classes of the 4 + 64 + 4,096 matrices.
     assert len(built) == 860
     assert sweep.matrices_checked == 4164
+    assert len(reads) == 15_080
+    assert copies == [{"k_const": 1.0}, {"k_const": 2.0}]
 
 
 def _reference_sweep(
@@ -357,14 +399,14 @@ def _reference_sweep(
         for matrix in oracle._symmetric_matrices(n, entries):
             matrices += 1
             base = iv.table_space(labels, matrix)
-            dist, sharp = oracle._tables(base)
+            dist, sharp = oracle._tables(matrix)
             for k in iv.admitted_k_values(base, [float(k) for k in k_values]):
                 admitted += 1
                 r_values = sorted({k + o for o in r_offsets} | {k * f for f in r_factors})
                 hyps = [iv.RLHypothesis(float(r), float(l)) for r in r_values for l in l_values]
                 instances += math.factorial(n) ** 2 * len(hyps)
                 space = replace(base, k_const=k)
-                for holder in oracle._holders(space, sharp, hyps, oracle._pairs(dist)):
+                for holder in oracle._holders(space, dist, sharp, hyps, _every_pair(dist)):
                     holders += 1
                     if len(holder.fixed_points) != 1:
                         counterexamples.append(oracle._counterexample(holder))
@@ -402,6 +444,52 @@ def test_pruned_sweep_matches_the_full_walk(grid):
     # By the dominance lemma, walking every (T, S) once under the grid's
     # weakest hypothesis, and the rest only on its survivors, loses nothing.
     assert iv.falsification_sweep(**grid) == _reference_sweep(**grid)
+
+
+TABLE_GRIDS = {
+    "default": {},
+    "subnormal": PRUNING_GRIDS["subnormal"],
+    "overflow_l01": PRUNING_GRIDS["overflow_l01"],
+}
+
+
+@pytest.mark.parametrize("name", TABLE_GRIDS)
+def test_sweep_tables_are_the_spaces_distances_and_residuals(monkeypatch, name):
+    # The sweep forms its tables from the matrix it built the space from;
+    # they must read what the space's `dist` and `d_sharp` read.
+    grid = TABLE_GRIDS[name]
+    walks = []
+    tables, walk = oracle._tables, oracle._walk
+
+    def recording_walk(base, *args):
+        walks.append([base, None])
+        return walk(base, *args)
+
+    def recording_tables(matrix):
+        walks[-1][1] = tables(matrix)
+        return walks[-1][1]
+
+    monkeypatch.setattr(oracle, "_walk", recording_walk)
+    monkeypatch.setattr(oracle, "_tables", recording_tables)
+    iv.falsification_sweep(**grid)
+    k_values = grid.get("k_values", oracle.DEFAULT_GRID["k_values"])
+    admitted = fallbacks = 0
+    for space, formed in walks:
+        assert (formed is not None) == bool(iv.admitted_k_values(space, k_values))
+        if formed is None:
+            continue
+        admitted += 1
+        dist, sharp = formed
+        pts = space.carrier.points
+        for i, x in enumerate(pts):
+            for j, y in enumerate(pts):
+                assert dist[i][j] == space.dist(x, y)
+                assert sharp(i, j) == iv.d_sharp(space, x, y)
+                direct = 2.0 * space.dist(x, y) - (space.dist(x, x) + space.dist(y, y))
+                fallbacks += not math.isfinite(direct)
+    assert admitted > 0
+    # Only the overflow grid takes d_sharp's halved fallback.
+    assert (fallbacks > 0) == (name == "overflow_l01")
 
 
 # Holders on every size, so classes of several members are walked member by
