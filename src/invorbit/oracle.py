@@ -66,26 +66,32 @@ counts agree.
 
 The sweep walks one enumeration kernel.  Per carrier size it lists the
 bijections as index tuples, with their fixed indices and the
-(x, y, Tx) of their pair walks, once.  The one matrix enumeration runs
-over upper-triangle tuples of entry indices and yields each tuple with
-its relabelling class, relabelling the tuple itself by one getter per
-bijection; a class is named by its first member, the one whose index
-tuple no relabelling puts earlier.  Per class the sweep builds one
-matrix and one table, from the first member, and counts its verdicts
-once per distinct member; a class whose first member has a holder is
-walked member by member instead, each at its own place in the
-enumeration, so every holder is re-audited and the counterexamples keep
-their order.  Per walked matrix that some K admits, it forms the
-distance and diagonal residual tables once, from the matrix it built the
-table from (the residuals by `sharp_residual`, the arithmetic of
-`d_sharp`), and walks every (T, S) once, in one loop, under the weakest
-hypothesis of every K the matrix admits.  Only where some (T, S)
-survives does it set up the audit of each admitted K, and walk the
-survivors under each of that K's hypotheses.  Every walk takes the
-ordered pairs in the order `audit` uses and stops at the first
-violation, through the per-pair test `audit` itself uses.  Holders are
-re-audited by `audit` on the equivalent `MapPair`, so the kernel and the
-reference audit cannot drift apart unnoticed.
+(x, y, Tx) of their pair walks, once.  Then, per matrix, it classifies,
+forms rows, admits, builds a space and walks, each step only where the
+one before leaves something to do.  Classify: the one matrix
+enumeration runs over upper-triangle tuples of entry indices and yields
+each tuple with its relabelling class, relabelling the tuple itself by
+one getter per bijection; a class is named by its first member, the one
+whose index tuple no relabelling puts earlier, and a tuple is known not
+to be first at the first relabelling that does.  Per class the sweep
+goes on from the first member alone and counts its verdicts once per
+distinct member; a class whose first member has a holder is walked
+member by member instead, each at its own place in the enumeration, so
+every holder is re-audited and the counterexamples keep their order.
+Form rows: the walked tuple's float distance table, once, from its entry
+indices.  Admit: `table_admitted_k_values` decides from those rows, for
+every K at once, the K that `check_axioms` passes.  Build: only a table
+that some K admits becomes a `Space`, by `table_space`, for the audits
+of its holders.  Walk: from the rows, the diagonal residual table is
+formed once (by `sharp_residual`, the arithmetic of `d_sharp`), and
+every (T, S) is walked once, in one loop, under the weakest hypothesis
+of every K the matrix admits.  Only where some (T, S) survives does the
+sweep set up the audit of each admitted K, and walk the survivors under
+each of that K's hypotheses.  Every walk takes the ordered pairs in the
+order `audit` uses and stops at the first violation, through the
+per-pair test `audit` itself uses.  Holders are re-audited by `audit`
+on the equivalent `MapPair`, so the kernel and the reference audit
+cannot drift apart unnoticed.
 """
 
 from __future__ import annotations
@@ -95,7 +101,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import permutations, product, repeat
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import CarrierTooLarge
 from .solver import (
@@ -113,9 +119,9 @@ from .spaces import (
     Point,
     Space,
     SpaceKind,
-    admitted_k_values,
     check_axioms,  # not called here; perfbench/spans.py wraps oracle.check_axioms
     sharp_residual,
+    table_admitted_k_values,
     table_space,
 )
 
@@ -175,11 +181,9 @@ def _bijections(n: int) -> tuple[tuple[tuple[int, ...], frozenset[int], tuple], 
     )
 
 
-def _tables(matrix: Sequence[Sequence[float]]) -> tuple[tuple, Callable[[int, int], float]]:
-    """A matrix's distance table, each entry read with float(v) as
-    `table_space` reads it, and its diagonal residuals by position, each
+def _residuals(dist: Sequence[Sequence[float]]) -> Callable[[int, int], float]:
+    """The diagonal residuals of a float distance table by position, each
     formed from that table by the arithmetic of `d_sharp`."""
-    dist = tuple(tuple(map(float, row)) for row in matrix)
     diagonal = [row[i] for i, row in enumerate(dist)]
     sharp_rows = tuple(
         tuple(map(sharp_residual, row, repeat(dxx), diagonal))
@@ -189,7 +193,7 @@ def _tables(matrix: Sequence[Sequence[float]]) -> tuple[tuple, Callable[[int, in
     def sharp(i: int, j: int) -> float:
         return sharp_rows[i][j]
 
-    return dist, sharp
+    return sharp
 
 
 @dataclass(frozen=True)
@@ -297,24 +301,31 @@ def _upper(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i, n)]
 
 
-def _matrix(n: int, values: Iterable) -> list[list]:
+@lru_cache(maxsize=DEFAULT_N_MAX)
+def _slots(n: int) -> tuple[tuple[int, ...], ...]:
+    """Per cell (i, j) of an n x n symmetric matrix, the position of its
+    entry in the upper triangle, row by row."""
+    slot = {}
+    for k, (i, j) in enumerate(_upper(n)):
+        slot[i, j] = slot[j, i] = k
+    return tuple(tuple(slot[i, j] for j in range(n)) for i in range(n))
+
+
+def _matrix(n: int, values: Sequence) -> tuple[tuple, ...]:
     """The symmetric n x n matrix whose upper triangle, row by row, is `values`."""
-    matrix = [[0.0] * n for _ in range(n)]
-    for (i, j), v in zip(_upper(n), values):
-        matrix[i][j] = v
-        matrix[j][i] = v
-    return matrix
+    get = values.__getitem__
+    return tuple(tuple(map(get, row)) for row in _slots(n))
 
 
-def _symmetric_matrices(n: int, entries: Sequence[float]) -> Iterable[list[list[float]]]:
+def _symmetric_matrices(n: int, entries: Sequence[float]) -> Iterable[tuple[tuple, ...]]:
     """Every symmetric n x n matrix over `entries`, in enumeration order."""
     for values in product(entries, repeat=n * (n + 1) // 2):
         yield _matrix(n, values)
 
 
 def _relabelling_classes(
-    n: int, n_entries: int
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    n: int, n_entries: int, held: Collection
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...] | None, int]]:
     """Every symmetric n x n matrix over the entry indices range(n_entries),
     as its upper-triangle index tuple, in `_symmetric_matrices` order, with
     its relabelling class.
@@ -324,26 +335,28 @@ def _relabelling_classes(
     index tuple of the class's first member in enumeration order, which is
     the least of its members' tuples, as `product` runs in lexicographic
     order; `size` is the number of distinct members for the first member
-    itself and 0 for every other.  Index tuples are compared, not values,
-    so entries in any order, or repeated, give the same classes.  Only the
-    n! relabellings of one tuple are held at a time, and no matrix is built.
+    itself and 0 for every other.  A tuple is known not to be its class's
+    first member as soon as one relabelling puts it earlier, so all n!
+    relabellings are formed only for first members, and for the others
+    only while the caller's `held` is non-empty: else their `first` is
+    None.  Index tuples are compared, not values, so entries in any order,
+    or repeated, give the same classes.  No matrix is built.
     """
-    upper = _upper(n)
-    slot = {}
-    for k, (i, j) in enumerate(upper):
-        slot[i, j] = slot[j, i] = k
+    slots = _slots(n)
     # One getter per relabelling but the identity, which comes first and
     # leaves the tuple as it is; so n = 1 has none.
     moves = [
-        itemgetter(*(slot[p[i], p[j]] for i, j in upper)) for p, _, _ in _bijections(n)[1:]
+        itemgetter(*(slots[p[i]][p[j]] for i, j in _upper(n)))
+        for p, _, _ in _bijections(n)[1:]
     ]
-    for index in product(range(n_entries), repeat=len(upper)):
-        images = [move(index) for move in moves]
-        first = min(images, default=index)
-        if index <= first:
-            yield index, index, len({index, *images})
+    for index in product(range(n_entries), repeat=n * (n + 1) // 2):
+        for move in moves:
+            if move(index) < index:
+                break
         else:
-            yield index, first, 0
+            yield index, index, len({index, *[move(index) for move in moves]})
+            continue
+        yield index, (min([move(index) for move in moves]) if held else None), 0
 
 
 def _hypothesis_grid(
@@ -375,36 +388,33 @@ def _weakest(hyps: Sequence[RLHypothesis]) -> RLHypothesis | None:
 
 def _walk(
     base: Space,
-    matrix: Sequence[Sequence[float]],
-    k_values: Sequence[float],
+    rows: Sequence[Sequence[float]],
+    admitted: tuple[float, ...],
     grids: dict[float, tuple[RLHypothesis, ...]],
     weakest: dict[tuple, RLHypothesis | None],
-) -> tuple[tuple[float, ...], list[_Holder]]:
-    """The K of `k_values` that admit the table `base`, built from
-    `matrix`, and its holders under the hypotheses `grids` gives each of
-    them, K by K.
+) -> list[_Holder]:
+    """The holders of the table `base`, whose distance table is `rows`,
+    under the hypotheses `grids` gives each K of `admitted`, K by K.
 
-    `weakest` caches the weakest hypothesis per admitted K tuple.
+    `admitted` is non-empty; `weakest` caches the weakest hypothesis per
+    admitted K tuple.
     """
-    admitted = tuple(admitted_k_values(base, k_values))
-    found: list[_Holder] = []
-    if not admitted:
-        return admitted, found
     if admitted not in weakest:
         weakest[admitted] = _weakest([h for k in admitted for h in grids[k]])
     h0 = weakest[admitted]
     if h0 is None:
-        return admitted, found
-    dist, sharp = _tables(matrix)  # formed once, shared by every admitting K
+        return []
+    sharp = _residuals(rows)  # formed once, shared by every admitting K
     # One walk per (T, S) under the grid's weakest hypothesis: by the
     # dominance lemma only the pairs it keeps can hold any other.  Where
     # none does, no K has a holder, and `_hypothesis_grid` has already
     # checked every R against its K.
-    survivors = list(_survivors(dist, expansion_test(h0, sharp)))
+    survivors = list(_survivors(rows, expansion_test(h0, sharp)))
+    found: list[_Holder] = []
     if survivors:
         for k in admitted:
-            found.extend(_holders(replace(base, k_const=k), dist, sharp, grids[k], survivors))
-    return admitted, found
+            found.extend(_holders(replace(base, k_const=k), rows, sharp, grids[k], survivors))
+    return found
 
 
 def _bound_work(
@@ -452,11 +462,12 @@ def falsification_sweep(
 
     Every symmetric matrix over `entries` is tried as a b-metric-like
     space for each K in `k_values`; matrices failing the axioms are
-    dropped.  Admission is decided once per matrix for every K, by
-    `admitted_k_values`, which passes exactly the K that `check_axioms`
-    passes.  Admitted spaces are audited across all ordered bijection
-    pairs with constants R drawn from {K + offset} and {K * factor} and L
-    from `l_values`.  A report with no counterexamples means every
+    dropped.  Admission is decided once per matrix for every K, from its
+    distance table, by `table_admitted_k_values`, which passes exactly the
+    K that `check_axioms` passes; only an admitted matrix becomes a space.
+    Admitted spaces are audited across all ordered bijection pairs with
+    constants R drawn from {K + offset} and {K * factor} and L from
+    `l_values`.  A report with no counterexamples means every
     hypothesis holder had exactly one common fixed point.  By the counting
     lemma (module docstring) every holder has n = 1.
 
@@ -467,15 +478,21 @@ def falsification_sweep(
 
     The grid is checked before the walk starts: a size above `n_max`, or
     more than MAX_SWEEP_INSTANCES instances were every matrix admitted
-    for every K, raises CarrierTooLarge; a non-finite entry, a size below
-    1, or an R that rounds onto its K, raises ValueError.
+    for every K, raises CarrierTooLarge; a non-finite or negative entry,
+    a K below 1, a size below 1, or an R that rounds onto its K, raises
+    ValueError, in that order.
     """
     per_pair = len(k_values) * (len(r_offsets) + len(r_factors)) * len(l_values)
     _bound_work(sizes, len(entries), per_pair, n_max)
     if not all(math.isfinite(e) for e in entries):
         raise ValueError("sweep entries must be finite")
+    if any(e < 0 for e in entries):
+        raise ValueError("matrix entries must be nonnegative")
+    if any(k < 1.0 for k in k_values):
+        raise ValueError("k_const must be >= 1")
     if min(sizes, default=1) < 1:
         raise ValueError("sweep sizes must be at least 1")
+    values = [float(e) for e in entries]  # as `table_space` reads them
     k_floats = [float(k) for k in k_values]
     grids = {k: _hypothesis_grid(k, r_offsets, r_factors, l_values) for k in k_floats}
     weakest: dict[tuple, RLHypothesis | None] = {}  # per admitted K tuple
@@ -488,12 +505,15 @@ def falsification_sweep(
         labels = tuple(range(n))
         n_pairs = len(_bijections(n)) ** 2
         held = set()  # the classes with a holder, by their first member
-        for index, first, size in _relabelling_classes(n, len(entries)):
+        for index, first, size in _relabelling_classes(n, len(entries), held):
             if not size and first not in held:
                 continue  # counted with the first member of its class
-            matrix = _matrix(n, [entries[v] for v in index])
-            base = table_space(labels, matrix, k_const=1.0, kind=SpaceKind.B_METRIC_LIKE)
-            admitted, found = _walk(base, matrix, k_floats, grids, weakest)
+            rows = _matrix(n, [values[v] for v in index])
+            admitted = tuple(table_admitted_k_values(rows, k_floats))
+            found = []
+            if admitted:
+                base = table_space(labels, rows, k_const=1.0, kind=SpaceKind.B_METRIC_LIKE)
+                found = _walk(base, rows, admitted, grids, weakest)
             if found:
                 held.add(first)
             # A first member without a holder counts for every member of

@@ -1,6 +1,6 @@
 import math
 from dataclasses import replace
-from itertools import permutations, product
+from itertools import islice, permutations, product
 
 import pytest
 
@@ -27,8 +27,8 @@ def _every_pair(dist):
 
 def _kernel_holders(space, hyps):
     pts = space.carrier.points
-    dist, sharp = oracle._tables([[space.dist(x, y) for y in pts] for x in pts])
-    return oracle._holders(space, dist, sharp, hyps, _every_pair(dist))
+    dist = [[space.dist(x, y) for y in pts] for x in pts]
+    return oracle._holders(space, dist, oracle._residuals(dist), hyps, _every_pair(dist))
 
 
 def _kernel_theorem_audit(space, hyp):
@@ -182,6 +182,25 @@ def test_sweep_rejects_an_r_that_rounds_onto_k_before_the_walk(monkeypatch):
         iv.falsification_sweep(entries=(0.0, 1.0), k_values=(1.0, 1e308))
 
 
+BAD_GRIDS = {
+    "negative_entry": (dict(entries=(1.0, -1.0)), "matrix entries must be nonnegative"),
+    "k_below_one": (dict(k_values=(0.5,)), "k_const must be >= 1"),
+    # Both at once: the entries are checked first, whatever their order.
+    "both": (dict(entries=(1.0, -1.0), k_values=(0.5,)), "matrix entries must be nonnegative"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_GRIDS)
+def test_sweep_rejects_a_negative_entry_or_a_k_below_one_before_the_walk(monkeypatch, name):
+    # Admission would leave a table with a negative entry unadmitted, not
+    # refuse it, so the grid is checked before any table is admitted.
+    grid, message = BAD_GRIDS[name]
+    monkeypatch.setattr(oracle, "table_admitted_k_values", None)
+    monkeypatch.setattr(oracle, "table_space", None)
+    with pytest.raises(ValueError, match=message):
+        iv.falsification_sweep(**grid)
+
+
 # ---------------------------------------------------------------------------
 # falsification_sweep
 # ---------------------------------------------------------------------------
@@ -246,49 +265,59 @@ def _first_of_class(matrix):
     return min((_relabelled(matrix, p) for p in permutations(range(n))), key=_upper)
 
 
+def _per_k_admitted(matrix, k_values, kind=iv.SpaceKind.B_METRIC_LIKE):
+    """The K that per-K `check_axioms` admits for `matrix`, as a `kind`."""
+    labels = tuple(range(len(matrix)))
+    return [
+        k
+        for k in k_values
+        if iv.check_axioms(
+            iv.table_space(labels, matrix, k_const=k, kind=kind), iv.Exhaustive()
+        ).passed
+    ]
+
+
 def test_sweep_admits_like_per_k_check_axioms(monkeypatch):
     # The sweep decides admission without check_axioms, once per
-    # relabelling class: it builds only the first member of each class and
-    # walks it for exactly the K that per-K check_axioms admits for every
-    # member of the class.
+    # relabelling class, from the rows of its first member; it builds a
+    # table only for a first member that some K admits, and walks it for
+    # exactly the K that per-K check_axioms admits for every member of
+    # the class.
     def no_check_axioms(*args):
         raise AssertionError("the sweep called check_axioms")
 
-    built, walked = [], {}
-    table_space, walk = oracle.table_space, oracle._walk
+    admissions, built, walked = {}, [], {}
+    admit, table_space, walk = oracle.table_admitted_k_values, oracle.table_space, oracle._walk
+
+    def recording_admit(rows, k_values):
+        admissions[rows] = admit(rows, k_values)
+        return admissions[rows]
 
     def recording_table_space(labels, matrix, **kwargs):
-        built.append(tuple(map(tuple, matrix)))
+        built.append(matrix)
         return table_space(labels, matrix, **kwargs)
 
-    def recording_walk(base, matrix, *args):
-        admitted, found = walk(base, matrix, *args)
-        walked[tuple(map(tuple, matrix))] = list(admitted)
-        return admitted, found
+    def recording_walk(base, rows, admitted, *args):
+        walked[rows] = list(admitted)
+        return walk(base, rows, admitted, *args)
 
     monkeypatch.setattr(oracle, "check_axioms", no_check_axioms)
+    monkeypatch.setattr(oracle, "table_admitted_k_values", recording_admit)
     monkeypatch.setattr(oracle, "table_space", recording_table_space)
     monkeypatch.setattr(oracle, "_walk", recording_walk)
     entries, k_values = (0.0, 1.0, 3.0), (1.0, 1.5, 3.0)
     sweep = iv.falsification_sweep(entries=entries, k_values=k_values)
-    matrices = [
-        tuple(map(tuple, matrix))
-        for n in (1, 2, 3)
-        for matrix in oracle._symmetric_matrices(n, entries)
-    ]
+    matrices = [m for n in (1, 2, 3) for m in oracle._symmetric_matrices(n, entries)]
+    expected = {m: _per_k_admitted(m, k_values) for m in matrices}
     # Only one-point classes, of one member each, hold a hypothesis here.
-    assert built == [m for m in matrices if _first_of_class(m) == m]
+    firsts = [m for m in matrices if _first_of_class(m) == m]
+    assert list(admissions) == firsts
+    assert built == list(walked) == [m for m in firsts if expected[m]]
     admitted = 0
     for matrix in matrices:
-        expected = [
-            k
-            for k in k_values
-            if iv.check_axioms(
-                iv.table_space(tuple(range(len(matrix))), matrix, k_const=k), iv.Exhaustive()
-            ).passed
-        ]
-        assert walked[_first_of_class(matrix)] == expected, matrix
-        admitted += len(expected)
+        assert admissions[_first_of_class(matrix)] == expected[matrix], matrix
+        admitted += len(expected[matrix])
+    assert all(walked[m] == expected[m] for m in walked)
     assert sweep.matrices_checked == len(matrices)
     assert sweep.spaces_admitted == admitted
 
@@ -298,7 +327,7 @@ def _verdicts(matrix, grids):
     common-fixed-point counts of its holders, sorted."""
     space = iv.table_space(tuple(range(len(matrix))), matrix)
     admitted = iv.admitted_k_values(space, list(grids))
-    dist, sharp = oracle._tables(matrix)
+    dist, sharp = matrix, oracle._residuals(matrix)
     counts = []
     for k in admitted:
         for hyp in grids[k]:
@@ -329,34 +358,59 @@ def test_relabelling_keeps_admission_and_holders(entries):
     assert wide_holders > 0
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+# Entries out of order and with a repeat; at n = 4, a prefix of the
+# enumeration, which has 3**10 tuples over three entries.
+CLASS_REFERENCE_CASES = {
+    1: ((3.0, 0.0, 1.0, 1.0), None),
+    2: ((3.0, 0.0, 1.0, 1.0), None),
+    3: ((3.0, 0.0, 1.0, 1.0), None),
+    4: ((3.0, 0.0, 3.0), 20_000),
+}
+
+
+@pytest.mark.parametrize("n", CLASS_REFERENCE_CASES)
 def test_relabelling_classes_match_a_brute_force_reference(n):
-    # Entries out of order and with a repeat: classes are formed on
-    # entry-index tuples, so two index tuples with the same values stay
-    # apart, and every member's matrix is a relabelling of its first
-    # member's.
-    entries = (3.0, 0.0, 1.0, 1.0)
-    items = list(oracle._relabelling_classes(n, len(entries)))
-    matrices = list(oracle._symmetric_matrices(n, entries))
-    assert len(items) == len(matrices) == len(entries) ** (n * (n + 1) // 2)
+    # Classes are formed on entry-index tuples, so two index tuples with
+    # the same values stay apart, and every member's matrix is a
+    # relabelling of its first member's.  A non-empty `held` names the
+    # first member of every tuple; an empty one, of first members only.
+    entries, prefix = CLASS_REFERENCE_CASES[n]
+    items = list(islice(oracle._relabelling_classes(n, len(entries), {()}), prefix))
+    matrices = list(islice(oracle._symmetric_matrices(n, entries), prefix))
+    assert len(items) == len(matrices) == (prefix or len(entries) ** (n * (n + 1) // 2))
+    unheld = islice(oracle._relabelling_classes(n, len(entries), set()), prefix)
+    assert list(unheld) == [
+        (index, first if size else None, size) for index, first, size in items
+    ]
     relabellings = list(permutations(range(n)))
+    upper = [(i, j) for i in range(n) for j in range(i, n)]
+    classes = {}  # per first member, its members' matrices
     for (index, first, size), values in zip(items, matrices):
         built = oracle._matrix(n, [entries[v] for v in index])
         assert built == values  # in enumeration order
-        images = {_upper(_relabelled(oracle._matrix(n, index), p)) for p in relabellings}
+        square = oracle._matrix(n, index)
+        images = {tuple(square[p[i]][p[j]] for i, j in upper) for p in relabellings}
         assert type(first) is tuple and first == min(images), index
         assert size == (len(images) if index == first else 0), index
-        first_values = oracle._matrix(n, [entries[v] for v in first])
-        assert tuple(map(tuple, built)) in {_relabelled(first_values, p) for p in relabellings}
+        if first not in classes:
+            first_values = oracle._matrix(n, [entries[v] for v in first])
+            classes[first] = {_relabelled(first_values, p) for p in relabellings}
+        assert built in classes[first]
+    assert len(classes) < len(items) or n == 1
 
 
-def test_default_sweep_builds_one_table_per_relabelling_class(monkeypatch):
-    # The work of the default sweep, counted on every table it builds:
-    # distance reads through the table's own `dist` (admission, 15,016,
-    # and the holder re-audits, 64), and the per-K copies of a table that
-    # `_holders` audits (one per admitted K of [[0]]).
-    built, reads, copies = [], [], []
-    table_space, copy = oracle.table_space, oracle.replace
+def test_default_sweep_admits_each_relabelling_class_once(monkeypatch):
+    # The work of the default sweep: one admission per relabelling class,
+    # from the rows of its first member; a table only for a class that
+    # some K admits; distance reads through the table's own `dist` only in
+    # the holder re-audits; and the per-K copies of a table that `_holders`
+    # audits (one per admitted K of [[0]]).
+    admissions, built, reads, copies = [], [], [], []
+    admit, table_space, copy = oracle.table_admitted_k_values, oracle.table_space, oracle.replace
+
+    def counting_admit(rows, k_values):
+        admissions.append(rows)
+        return admit(rows, k_values)
 
     def counting_table_space(*args, **kwargs):
         built.append(args[1])
@@ -372,13 +426,15 @@ def test_default_sweep_builds_one_table_per_relabelling_class(monkeypatch):
         copies.append(kwargs)
         return copy(*args, **kwargs)
 
+    monkeypatch.setattr(oracle, "table_admitted_k_values", counting_admit)
     monkeypatch.setattr(oracle, "table_space", counting_table_space)
     monkeypatch.setattr(oracle, "replace", counting_replace)
     sweep = iv.falsification_sweep()
     # 4 + 40 + 816 classes of the 4 + 64 + 4,096 matrices.
-    assert len(built) == 860
+    assert len(admissions) == 860
+    assert len(built) == 398
     assert sweep.matrices_checked == 4164
-    assert len(reads) == 15_080
+    assert len(reads) == 64
     assert copies == [{"k_const": 1.0}, {"k_const": 2.0}]
 
 
@@ -399,7 +455,7 @@ def _reference_sweep(
         for matrix in oracle._symmetric_matrices(n, entries):
             matrices += 1
             base = iv.table_space(labels, matrix)
-            dist, sharp = oracle._tables(matrix)
+            dist, sharp = matrix, oracle._residuals(matrix)
             for k in iv.admitted_k_values(base, [float(k) for k in k_values]):
                 admitted += 1
                 r_values = sorted({k + o for o in r_offsets} | {k * f for f in r_factors})
@@ -455,31 +511,30 @@ TABLE_GRIDS = {
 
 @pytest.mark.parametrize("name", TABLE_GRIDS)
 def test_sweep_tables_are_the_spaces_distances_and_residuals(monkeypatch, name):
-    # The sweep forms its tables from the matrix it built the space from;
-    # they must read what the space's `dist` and `d_sharp` read.
+    # The sweep walks the rows it built the space from, and forms the
+    # residuals from them; they must read what the space's `dist` and
+    # `d_sharp` read.
     grid = TABLE_GRIDS[name]
     walks = []
-    tables, walk = oracle._tables, oracle._walk
+    residuals, walk = oracle._residuals, oracle._walk
 
-    def recording_walk(base, *args):
-        walks.append([base, None])
-        return walk(base, *args)
+    def recording_walk(base, rows, *args):
+        walks.append([base, rows, None])
+        return walk(base, rows, *args)
 
-    def recording_tables(matrix):
-        walks[-1][1] = tables(matrix)
-        return walks[-1][1]
+    def recording_residuals(dist):
+        walks[-1][2] = dist, residuals(dist)
+        return walks[-1][2][1]
 
     monkeypatch.setattr(oracle, "_walk", recording_walk)
-    monkeypatch.setattr(oracle, "_tables", recording_tables)
+    monkeypatch.setattr(oracle, "_residuals", recording_residuals)
     iv.falsification_sweep(**grid)
     k_values = grid.get("k_values", oracle.DEFAULT_GRID["k_values"])
-    admitted = fallbacks = 0
-    for space, formed in walks:
-        assert (formed is not None) == bool(iv.admitted_k_values(space, k_values))
-        if formed is None:
-            continue
-        admitted += 1
+    fallbacks = 0
+    for space, rows, formed in walks:
+        assert iv.admitted_k_values(space, k_values)
         dist, sharp = formed
+        assert dist is rows
         pts = space.carrier.points
         for i, x in enumerate(pts):
             for j, y in enumerate(pts):
@@ -487,9 +542,31 @@ def test_sweep_tables_are_the_spaces_distances_and_residuals(monkeypatch, name):
                 assert sharp(i, j) == iv.d_sharp(space, x, y)
                 direct = 2.0 * space.dist(x, y) - (space.dist(x, x) + space.dist(y, y))
                 fallbacks += not math.isfinite(direct)
-    assert admitted > 0
+    assert len(walks) > 0
     # Only the overflow grid takes d_sharp's halved fallback.
     assert (fallbacks > 0) == (name == "overflow_l01")
+
+
+ADMISSION_GRIDS = ("default", "subnormal", "overflow_l01", "positive_l", "within_slack")
+
+
+@pytest.mark.parametrize("kind", list(iv.SpaceKind), ids=lambda kind: kind.value)
+@pytest.mark.parametrize("name", ADMISSION_GRIDS)
+def test_table_admission_matches_per_k_check_axioms(name, kind):
+    # The admission the sweep runs on its rows, against `check_axioms` on
+    # the space built from them, for every matrix of the grid and as each
+    # of the four kinds.
+    grid = PRUNING_GRIDS[name]
+    entries = grid.get("entries", DEFAULT_ENTRIES)
+    k_values = grid.get("k_values", oracle.DEFAULT_GRID["k_values"])
+    admitted = rejected = 0
+    for n in (1, 2, 3):
+        for matrix in oracle._symmetric_matrices(n, entries):
+            got = oracle.table_admitted_k_values(matrix, k_values, kind)
+            assert got == _per_k_admitted(matrix, k_values, kind), matrix
+            admitted += len(got)
+            rejected += len(k_values) - len(got)
+    assert admitted > 0 and rejected > 0
 
 
 # Holders on every size, so classes of several members are walked member by
@@ -507,6 +584,26 @@ def test_class_sweep_keeps_the_counterexample_order(grid):
     sweep = iv.falsification_sweep(**grid)
     assert sweep == _reference_sweep(**grid)
     assert len(sweep.counterexamples) > 0
+
+
+def test_held_classes_are_walked_member_by_member(monkeypatch):
+    # At n = 3 every isometry holds R = K + 1e-10 within slack, so classes
+    # of several members have holders; each member is walked at its own
+    # place in the enumeration, as the unpruned walk meets it.
+    walked = []
+    admit = oracle.table_admitted_k_values
+
+    def recording_admit(rows, k_values):
+        walked.append(rows)
+        return admit(rows, k_values)
+
+    monkeypatch.setattr(oracle, "table_admitted_k_values", recording_admit)
+    grid = dict(PRUNING_GRIDS["within_slack"], sizes=(3,))
+    sweep = iv.falsification_sweep(**grid)
+    assert sweep == _reference_sweep(**grid)
+    classes = sum(1 for _, _, size in oracle._relabelling_classes(3, 4, set()) if size)
+    assert len(walked) > classes == 816
+    assert walked == sorted(walked, key=_upper)  # in enumeration order
 
 
 def test_counting_lemma_leaves_only_one_point_holders():
