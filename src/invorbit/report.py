@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from itertools import chain, count, cycle, islice, repeat
+from itertools import chain, cycle, islice, repeat
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
@@ -127,6 +127,9 @@ def emit_report(report: dict, path: str | Path) -> bytes:
 
 
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
+TRACE_CHUNK_ROWS = 4096  # trace.csv rows the writer joins per write
+_FLOAT_ROW = "%d,%.17g,%.17g,%.17g\r\n"  # a row whose three cells are floats
+_FLOAT_TYPE = {float}
 
 
 def _cells(values: Iterable[Any]) -> Iterator[str]:
@@ -146,6 +149,21 @@ def _cells(values: Iterable[Any]) -> Iterator[str]:
             yield cell
 
 
+def _floats_only(values: list) -> bool:
+    """Whether every value is of type float exactly, not of a subclass."""
+    return {*map(type, values)} <= _FLOAT_TYPE
+
+
+def _rows_text(steps: range, points: list, dists: list, ratios: list) -> str:
+    """The CSV text of consecutive rows; a blank cell is given as ""."""
+    if _floats_only(points) and _floats_only(dists) and _floats_only(ratios):
+        # One `%` call formats the whole chunk: the row format repeated once per row.
+        values = (*chain.from_iterable(zip(steps, points, dists, ratios)),)
+        return (_FLOAT_ROW * len(steps)) % values
+    cells = map(_cells, (points, dists, ratios))
+    return "".join(map("{},{},{},{}\r\n".format, steps, *cells))
+
+
 def write_trace_csv(
     points, distances, ratios, path: str | Path, cycle_from: int | None = None
 ) -> None:
@@ -153,8 +171,15 @@ def write_trace_csv(
 
     Row n's ratio is distances[n] / distances[n-1]; the cells are blank
     where a value is undefined (the first row and the trailing edge).
-    Rows end in CRLF, as csv's default dialect writes them, and are
-    streamed, not built up front.
+    Rows end in CRLF, as csv's default dialect writes them.
+
+    Rows are written TRACE_CHUNK_ROWS at a time, each chunk's values read
+    from the three columns' iterators, never from slice copies.  Row 0, the
+    rows with all three values and the rows with a blank cell are chunked
+    apart.  A chunk whose three value columns hold only floats of type
+    float exactly is formatted by one `%` call, since "%.17g" % x equals
+    format(x, ".17g") for every float.  Any other chunk has its cells
+    formatted by `_cells` and its rows joined by `str.format`.
 
     `cycle_from` is the trace's (`OrbitTrace.cycle_from`), given with the
     full columns of an orbit.  Rows up to it are written as above.  From
@@ -163,20 +188,28 @@ def write_trace_csv(
     of rows cycle_from - 1 and cycle_from, in turn; the last row has only
     its step and point.
     """
-    row_points = points if cycle_from is None else islice(points, cycle_from + 1)
-    dists = chain(_cells(distances), repeat(""))
-    ratio_cells = chain(("",), _cells(ratios), repeat(""))
+    rows = len(points) if cycle_from is None else cycle_from + 1
+    first = min(1, rows)
+    full = max(first, min(rows, len(distances), len(ratios) + 1))
+    columns = (
+        iter(points),
+        chain(distances, repeat("")),
+        chain(("",), ratios, repeat("")),
+    )
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("step,point,dist_to_next,ratio\r\n")
-        handle.writelines(
-            f"{step},{point},{dist},{ratio}\r\n"
-            for step, point, dist, ratio in zip(count(), _cells(row_points), dists, ratio_cells)
-        )
+        write = handle.write
+        write("step,point,dist_to_next,ratio\r\n")
+        for lo, hi in ((0, first), (first, full), (full, rows)):
+            for start in range(lo, hi, TRACE_CHUNK_ROWS):
+                steps = range(start, min(start + TRACE_CHUNK_ROWS, hi))
+                write(_rows_text(steps, *(list(islice(col, len(steps))) for col in columns)))
         if cycle_from is not None:
             c, last = cycle_from, len(points) - 1
             period = [
                 ",{},{},{}\r\n".format(*_cells((points[n], distances[n], ratios[n - 1])))
                 for n in (c - 1, c)
             ]
-            handle.writelines(map(str.__add__, map(str, range(c + 1, last)), cycle(period)))
-            handle.write(f"{last},{next(_cells((points[last],)))},,\r\n")
+            parts = chain.from_iterable(zip(map(str, range(c + 1, last)), cycle(period)))
+            while chunk := "".join(islice(parts, 2 * TRACE_CHUNK_ROWS)):
+                write(chunk)
+            write(f"{last},{next(_cells((points[last],)))},,\r\n")

@@ -309,7 +309,7 @@ PairSource = Union[Exhaustive, Sampled, OrbitTrace, Iterable[tuple[Point, Point]
 
 def _resolve_pairs(
     space: Space, pairs: PairSource
-) -> tuple[list[tuple[Point, Point]], int]:
+) -> tuple[Iterable[tuple[Point, Point]], int]:
     """The pairs to walk, and how many times the last of them repeats after."""
     if isinstance(pairs, Exhaustive):
         if not space.is_finite:
@@ -322,10 +322,11 @@ def _resolve_pairs(
     if isinstance(pairs, OrbitTrace):
         # Pair i holds points i and i + 1.  From i = cycle_from on, point
         # i + 1 is point i - 1, so pair i is pair i - 1: the same objects.
+        # The pairs of orbit_adjacent_pairs(pts[:stop]), walked lazily.
         pts, c = pairs.points, pairs.cycle_from
-        if c is None:
-            return orbit_adjacent_pairs(pts), 0
-        return orbit_adjacent_pairs(pts[: c + 1]), len(pts) - 1 - c
+        stop = len(pts) if c is None else c + 1
+        walked = ((pts[i | 1], pts[(i + 1) & ~1]) for i in range(1, stop - 1))
+        return walked, len(pts) - stop
     return list(pairs), 0
 
 

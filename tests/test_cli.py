@@ -9,8 +9,10 @@ import multiprocessing
 import os
 import shutil
 import signal
+import struct
 import subprocess
 import sys
+from itertools import cycle
 from pathlib import Path
 from unittest import mock
 
@@ -18,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import invorbit as iv
 from invorbit import cli, report
 from invorbit.cli import COMMANDS, main, run_batch, run_scenario
 from invorbit.report import canonical_json, format_float, write_trace_csv
@@ -25,6 +28,7 @@ from invorbit.errors import ScenarioError
 from invorbit.oracle import DEFAULT_GRID
 from invorbit.scenario import (
     SCENARIO_SCHEMA,
+    build_maps,
     build_space,
     load_scenario,
     normalize_scenario,
@@ -171,18 +175,81 @@ _ZERO_RUNS += [math.nan, math.nan, math.inf, math.inf, -math.inf, -math.inf, 5e-
 _ZERO_RUNS += [*_FRESH[:4], -0.0, -0.0, *_FRESH, 0.0]
 
 
+# Distinct floats over all exponents, more rows than two chunks hold, with
+# signed zeros, subnormals, nan and infinities planted among them.
+_ALL_FLOATS = [
+    math.ldexp(1.0 + i / 16384, (i * 37) % 2097 - 1074)
+    for i in range(2 * report.TRACE_CHUNK_ROWS + 7)
+]
+_EDGES = cycle((-0.0, math.nan, math.inf, -math.inf, 0.0, 5e-324))
+for _at, _value in zip(range(1, len(_ALL_FLOATS), 600), _EDGES):
+    _ALL_FLOATS[_at] = _value
+
+
+class _Tagged(float):
+    """A float whose own __format__ marks its cells."""
+
+    def __format__(self, spec):
+        return "~" + super().__format__(spec)
+
+
+def _planted(column, value):
+    """All-float columns with `value` in row 5000's cell of one column."""
+    columns = [list(_ALL_FLOATS), _ALL_FLOATS[1:], _ALL_FLOATS[2:]]
+    columns[column][5000 - (column == 2)] = value
+    return (*columns, None)
+
+
+def _cycled_columns():
+    """A T = S = -1.5x orbit: it ends flipping between -5e-324 and 5e-324,
+    two distinct rows repeated for more rows than two chunks hold."""
+    flip = lambda x: -1.5 * x  # noqa: E731
+    maps = iv.MapPair(flip, flip, lambda y: y / -1.5, lambda y: y / -1.5)
+    space = iv.abs_metric_space(-2.0, 2.0)
+    trace = iv.inverse_orbit(space, maps, 1.0, max_steps=3 * report.TRACE_CHUNK_ROWS)
+    assert trace.cycle_from + 2 * report.TRACE_CHUNK_ROWS < len(trace.points)
+    assert trace.points[-1] == -trace.points[-2] != 0.0
+    return trace.points, trace.successive_distances, trace.cauchy.per_step_ratios, trace.cycle_from
+
+
+def _double(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+@settings(max_examples=2000, deadline=None)
+@given(
+    st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+        st.integers(0, 2**64 - 1).map(_double),
+    )
+)
+def test_percent_17g_equals_format_17g(x):
+    # The trace writer formats exact floats with "%"; its cells must stay
+    # those of format(x, ".17g"), which the reference writer uses.
+    assert "%.17g" % x == format(x, ".17g")
+
+
 @pytest.mark.parametrize(
-    "points, distances, ratios",
+    "points, distances, ratios, cycle_from",
     [
-        (_SUBNORMAL_STALL, _SUBNORMAL_STALL[1:], [1.0] * 23),
-        (_SIGNED_ZEROS, _SIGNED_ZEROS[::-1], _SIGNED_ZEROS),
-        (_NON_FINITE, _NON_FINITE[1:], _NON_FINITE[2:]),
-        (_INT_VS_FLOAT, _INT_VS_FLOAT[::-1], _INT_VS_FLOAT[3:]),
-        (_LABELS, _LABELS[2:], _LABELS),
-        (_LABELS + _NON_FINITE, [0.5] * 3, [0.25] * 2),
-        (_SIGNED_ZEROS, [2e-323] * 12, [4e-323] * 12),
-        ([], [1.0], [1.0]),
-        (_ZERO_RUNS, _ZERO_RUNS[1:] + [-0.0], _ZERO_RUNS[::-1]),
+        (_SUBNORMAL_STALL, _SUBNORMAL_STALL[1:], [1.0] * 23, None),
+        (_SIGNED_ZEROS, _SIGNED_ZEROS[::-1], _SIGNED_ZEROS, None),
+        (_NON_FINITE, _NON_FINITE[1:], _NON_FINITE[2:], None),
+        (_INT_VS_FLOAT, _INT_VS_FLOAT[::-1], _INT_VS_FLOAT[3:], None),
+        (_LABELS, _LABELS[2:], _LABELS, None),
+        (_LABELS + _NON_FINITE, [0.5] * 3, [0.25] * 2, None),
+        (_SIGNED_ZEROS, [2e-323] * 12, [4e-323] * 12, None),
+        ([], [1.0], [1.0], None),
+        (_ZERO_RUNS, _ZERO_RUNS[1:] + [-0.0], _ZERO_RUNS[::-1], None),
+        (_ALL_FLOATS, _ALL_FLOATS[1:], _ALL_FLOATS[2:], None),
+        (_ALL_FLOATS, _ALL_FLOATS[::-1], _ALL_FLOATS[5:], None),
+        _planted(0, _Tagged(0.1)),
+        _planted(1, _Tagged(2.5e-310)),
+        _planted(2, _Tagged(-0.0)),
+        _planted(0, True),
+        _planted(1, 10**20),
+        _planted(2, False),
+        _cycled_columns(),
     ],
     ids=[
         "subnormal_stall",
@@ -194,12 +261,27 @@ _ZERO_RUNS += [*_FRESH[:4], -0.0, -0.0, *_FRESH, 0.0]
         "long_columns",
         "empty",
         "zero_runs",
+        "all_floats",
+        "all_floats_ragged",
+        "subclass_point",
+        "subclass_dist",
+        "subclass_ratio",
+        "bool_point",
+        "int_dist",
+        "bool_ratio",
+        "cycled",
     ],
 )
-def test_trace_csv_matches_the_csv_writer(tmp_path, points, distances, ratios):
-    write_trace_csv(points, distances, ratios, tmp_path / "new.csv")
+def test_trace_csv_matches_the_csv_writer(tmp_path, points, distances, ratios, cycle_from):
+    # The reference reads the full columns; a cycled trace's writer formats
+    # its computed rows and repeats one period.  A small chunk size puts
+    # chunk boundaries inside every case.
     _reference_trace_csv(points, distances, ratios, tmp_path / "reference.csv")
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    expected = (tmp_path / "reference.csv").read_bytes()
+    for chunk in (report.TRACE_CHUNK_ROWS, 3):
+        with mock.patch.object(report, "TRACE_CHUNK_ROWS", chunk):
+            write_trace_csv(points, distances, ratios, tmp_path / "new.csv", cycle_from)
+        assert (tmp_path / "new.csv").read_bytes() == expected
 
 
 # ---------------------------------------------------------------------------
@@ -650,6 +732,40 @@ def test_table_space_with_permutation_maps(tmp_path):
     # The swap against identity cycles between a and b; nothing certifies.
     assert code == 2
     assert report["results"]["terminated_by"] == "max_iterations"
+
+
+def test_quoted_labels_at_scale_match_the_csv_writer(tmp_path):
+    # No benchmark trace holds labels.  T = S = a 3-cycle never repeats a
+    # two-step cycle, so every row of this orbit is computed, and the point
+    # cells take the quoting path for more rows than two chunks hold.
+    first, second, third = "a,b", 'say "hi"', "c"
+    cycle_map = {"kind": "permutation", "table": {first: second, second: third, third: first}}
+    steps = 2 * report.TRACE_CHUNK_ROWS + 5
+    doc = {
+        "space": {
+            "family": "table",
+            "labels": [first, second, third],
+            "matrix": [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+            "k_const": 1.0,
+            "kind": "b_metric",
+        },
+        "maps": {"t": cycle_map, "s": cycle_map},
+        "hypothesis": {"form": "rl", "r_const": 1.5},
+        "run": {"command": "solve", "x0": first, "max_steps": steps},
+        "assumptions": {"complete": True},
+    }
+    path = _write(tmp_path, "labels.json", doc)
+    out = tmp_path / "out"
+    assert run_scenario(path, out) == 2
+    scenario = load_scenario(path)
+    space = build_space(scenario)
+    trace = iv.inverse_orbit(space, build_maps(scenario, space), first, max_steps=steps)
+    assert trace.cycle_from is None and len(trace.points) == steps + 1
+    columns = (trace.points, trace.successive_distances, trace.cauchy.per_step_ratios)
+    _reference_trace_csv(*columns, tmp_path / "reference.csv")
+    written = (out / "trace.csv").read_bytes()
+    assert written == (tmp_path / "reference.csv").read_bytes()
+    assert written.count(b'"say ""hi"""') == (steps + 1) // 3
 
 
 def test_table_space_exhaustive_axioms(tmp_path):

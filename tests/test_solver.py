@@ -10,7 +10,7 @@ import invorbit as iv
 from invorbit.analysis import _runs
 from invorbit.numerics import TOL_FIX, exceeds, tail_window
 from invorbit.report import write_trace_csv
-from invorbit.solver import DEFAULT_MAX_STEPS, check_roundtrip, expansion_test
+from invorbit.solver import DEFAULT_MAX_STEPS, _resolve_pairs, check_roundtrip, expansion_test
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +115,31 @@ def _branching_adjacent_pairs(points):
 def test_orbit_adjacent_pairs_match_the_branching_loop(length):
     points = tuple(range(length))
     assert iv.orbit_adjacent_pairs(points) == _branching_adjacent_pairs(points)
+
+
+def _cycled_points(length, cycle_from):
+    """Distinct objects up to `cycle_from`, then the last two repeated."""
+    points = [object() for _ in range(length if cycle_from is None else cycle_from + 1)]
+    while len(points) < length:
+        points.append(points[-2])
+    return tuple(points)
+
+
+@pytest.mark.parametrize(
+    "length, cycle_from",
+    [(n, None) for n in range(13)] + [(n, c) for n in range(13) for c in range(2, n - 1)],
+)
+def test_lazy_orbit_pairs_match_the_adjacent_pairs(length, cycle_from):
+    # A trace with cycle_from c walks the pairs of its first c + 1 points,
+    # and its last walked pair stands for the repeats after them.
+    points = _cycled_points(length, cycle_from)
+    trace = iv.OrbitTrace(points, (), None, iv.Termination.MAX_ITERATIONS, cycle_from)
+    walked, repeats = _resolve_pairs(iv.abs_metric_space(), trace)
+    assert not isinstance(walked, list)
+    walked = list(walked)
+    expanded = walked + walked[-1:] * repeats
+    assert expanded == iv.orbit_adjacent_pairs(points)
+    assert len(expanded) == max(length - 2, 0)
 
 
 def _indexed_orbit(space, maps, x0, max_steps=DEFAULT_MAX_STEPS, tol_fix=TOL_FIX):
