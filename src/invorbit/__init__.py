@@ -63,7 +63,6 @@ from .spaces import (
     Space,
     SpaceKind,
     abs_metric_space,
-    admitted_k_values,
     check_axioms,
     d_sharp,
     max_partial_space,

@@ -4,8 +4,9 @@ Three checks, each a finite-prefix version of a classical convergence
 argument: a weighted polygon inequality along a chain of points, a
 geometric-ratio criterion certifying that pairwise distances of a sequence
 vanish, and a sandwich bound locating the limit of D(x_n, y) between
-D(x, y) / K and K * D(x, y).  The sandwich reads its tail once per run of
-one point, which relies on the distance being a function of its points.
+D(x, y) / K and K * D(x, y).  The sandwich reads an orbit's repeated tail
+once, by the orbit's own `cycle_from`, which relies on the distance being
+a function of its points.
 """
 
 from __future__ import annotations
@@ -148,27 +149,13 @@ class SandwichBounds:
     holds: bool
 
 
-def _runs(tail: Sequence[Point]) -> tuple[list[Point], list[int]]:
-    """Split `tail` into its runs of one point: the points and their counts.
-
-    A point joins the run before it only if it is the same point, by the
-    rule of `solver.inverse_orbit`'s cycle test, defined in its docstring.
-    """
-    points: list[Point] = []
-    counts: list[int] = []
-    prev = object()
-    for p in tail:
-        if p is prev or (type(p) is float and type(prev) is float and p == prev and p):
-            counts[-1] += 1
-        else:
-            points.append(p)
-            counts.append(1)
-            prev = p
-    return points, counts
-
-
 def limit_sandwich_check(
-    space: Space, seq: Sequence[Point], x: Point, ys: Iterable[Point], tol: float
+    space: Space,
+    seq: Sequence[Point],
+    x: Point,
+    ys: Iterable[Point],
+    tol: float,
+    cycle_from: int | None = None,
 ) -> list[SandwichBounds]:
     """Bound the tail average of D(x_n, y) by [D(x,y)/K, K*D(x,y)], per y.
 
@@ -178,13 +165,15 @@ def limit_sandwich_check(
     condition does not depend on y, so it is tested once per sequence;
     each y then gets its own tail average.
 
-    The tail is read once per run of one point, where a run is split off
-    by the rule of the orbit's cycle test (`_runs`).  The check relies on the
-    distance being a function: the same point in gives the same distance
-    out.  So a run's distance is evaluated once and repeated its count of
-    times, and `math.fsum` adds the same values in the same order as over
-    the whole tail; a repeated value never changes a running `max`.  A
-    stalled orbit's tail is one point, read once per target.
+    `cycle_from` is an orbit's (`OrbitTrace.cycle_from`) when `seq` is its
+    points: from that index on every point is the same point as the one
+    two places before it.  The tail is then read up to point `cycle_from`,
+    the last computed one, or for one period when it starts past that
+    point, and the last two distances read repeat through the rest.  This
+    relies on the distance being a function: the same point in gives the
+    same distance out.  So `math.fsum` adds the same values in the same
+    order as over the whole tail, and a repeated value never changes a
+    running `max`.  With None the whole tail is read point by point.
     """
     if not seq:
         raise ValueError("sequence prefix must be nonempty")
@@ -192,18 +181,22 @@ def limit_sandwich_check(
         raise ValueError("tol must be positive")
     d = space.dist
     k = space.k_const
-    w = tail_window(len(seq))
-    points, counts = _runs(seq[len(seq) - w :])
-    worst = max(map(d, points, repeat(x)))
+    n = len(seq)
+    w = tail_window(n)
+    start = n - w
+    stop = n if cycle_from is None else min(n, max(start, cycle_from - 1) + 2)
+    tail = seq[start:stop]
+    worst = max(map(d, tail, repeat(x)))
     if worst >= tol:
         raise HypothesisNotMet(
             f"tail distance to the limit point is {worst}, not below {tol}"
         )
     out = []
     for y in ys:
-        tail_dists = map(d, points, repeat(y))
-        if len(points) < w:
-            tail_dists = chain.from_iterable(map(repeat, tail_dists, counts))
+        tail_dists = map(d, tail, repeat(y))
+        if stop < n:
+            read = list(tail_dists)
+            tail_dists = chain(read, islice(cycle(read[-2:]), n - stop))
         estimate = math.fsum(tail_dists) / w
         dxy = d(x, y)
         lower = dxy / k

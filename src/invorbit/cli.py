@@ -20,7 +20,6 @@ from typing import Callable, NamedTuple
 from . import __version__
 from .analysis import (
     CauchyOutcome,
-    geometric_cauchy_check,
     limit_sandwich_check,
     polygon_bound,
 )
@@ -183,13 +182,15 @@ def _run_lemmas(scenario: dict, out_dir: Path) -> tuple[dict, int]:
     run = scenario["run"]
     x0 = _start_point(space, run)
     trace = inverse_orbit(space, maps, x0, max_steps=run["max_steps"])
-    chain = trace.points[: min(POLYGON_CHAIN_LIMIT, len(trace.points))]
+    chain = trace.points[:POLYGON_CHAIN_LIMIT]
     polygon = polygon_bound(space, chain)
     tol = run["tol"]
     candidate = trace.points[-1]
     samples = sample_points(space, LEMMA_SANDWICH_SAMPLES, run["seed"])
     try:
-        checks = limit_sandwich_check(space, trace.points, candidate, samples, tol)
+        checks = limit_sandwich_check(
+            space, trace.points, candidate, samples, tol, cycle_from=trace.cycle_from
+        )
         hypothesis_met = True
     except HypothesisNotMet:
         checks, hypothesis_met = [], False

@@ -175,8 +175,8 @@ class OrbitTrace:
     From it on every distance is the one two places before it, and from
     the next point on every point is the very object two places before it.
     The readers of a trace (`geometric_cauchy_check`, `audit`,
-    `write_trace_csv`) check the computed part plus one period and repeat
-    the rest.
+    `write_trace_csv`, `limit_sandwich_check`) check the computed part plus
+    one period and repeat the rest.
     """
 
     points: tuple[Point, ...]
@@ -214,12 +214,12 @@ def inverse_orbit(
     point when they are the same object, or both of type float exactly,
     equal and nonzero: the same double.  Zeros stay apart, since -0.0 ==
     0.0 while a map or the distance may tell them apart, and so do equal
-    float-subclass points, which may carry state of their own;
-    `analysis._runs` groups a sandwich tail by this rule too.  It is exact
-    because the maps, the selectors and the distance are functions of
-    their arguments.  The trace records the number of computed steps as
-    `cycle_from` when any step was repeated, and the Cauchy check reads
-    the repeated distances once.  Longer cycles are computed step by step.
+    float-subclass points, which may carry state of their own.  The repeat
+    is exact because the maps, the selectors and the distance are
+    functions of their arguments.  The trace records the number of
+    computed steps as `cycle_from` when any step was repeated, and the
+    Cauchy check reads the repeated distances once.  Longer cycles are
+    computed step by step.
     """
     if max_steps < 2:
         raise ValueError("max_steps must be at least 2")

@@ -307,7 +307,8 @@ def _pair_axioms(space: Space, found: list) -> Callable[[Point, Point], float]:
     returns d(x, y).  Each slack test sits behind the exact comparison it
     implies: exceeds(a, b) needs a > b, and differs(a, b) needs a != b,
     so a == b makes not differs(a, b) true.  `table_admitted_k_values`
-    applies the same tests to a table; a test compares the two.
+    applies the same tests to the table of a b-metric-like space; a test
+    compares the two.
     """
     d = space.dist
     equal = space.points_equal
@@ -430,75 +431,36 @@ def check_axioms(space: Space, strategy: Strategy) -> AxiomReport:
     )
 
 
-def admitted_k_values(space: Space, k_values: Sequence[float]) -> list[float]:
-    """The K in `k_values` for which `check_axioms` passes exhaustively at k_const = K.
-
-    Reads the distance table once, n**2 reads, and decides it by
-    `table_admitted_k_values`.
-    """
-    for k in k_values:
-        if k < 1.0:
-            raise ValueError("k_const must be >= 1")
-    pts = _exhaustive_points(space)
-    d = space.dist
-    rows = [[d(x, y) for y in pts] for x in pts]
-    return table_admitted_k_values(rows, k_values, space.kind)
-
-
 def table_admitted_k_values(
-    rows: Sequence[Sequence[float]],
-    k_values: Sequence[float],
-    kind: SpaceKind = SpaceKind.B_METRIC_LIKE,
+    rows: Sequence[Sequence[float]], k_values: Sequence[float]
 ) -> list[float]:
     """The K in `k_values`, each at least 1, for which `check_axioms(space,
-    Exhaustive())` passes at k_const = K, where `space` is of kind `kind`
+    Exhaustive())` passes at k_const = K, where `space` is b-metric-like
     on a finite carrier (p_0, ..., p_{n-1}) with d(p_i, p_j) = rows[i][j].
 
-    The tests are those of `_pair_axioms`, `_d1_violations` and the
-    triangle of `check_axioms`, each exact guard before its slack test,
-    read from the table.  The points of a finite carrier are pairwise
-    distinct, so p_i equals p_j exactly when i == j.  The pair axioms do
-    not depend on K and are tested once; each distinct triangle
-    (d(x, y), detour, d(z, z)) is formed once and tested per K.
+    The tests are those of `_pair_axioms` and the triangle of
+    `check_axioms`, each exact guard before its slack test, read from the
+    table.  The points of a finite carrier are pairwise distinct, so p_i
+    equals p_j exactly when i == j.  The pair axioms do not depend on K
+    and are tested once; each distinct triangle (d(x, y), detour) is
+    formed once and tested per K.
     """
-    partial = kind is SpaceKind.PARTIAL_METRIC
-    b_metric = kind is SpaceKind.B_METRIC
     for i, row in enumerate(rows):
-        dxx = row[i]
-        if b_metric and exceeds(dxx, 0.0):
-            return []  # D1 of a b-metric
         for j, dxy in enumerate(row):
             if dxy < 0.0 and exceeds(0.0, dxy):
                 return []  # nonneg
             dyx = rows[j][i]
             if dxy != dyx and differs(dxy, dyx):
                 return []  # symmetry
-            if partial:
-                dyy = rows[j][j]
-                if (
-                    (dxx == dxy or not differs(dxx, dxy))
-                    and (dyy == dxy or not differs(dyy, dxy))
-                    and i != j
-                ):
-                    return []  # P1
-                if dxx > dxy and exceeds(dxx, dxy):
-                    return []  # P2
-            elif dxy == 0.0 and i != j:
+            if dxy == 0.0 and i != j:
                 return []  # zero distance
     index_pairs = list(product(range(len(rows)), repeat=2))
-    reads = {
-        (row[y], row[z] + rows[z][y], rows[z][z] if partial else 0.0)
-        for row in rows
-        for y, z in index_pairs
-    }
+    reads = {(row[y], row[z] + rows[z][y]) for row in rows for y, z in index_pairs}
     admitted = []
     for k in k_values:
-        factor = _triangle_factor(kind, k)
-        for lhs, detour, mid in reads:
-            rhs = factor * detour
-            if partial:
-                rhs -= mid
-            if lhs >= rhs and _triangle_fails(lhs, rhs, detour, factor, partial):
+        for lhs, detour in reads:
+            rhs = k * detour
+            if lhs >= rhs and _triangle_fails(lhs, rhs, detour, k, False):
                 break
         else:
             admitted.append(k)

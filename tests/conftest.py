@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import invorbit as iv
+from invorbit.spaces import table_admitted_k_values
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -87,3 +88,25 @@ def edge_values():
         -1.0,
         1e308,
     )
+
+
+@pytest.fixture
+def admission_as():
+    """The K that per-K `check_axioms` passes on the table `rows` as a
+    space of `kind`, read from the b-metric-like admission of the sweep: a
+    metric-like space is a b-metric-like one at K = 1, and a b-metric one
+    is a b-metric-like one without a D1 violation.  A partial metric has
+    no such reading."""
+
+    def read(rows, k_values, kind):
+        if kind is iv.SpaceKind.METRIC_LIKE:
+            return list(k_values) if table_admitted_k_values(rows, [1.0]) else []
+        if kind is iv.SpaceKind.B_METRIC:
+            labels = tuple(range(len(rows)))
+            space = iv.Space(iv.FiniteCarrier(labels), lambda x, y: rows[x][y], 1.0, kind)
+            report = iv.check_axioms(space, iv.Exhaustive())
+            if any(v.axiom_id == "D1" for v in report.violations):
+                return []
+        return table_admitted_k_values(rows, k_values)
+
+    return read

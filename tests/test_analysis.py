@@ -248,8 +248,9 @@ def _bits(value):
     return struct.pack("<d", value).hex() if isinstance(value, float) else value
 
 
-def _whole_tail_sandwich(space, seq, x, ys, tol):
-    """The sandwich check that evaluates every tail point, as a reference."""
+def _whole_tail_sandwich(space, seq, x, ys, tol, cycle_from=None):
+    """The sandwich check that evaluates every tail point, as a reference;
+    it reads no `cycle_from`."""
     d = space.dist
     k = space.k_const
     w = tail_window(len(seq))
@@ -270,17 +271,18 @@ def _whole_tail_sandwich(space, seq, x, ys, tol):
     return out
 
 
-def _sandwich_outcome(check, space, seq, x, ys, tol):
+def _sandwich_outcome(check, space, seq, x, ys, tol, cycle_from=None):
     try:
-        bounds = check(space, seq, x, ys, tol)
+        bounds = check(space, seq, x, ys, tol, cycle_from=cycle_from)
     except iv.HypothesisNotMet as exc:
         return "HypothesisNotMet", str(exc)
     return [tuple(map(_bits, (b.lower, b.estimate, b.upper, b.holds))) for b in bounds]
 
 
-def _linear_orbit(space, c, x0, max_steps):
-    f, p = iv.linear_map(c)
-    return iv.inverse_orbit(space, iv.MapPair(f, f, p, p), x0, max_steps).points
+def _linear_orbit(space, c, x0, max_steps, s_factor=None):
+    t, t_pre = iv.linear_map(c)
+    s, s_pre = iv.linear_map(c if s_factor is None else s_factor)
+    return iv.inverse_orbit(space, iv.MapPair(t, s, t_pre, s_pre), x0, max_steps)
 
 
 def _sign_space():
@@ -289,6 +291,17 @@ def _sign_space():
         iv.IntervalCarrier(-1.0, 1.0),
         lambda x, y: abs(math.copysign(1.0, x) - math.copysign(1.0, y)),
     )
+
+
+def _swap_case(max_steps):
+    """T = S = swap on a two-label table whose labels a tail average tells
+    apart: the orbit repeats from point 2 on, and the tail sits within the
+    tolerance of "a"."""
+    space = iv.table_space(("a", "b"), [[0.0, 0.1], [0.1, 3.0]])
+    swap = iv.permutation_map({"a": "b", "b": "a"})
+    trace = iv.inverse_orbit(space, iv.MapPair(swap[0], swap[0], swap[1], swap[1]), "b", max_steps)
+    assert trace.cycle_from == 2
+    return (space, trace.points, "a", ("a", "b"), 0.2, trace.cycle_from)
 
 
 @functools.lru_cache(maxsize=None)
@@ -304,31 +317,56 @@ def _sandwich_cases():
     )
     cycle = iv.permutation_map({0: 1, 1: 2, 2: 3, 3: 0})
     ident = iv.permutation_map({i: i for i in range(4)})
+    # S = identity doubles every point, so the orbit's period of eight
+    # steps is never detected.
     periodic_orbit = iv.inverse_orbit(
         periodic, iv.MapPair(cycle[0], ident[0], cycle[1], ident[1]), 0, max_steps=203
-    ).points
+    )
+    assert periodic_orbit.cycle_from is None
     # T = S = x / 1.02 stalls on one subnormal point after about 37.7k steps,
-    # so this tail holds distinct points, then one point repeated.
+    # so this tail holds distinct points, then one point repeated: the
+    # window straddles the start of the orbit's cycle.
     stalled = _linear_orbit(abs_metric, 1.02, 1.0, 45_000)
-    tail = stalled[-tail_window(len(stalled)) :]
+    tail = stalled.points[-tail_window(len(stalled.points)) :]
     assert tail[0] != tail[-1] == tail[-5_000]
+    assert len(stalled.points) - len(tail) < stalled.cycle_from
     unstalled = _linear_orbit(abs_metric, 1.02, 1.0, 2_000)
+    assert unstalled.cycle_from is None
+    # T = 2x and S = x / 2 swing between 1.0 and 0.5 from point 2 on; with
+    # 29 steps the window of eight points starts 20 points past the cycle.
+    swing = _linear_orbit(abs_metric, 2.0, 1.0, 29, s_factor=0.5)
+    assert swing.cycle_from == 2
+    # T = 10x and S = x / 10 round once before their cycle: point 2 is not
+    # point 0, and the cycle starts at point 3 of a window of all 8 points.
+    scaling = iv.MapPair(
+        lambda x: 10.0 * x, lambda x: x / 10.0, lambda y: y / 10.0, lambda y: 10.0 * y
+    )
+    rounded = iv.inverse_orbit(abs_metric, scaling, 5.3, 7)
+    assert rounded.cycle_from == 3 and rounded.points[2] != rounded.points[0]
     harmonic = [1.0 / n for n in range(1, 5001)]
     ys = iv.sample_points(abs_metric, 26, seed=1) + [0.0, -0.0, nan]
     one_nan = float("nan")
+    stalled_args = (stalled.points, tail[-1], ys, 1e-6, stalled.cycle_from)
     return {
-        "stalled_abs_metric": (abs_metric, stalled, stalled[-1], ys, 1e-6),
-        "stalled_max_partial": (max_partial, stalled, stalled[-1], ys, 1e-6),
+        "stalled_abs_metric": (abs_metric, *stalled_args),
+        "stalled_max_partial": (max_partial, *stalled_args),
         "signed_zeros_max_partial": (max_partial, zeros, 0.0, [0.0, -0.0, 1.0], 1e-6),
         "signed_zeros_max_partial_neg": (max_partial, zeros[1:], -0.0, [0.0, -0.0], 1e-6),
         "signed_zeros_by_sign": (_sign_space(), zeros, 0.0, [0.0, -0.0, 0.5], 3.0),
         "signed_zeros_gate": (_sign_space(), zeros, 0.0, [0.0], 1.0),
         "nan_points": (abs_metric, [1.0, nan, nan, one_nan, one_nan, 0.0] * 5, 0.0, ys, 1e-6),
-        "periodic_table": (periodic, periodic_orbit, 0, (0, 1, 2, 3), 5.0),
-        "periodic_table_gate": (periodic, periodic_orbit, 0, (0, 1), 1.0),
+        "periodic_table": (periodic, periodic_orbit.points, 0, (0, 1, 2, 3), 5.0),
+        "periodic_table_gate": (periodic, periodic_orbit.points, 0, (0, 1), 1.0),
         "harmonic": (abs_metric, harmonic, 0.0, ys, 1e-3),
-        "no_stall": (abs_metric, unstalled, unstalled[-1], ys, 1.0),
-        "no_stall_gate": (abs_metric, unstalled, 1.0, ys, 1e-6),
+        "no_stall": (abs_metric, unstalled.points, unstalled.points[-1], ys, 1.0),
+        "no_stall_gate": (abs_metric, unstalled.points, 1.0, ys, 1e-6),
+        # Windows wholly past the cycle start, an even and an odd number of
+        # points past it, and one that starts on the cycle's first period.
+        "swap_even_phase": _swap_case(40),
+        "swap_odd_phase": _swap_case(41),
+        "swap_window_at_cycle": _swap_case(8),
+        "swing_past_cycle": (abs_metric, swing.points, 1.0, ys, 1.0, swing.cycle_from),
+        "rounded_before_cycle": (abs_metric, rounded.points, 0.53, ys, 10.0, rounded.cycle_from),
     }
 
 
@@ -345,11 +383,18 @@ SANDWICH_CASES = [
     "harmonic",
     "no_stall",
     "no_stall_gate",
+    "swap_even_phase",
+    "swap_odd_phase",
+    "swap_window_at_cycle",
+    "swing_past_cycle",
+    "rounded_before_cycle",
 ]
 
 
 @pytest.mark.parametrize("case", SANDWICH_CASES)
 def test_sandwich_runs_match_the_whole_tail(case):
+    # An orbit's case passes the trace's `cycle_from`, so the check reads
+    # the repeated tail once; every other case is read point by point.
     args = _sandwich_cases()[case]
     got = _sandwich_outcome(iv.limit_sandwich_check, *args)
     assert got == _sandwich_outcome(_whole_tail_sandwich, *args)
@@ -357,6 +402,18 @@ def test_sandwich_runs_match_the_whole_tail(case):
         assert got[0] == "HypothesisNotMet"
     else:
         assert isinstance(got, list)
+
+
+def test_a_period_read_out_of_phase_changes_the_estimate():
+    # The odd window of the swap orbit holds one more "a" than "b", so
+    # repeating its period one step out of phase, as the orbit one step
+    # further on reads it, changes the tail average.
+    space, seq, x, _, tol, cycle_from = _sandwich_cases()["swap_odd_phase"]
+    assert tail_window(len(seq)) % 2 == 1
+    (bound,) = iv.limit_sandwich_check(space, seq, x, ["b"], tol, cycle_from=cycle_from)
+    assert bound.estimate == (6 * 0.1 + 5 * 3.0) / 11
+    (shifted,) = _whole_tail_sandwich(space, seq[1:] + seq[-2:-1], x, ["b"], tol)
+    assert shifted.estimate == (5 * 0.1 + 6 * 3.0) / 11 != bound.estimate
 
 
 def test_signed_zero_runs_stay_apart():
@@ -367,8 +424,8 @@ def test_signed_zero_runs_stay_apart():
 
 def test_equal_float_subclass_points_are_read_one_by_one(tagged_float):
     # Every tail point is 1.0 with a tag of its own, and the distance reads
-    # the tags: points of equal value are not the same point, so no two of
-    # them may share a run.
+    # the tags: points of equal value are not the same point, so each one
+    # is read.
     space = iv.Space(
         iv.IntervalCarrier(0.0, 2.0),
         lambda x, y: abs(x - y) + abs(getattr(x, "tag", 0.0) - getattr(y, "tag", 0.0)),

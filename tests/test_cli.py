@@ -608,7 +608,7 @@ def test_shipped_scenarios_without_a_golden_are_pinned(tmp_path):
 # SHA-256 of the outputs of a 75,000-step orbit of T = S = c*x, recorded
 # before the orbit loop and the orbit lemmas bound their callables once and
 # read a stalled tail once per run of one point.  The orbit stalls on one
-# subnormal point after about 38.8k steps, so the sandwich tail is one run.
+# subnormal point after about 38.8k steps, so the sandwich tail is one point.
 LONG_ORBIT_C = 1.0194201360826156
 LONG_ORBIT_SHA256 = {
     ("solve", "report.json"): "a54855a3f0f4052709df2f9142765bf0bb038efbf1d1fe44ecd65dbbc9d0a60a",

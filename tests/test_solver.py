@@ -7,7 +7,6 @@ from itertools import product
 import pytest
 
 import invorbit as iv
-from invorbit.analysis import _runs
 from invorbit.numerics import TOL_FIX, exceeds, tail_window
 from invorbit.report import write_trace_csv
 from invorbit.solver import DEFAULT_MAX_STEPS, _resolve_pairs, check_roundtrip, expansion_test
@@ -344,33 +343,6 @@ def test_orbit_parity_cases_reach_every_ending():
 
 def _same_point(p, q):
     return p is q or (type(p) is float and type(q) is float and p == q and p)
-
-
-def test_sandwich_runs_group_where_the_orbit_sees_the_same_point(tagged_float):
-    nan, one, tiny = math.nan, float("1.5"), float("5e-324")
-    table = [
-        0.0,
-        -0.0,
-        nan,
-        nan,  # the same object
-        float("nan"),
-        tiny,
-        float("5e-324"),  # an equal subnormal, another object
-        one,
-        float("1.5"),  # an equal float, another object
-        tagged_float(1.5, "a"),
-        tagged_float(1.5, "b"),
-        "a",
-    ]
-    table.append(table[-3])  # the same subclass object again
-    grouped = 0
-    for p, q in product(table, repeat=2):
-        same = bool(_same_point(q, p))
-        points, counts = _runs([p, q])
-        assert counts == ([2] if same else [1, 1]), (p, q)
-        assert points[0] is p and (same or points[1] is q)
-        grouped += same
-    assert 0 < grouped < len(table) ** 2
 
 
 def _counted_preimages(maps, calls):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import invorbit as iv
 from invorbit.numerics import differs, exceeds
 from invorbit.oracle import _symmetric_matrices
-from invorbit.spaces import _AXIOM_IDS, _pool_and_anchors
+from invorbit.spaces import _AXIOM_IDS, _pool_and_anchors, table_admitted_k_values
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +258,8 @@ def test_admission_matches_per_k_check_axioms(scale):
     for n in (1, 2, 3):
         labels = tuple(range(n))
         for matrix in _symmetric_matrices(n, entries):
-            space = iv.table_space(labels, matrix)
-            got = iv.admitted_k_values(space, ADMISSION_KS)
-            assert got == _per_k_admitted(space, ADMISSION_KS), matrix
+            got = table_admitted_k_values(matrix, ADMISSION_KS)
+            assert got == _per_k_admitted(iv.table_space(labels, matrix), ADMISSION_KS), matrix
             admitted += len(got)
     assert admitted > 0
 
@@ -269,46 +268,31 @@ def test_only_the_ratio_test_rejects_a_subnormal_triangle():
     # 1.3 * 2u rounds onto 3u, so the product test passes K = 1.3, while
     # the ratio 3u / 2u = 1.5 exceeds it.
     u = 5e-324
-    space = iv.table_space((0, 1, 2), [[0, 3 * u, u], [3 * u, 0, u], [u, u, 0]])
+    matrix = [[0, 3 * u, u], [3 * u, 0, u], [u, u, 0]]
     assert 1.3 * (2 * u) == 3 * u and not exceeds(3 * u, 1.3 * (2 * u))
-    assert iv.admitted_k_values(space, ADMISSION_KS) == [1.5, 2.0, 3.0]
+    assert table_admitted_k_values(matrix, ADMISSION_KS) == [1.5, 2.0, 3.0]
+    assert _per_k_admitted(iv.table_space((0, 1, 2), matrix), ADMISSION_KS) == [1.5, 2.0, 3.0]
 
 
-@pytest.mark.parametrize("kind", list(iv.SpaceKind))
-def test_admission_matches_per_k_check_axioms_on_edge_values(kind, edge_values):
+# Admission decides a b-metric-like table; the kinds it also decides are
+# read from it by the `admission_as` fixture.  A partial metric is not.
+@pytest.mark.parametrize(
+    "kind", [iv.SpaceKind.METRIC_LIKE, iv.SpaceKind.B_METRIC, iv.SpaceKind.B_METRIC_LIKE]
+)
+def test_admission_matches_per_k_check_axioms_on_edge_values(kind, edge_values, admission_as):
     rng = random.Random(f"admission:{kind.value}")
     pts = (0, 1, 2)
+    admitted = 0
     for _ in range(300):
         table = {(x, y): rng.choice(edge_values) for x, y in product(pts, repeat=2)}
         if rng.random() < 0.5:
             table.update({(y, x): v for (x, y), v in list(table.items()) if x < y})
         space = iv.Space(iv.FiniteCarrier(pts), lambda x, y: table[x, y], 1.0, kind)
-        assert iv.admitted_k_values(space, ADMISSION_KS) == _per_k_admitted(
-            space, ADMISSION_KS
-        ), table
-
-
-def test_admission_reads_each_distance_of_an_admitted_table_once():
-    # The table is read once, n**2 reads, and admission runs on it; the
-    # pair pass that read d(x, y) and d(y, x) through `dist` made 2n**2.
-    table = iv.table_space((0, 1, 2), [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
-    reads = []
-
-    def counted(x, y):
-        reads.append((x, y))
-        return table.dist(x, y)
-
-    space = replace(table, dist=counted)
-    assert iv.admitted_k_values(space, ADMISSION_KS) == list(ADMISSION_KS)
-    assert len(reads) == 9
-
-
-def test_admission_rejects_what_check_axioms_rejects(sqrt_square, two_point):
-    with pytest.raises(ValueError, match="k_const must be >= 1"):
-        iv.admitted_k_values(two_point, [2.0, 0.5])
-    with pytest.raises(iv.ExhaustiveOnInfiniteCarrier):
-        iv.admitted_k_values(sqrt_square, [2.0])
-    assert iv.admitted_k_values(two_point, []) == []
+        rows = [[table[x, y] for y in pts] for x in pts]
+        got = _per_k_admitted(space, ADMISSION_KS)
+        assert got == admission_as(rows, ADMISSION_KS, kind), table
+        admitted += len(table_admitted_k_values(rows, ADMISSION_KS))
+    assert admitted > 0
 
 
 # ---------------------------------------------------------------------------
