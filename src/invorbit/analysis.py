@@ -12,18 +12,16 @@ a function of its points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, cycle, islice, repeat
-from typing import Iterable, NoReturn, Sequence
+from typing import Iterable, NamedTuple, NoReturn, Sequence
 
 from .errors import HypothesisNotMet, NegativeDistance
 from .numerics import exceeds, tail_window
 from .spaces import Point, Space
 
 
-@dataclass(frozen=True)
-class PolygonBound:
+class PolygonBound(NamedTuple):
     lhs: float
     rhs: float
     holds: bool
@@ -54,8 +52,7 @@ class CauchyOutcome(Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class CauchyVerdict:
+class CauchyVerdict(NamedTuple):
     lambda_hat: float  # max per-step ratio over the inspected window
     threshold: float  # 1 / K
     verdict: CauchyOutcome
@@ -141,8 +138,7 @@ def geometric_cauchy_check(
     return CauchyVerdict(lam, threshold, outcome, tuple(ratios), tuple(divergent))
 
 
-@dataclass(frozen=True)
-class SandwichBounds:
+class SandwichBounds(NamedTuple):
     lower: float
     estimate: float
     upper: float

@@ -97,11 +97,11 @@ cannot drift apart unnoticed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import lru_cache
 from itertools import permutations, product, repeat
 from operator import itemgetter
-from typing import Callable, Collection, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CarrierTooLarge
 from .solver import (
@@ -148,8 +148,7 @@ def pair_from_tables(t_table: dict, s_table: dict) -> MapPair:
     return MapPair(t_fwd, s_fwd, t_pre, s_pre, "permutation", "permutation")
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     t_table: tuple[tuple[Point, Point], ...]
     s_table: tuple[tuple[Point, Point], ...]
     fixed_points: tuple[Point, ...]
@@ -196,8 +195,7 @@ def _residuals(dist: Sequence[Sequence[float]]) -> Callable[[int, int], float]:
     return sharp
 
 
-@dataclass(frozen=True)
-class _Holder:
+class _Holder(NamedTuple):
     hyp: Hypothesis
     t_table: dict
     s_table: dict
@@ -287,8 +285,7 @@ def _counterexample(holder: _Holder) -> Counterexample:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     matrices_checked: int
     spaces_admitted: int
     instances_checked: int

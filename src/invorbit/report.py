@@ -186,7 +186,9 @@ def write_trace_csv(
     the next row on, each row but the last is the row two before it with
     another step number, so those rows are the step followed by the text
     of rows cycle_from - 1 and cycle_from, in turn; the last row has only
-    its step and point.
+    its step and point.  Those rows are written in chunks of an even number
+    of rows, each formatted by one `%` call on a template that repeats the
+    two texts after a "%d" each, and the shorter remainder is joined.
     """
     rows = len(points) if cycle_from is None else cycle_from + 1
     first = min(1, rows)
@@ -209,7 +211,12 @@ def write_trace_csv(
                 ",{},{},{}\r\n".format(*_cells((points[n], distances[n], ratios[n - 1])))
                 for n in (c - 1, c)
             ]
-            parts = chain.from_iterable(zip(map(str, range(c + 1, last)), cycle(period)))
-            while chunk := "".join(islice(parts, 2 * TRACE_CHUNK_ROWS)):
-                write(chunk)
+            span = 2 * max(1, TRACE_CHUNK_ROWS // 2)  # even: each chunk starts with period[0]
+            first_text, second_text = (text.replace("%", "%%") for text in period)
+            template = ("%d" + first_text + "%d" + second_text) * (span // 2)
+            step = c + 1
+            while step + span <= last:
+                write(template % (*range(step, step + span),))
+                step += span
+            write("".join(chain.from_iterable(zip(map(str, range(step, last)), cycle(period)))))
             write(f"{last},{next(_cells((points[last],)))},,\r\n")

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from itertools import cycle, islice, product, repeat
-from typing import Callable, Iterable, NoReturn, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, NoReturn, Sequence, Union
 
 from .analysis import CauchyOutcome, CauchyVerdict, geometric_cauchy_check
 from .errors import (
@@ -53,8 +53,7 @@ DEFAULT_MAX_STEPS = 10_000
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MapPair:
+class MapPair(NamedTuple):
     """Forward evaluators plus preimage selectors witnessing surjectivity.
 
     The selectors must satisfy t_forward(t_preimage(y)) == y and likewise
@@ -133,8 +132,7 @@ class RLHypothesis:
             raise ValueError("l_const must be nonnegative")
 
 
-@dataclass(frozen=True)
-class PhiHypothesis:
+class PhiHypothesis(NamedTuple):
     """dist(Tx, Sy) >= phi(dist(x, y)) * dist(x, y) for positive distances.
 
     `k_squared` is the codomain floor phi must stay strictly above.  The
@@ -166,8 +164,7 @@ class Termination(Enum):
     MAX_ITERATIONS = "max_iterations"
 
 
-@dataclass(frozen=True)
-class OrbitTrace:
+class OrbitTrace(NamedTuple):
     """The points and distances of an orbit, its Cauchy verdict and its ending.
 
     `cycle_from` is the number of steps actually computed when the orbit
@@ -289,16 +286,14 @@ def orbit_adjacent_pairs(points: Sequence[Point]) -> list[tuple[Point, Point]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AuditViolation:
+class AuditViolation(NamedTuple):
     x: Point
     y: Point
     lhs: float
     rhs: float
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     checked_pairs: int
     violations: tuple[AuditViolation, ...]
     passed: bool
@@ -441,8 +436,7 @@ def audit(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(NamedTuple):
     candidate: Point
     t_residual: float
     s_residual: float

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, cycle, islice, product, repeat
 from struct import unpack
-from typing import Any, Callable, Iterable, Iterator, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import ExhaustiveOnInfiniteCarrier, NoFiniteK
 from .numerics import TOL_POINT, differs, exceeds
@@ -129,6 +129,14 @@ class Space:
 
     `complete` is a recorded assumption; completeness is not decidable
     numerically and is never verified.
+
+    The package's record types are NamedTuples, which cost far less to
+    define at import than dataclasses.  Five stay frozen dataclasses: this
+    one, because callers copy a space with `dataclasses.replace` (the
+    scenario layer, the oracle and tracing wrappers that swap in another
+    `dist`), and `FiniteCarrier`, `IntervalCarrier`, `Sampled` and
+    `RLHypothesis`, because each validates its fields in `__post_init__`,
+    which a NamedTuple has no hook for.
     """
 
     carrier: Carrier
@@ -176,9 +184,12 @@ def sharp_residual(dxy: float, dxx: float, dyy: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Exhaustive:
-    """Enumerate every point combination; finite carriers only."""
+class Exhaustive(NamedTuple):
+    """Enumerate every point combination; finite carriers only.
+
+    An instance is an empty tuple, so it is false: strategies are told
+    apart by type, never by truth value.
+    """
 
 
 @dataclass(frozen=True)
@@ -267,16 +278,14 @@ def sample_triples(space: Space, n: int, seed: int) -> list[tuple[Point, Point, 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AxiomViolation:
+class AxiomViolation(NamedTuple):
     axiom_id: str
     witness: tuple
     lhs: float
     rhs: float
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     passed: bool
     violations: tuple[AxiomViolation, ...]
     checked_pairs: int
@@ -304,11 +313,12 @@ def _pair_axioms(space: Space, found: list) -> Callable[[Point, Point], float]:
 
     It appends to `found` the violations at (x, y) of nonnegativity,
     symmetry and zero distance (P1 and P2 on a partial metric), and
-    returns d(x, y).  Each slack test sits behind the exact comparison it
-    implies: exceeds(a, b) needs a > b, and differs(a, b) needs a != b,
-    so a == b makes not differs(a, b) true.  `table_admitted_k_values`
-    applies the same tests to the table of a b-metric-like space; a test
-    compares the two.
+    returns d(x, y).  A nan d(x, y) violates nonnegativity, since every
+    other test compares false against it.  Each slack test sits behind
+    the exact comparison it implies: exceeds(a, b) needs a > b, and
+    differs(a, b) needs a != b, so a == b makes not differs(a, b) true.
+    `table_admitted_k_values` applies the same tests to the table of a
+    b-metric-like space; a test compares the two.
     """
     d = space.dist
     equal = space.points_equal
@@ -318,7 +328,7 @@ def _pair_axioms(space: Space, found: list) -> Callable[[Point, Point], float]:
 
     def check(x: Point, y: Point) -> float:
         dxy = d(x, y)
-        if dxy < 0.0 and exceeds(0.0, dxy):
+        if not dxy >= 0.0 and (dxy != dxy or exceeds(0.0, dxy)):
             add(AxiomViolation("nonneg", (x, y), dxy, 0.0))
         dyx = d(y, x)
         if dxy != dyx and differs(dxy, dyx):
@@ -447,8 +457,8 @@ def table_admitted_k_values(
     """
     for i, row in enumerate(rows):
         for j, dxy in enumerate(row):
-            if dxy < 0.0 and exceeds(0.0, dxy):
-                return []  # nonneg
+            if not dxy >= 0.0 and (dxy != dxy or exceeds(0.0, dxy)):
+                return []  # nonneg, or nan
             dyx = rows[j][i]
             if dxy != dyx and differs(dxy, dyx):
                 return []  # symmetry

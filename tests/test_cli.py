@@ -212,6 +212,23 @@ def _cycled_columns():
     return trace.points, trace.successive_distances, trace.cauchy.per_step_ratios, trace.cycle_from
 
 
+def _swap_orbit(tail_rows):
+    """A two-label swap orbit with `tail_rows` repeated rows between its
+    computed rows and its last row.  One label holds a `%`."""
+    labels = ("50%", "b")
+    space = iv.table_space(labels, [[0.0, 0.1], [0.1, 3.0]])
+    swap = dict(zip(labels, labels[::-1])).__getitem__
+    trace = iv.inverse_orbit(space, iv.MapPair(swap, swap, swap, swap), labels[0], tail_rows + 3)
+    assert trace.cycle_from == 2 and len(trace.points) - trace.cycle_from - 2 == tail_rows
+    return trace.points, trace.successive_distances, trace.cauchy.per_step_ratios, trace.cycle_from
+
+
+# Repeated tails of 0 and 1 rows, and of whole chunks with odd and even
+# remainders, at the chunk sizes of 2 rows (the test's 3) and 4096 rows.
+_CHUNK = report.TRACE_CHUNK_ROWS
+SWAP_TAILS = (0, 1, 8, 9, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 2, 2 * _CHUNK + 3)
+
+
 def _double(bits: int) -> float:
     return struct.unpack("<d", struct.pack("<Q", bits))[0]
 
@@ -250,6 +267,7 @@ def test_percent_17g_equals_format_17g(x):
         _planted(1, 10**20),
         _planted(2, False),
         _cycled_columns(),
+        *map(_swap_orbit, SWAP_TAILS),
     ],
     ids=[
         "subnormal_stall",
@@ -270,6 +288,7 @@ def test_percent_17g_equals_format_17g(x):
         "int_dist",
         "bool_ratio",
         "cycled",
+        *(f"swap_tail_{rows}" for rows in SWAP_TAILS),
     ],
 )
 def test_trace_csv_matches_the_csv_writer(tmp_path, points, distances, ratios, cycle_from):
@@ -783,6 +802,20 @@ def test_table_space_exhaustive_axioms(tmp_path):
     assert run_scenario(_write(tmp_path, "sigma.json", doc), out) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["results"]["checked_triples"] == 8
+
+
+def test_axioms_report_lists_a_nan_distance(tmp_path):
+    # A table scenario refuses a nan entry, so the space is swapped in.
+    rows = [[0.0, math.nan], [math.nan, 0.0]]
+    space = iv.Space(iv.FiniteCarrier((0, 1)), lambda x, y: rows[x][y], 1.0, iv.SpaceKind.B_METRIC)
+    out = tmp_path / "out"
+    with mock.patch.object(cli, "build_space", lambda scenario: space):
+        assert run_scenario(_write(tmp_path, "nan.json", _table_doc([0, 1])), out) == 2
+    violations = json.loads((out / "report.json").read_text())["results"]["violations"]
+    assert [(v["axiom_id"], v["witness"], v["lhs"]) for v in violations] == [
+        ("nonneg", [0, 1], "nan"),
+        ("nonneg", [1, 0], "nan"),
+    ]
 
 
 def test_lemmas_scenario_passes(tmp_path):

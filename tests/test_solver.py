@@ -353,7 +353,7 @@ def _counted_preimages(maps, calls):
 
         return wrapper
 
-    return replace(maps, t_preimage=counted(maps.t_preimage), s_preimage=counted(maps.s_preimage))
+    return maps._replace(t_preimage=counted(maps.t_preimage), s_preimage=counted(maps.s_preimage))
 
 
 @pytest.mark.parametrize("case", list(STALLED))

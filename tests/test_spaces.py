@@ -1,6 +1,8 @@
+import importlib
 import math
+import pkgutil
 import random
-from dataclasses import replace
+from dataclasses import is_dataclass, replace
 from itertools import islice, product
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 import invorbit as iv
 from invorbit.numerics import differs, exceeds
 from invorbit.oracle import _symmetric_matrices
+from invorbit.scenario import FAMILIES, build_space, normalize_scenario
 from invorbit.spaces import _AXIOM_IDS, _pool_and_anchors, table_admitted_k_values
 
 
@@ -42,6 +45,78 @@ def test_interval_point_equality_is_tolerant():
     s = iv.sqrt_square_space()
     assert s.points_equal(1.0, 1.0 + 1e-13)
     assert not s.points_equal(1.0, 1.0 + 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Value types
+# ---------------------------------------------------------------------------
+
+# The types that stay dataclasses: Space is copied by dataclasses.replace,
+# the other four validate their fields in __post_init__.  Every other record
+# is a NamedTuple, which is far cheaper to define at import.
+KEPT_DATACLASSES = {"FiniteCarrier", "IntervalCarrier", "RLHypothesis", "Sampled", "Space"}
+
+
+def test_only_the_kept_types_are_dataclasses():
+    found = set()
+    for info in pkgutil.iter_modules(iv.__path__):
+        if info.name != "__main__":
+            module = importlib.import_module(f"invorbit.{info.name}")
+            found.update(
+                name
+                for name, value in vars(module).items()
+                if isinstance(value, type) and is_dataclass(value)
+            )
+    assert found == KEPT_DATACLASSES
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_every_family_space_copies_with_a_new_dist(family):
+    # The benchmark's span tracer counts distance calls this way.
+    spec = {"family": family}
+    if family == "table":
+        spec.update(labels=["a", "b"], matrix=[[0, 1], [1, 0]], k_const=1.0, kind="b_metric")
+    space = build_space(normalize_scenario({"space": spec, "run": {"command": "axioms"}}))
+    calls = []
+    counted = replace(space, dist=lambda x, y: calls.append((x, y)) or space.dist(x, y))
+    x = space.carrier.points[0] if space.is_finite else space.carrier.lower
+    assert counted.dist(x, x) == space.dist(x, x) and calls == [(x, x)]
+    assert replace(counted, dist=space.dist) == space
+
+
+def test_records_keep_their_repr_equality_hash_and_fields():
+    ratios = (0.25, 0.125)
+    verdict = iv.CauchyVerdict(0.25, 0.5, iv.CauchyOutcome.CAUCHY_CERTIFIED, ratios)
+    trace = iv.OrbitTrace((1.0, 0.5, 0.25), (0.5, 0.25), verdict, iv.Termination.MAX_ITERATIONS)
+    violation = iv.AuditViolation(1.0, "b", 3.0, 4.5)
+    verdict_text = (
+        "CauchyVerdict(lambda_hat=0.25, threshold=0.5, verdict=<CauchyOutcome."
+        "CAUCHY_CERTIFIED: 'cauchy_certified'>, per_step_ratios=(0.25, 0.125), "
+        "divergent_steps=())"
+    )
+    cases = [
+        (violation, "AuditViolation(x=1.0, y='b', lhs=3.0, rhs=4.5)", ("x", "y", "lhs", "rhs")),
+        (
+            verdict,
+            verdict_text,
+            ("lambda_hat", "threshold", "verdict", "per_step_ratios", "divergent_steps"),
+        ),
+        (
+            trace,
+            "OrbitTrace(points=(1.0, 0.5, 0.25), successive_distances=(0.5, 0.25), "
+            f"cauchy={verdict_text}, terminated_by=<Termination.MAX_ITERATIONS: "
+            "'max_iterations'>, cycle_from=None)",
+            ("points", "successive_distances", "cauchy", "terminated_by", "cycle_from"),
+        ),
+    ]
+    for record, text, fields in cases:
+        values = tuple(getattr(record, name) for name in fields)
+        twin = type(record)(*values)
+        assert repr(record) == text
+        assert record._fields == fields
+        assert record == twin and record is not twin and hash(record) == hash(twin)
+        assert hash(record) == hash(values)  # the frozen-dataclass hash
+        assert record != type(record)(*values[:-1], "other")
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +358,8 @@ def test_admission_matches_per_k_check_axioms_on_edge_values(kind, edge_values, 
     rng = random.Random(f"admission:{kind.value}")
     pts = (0, 1, 2)
     admitted = 0
-    for _ in range(300):
+    # Few drawn tables are admitted (none holds a nan), 1 to 6 per kind here.
+    for _ in range(1000):
         table = {(x, y): rng.choice(edge_values) for x, y in product(pts, repeat=2)}
         if rng.random() < 0.5:
             table.update({(y, x): v for (x, y), v in list(table.items()) if x < y})
@@ -293,6 +369,36 @@ def test_admission_matches_per_k_check_axioms_on_edge_values(kind, edge_values, 
         assert got == admission_as(rows, ADMISSION_KS, kind), table
         admitted += len(table_admitted_k_values(rows, ADMISSION_KS))
     assert admitted > 0
+
+
+# Every comparison against nan is false, so only an explicit test catches
+# it: a nan distance is a nonneg violation.
+NAN_TABLE = [[0.0, math.nan], [math.nan, 0.0]]
+
+
+def _on_two_points(rows, kind):
+    return iv.Space(iv.FiniteCarrier((0, 1)), lambda x, y: rows[x][y], 1.0, kind)
+
+
+@pytest.mark.parametrize("kind", list(iv.SpaceKind))
+def test_a_nan_distance_fails_the_axiom_checks(kind):
+    report = iv.check_axioms(_on_two_points(NAN_TABLE, kind), iv.Exhaustive())
+    nonneg = [v for v in report.violations if v.axiom_id == "nonneg"]
+    assert not report.passed
+    assert [v.witness for v in nonneg] == [(0, 1), (1, 0)]
+    assert all(math.isnan(v.lhs) and v.rhs == 0.0 for v in nonneg)
+
+
+def test_a_nan_distance_is_not_admitted():
+    assert table_admitted_k_values(NAN_TABLE, [1.0, 2.0]) == []
+
+
+def test_a_nan_self_distance_fails_a_partial_metric():
+    # Without the nonneg test this table passes: no P1, P2, P3 or P4 test
+    # fires on a comparison with nan.  The exhaustive pair (0, 0) reads it.
+    rows = [[math.nan, 1.0], [1.0, 0.5]]
+    report = iv.check_axioms(_on_two_points(rows, iv.SpaceKind.PARTIAL_METRIC), iv.Exhaustive())
+    assert [(v.axiom_id, v.witness) for v in report.violations] == [("nonneg", (0, 0))]
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +555,7 @@ def _bare_two_pass(space, pairs, singles, triples):
     out = []
     for x, y in pairs:
         dxy = d(x, y)
-        if exceeds(0.0, dxy):
+        if dxy != dxy or exceeds(0.0, dxy):  # nan is a nonneg violation
             out.append(("nonneg", (x, y), dxy, 0.0))
         dyx = d(y, x)
         if differs(dxy, dyx):
