@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from itertools import chain, cycle, islice, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
@@ -188,7 +188,8 @@ def write_trace_csv(
     of rows cycle_from - 1 and cycle_from, in turn; the last row has only
     its step and point.  Those rows are written in chunks of an even number
     of rows, each formatted by one `%` call on a template that repeats the
-    two texts after a "%d" each, and the shorter remainder is joined.
+    two texts after a "%d" each; the shorter remainder takes a prefix of
+    that template.
     """
     rows = len(points) if cycle_from is None else cycle_from + 1
     first = min(1, rows)
@@ -213,10 +214,11 @@ def write_trace_csv(
             ]
             span = 2 * max(1, TRACE_CHUNK_ROWS // 2)  # even: each chunk starts with period[0]
             first_text, second_text = (text.replace("%", "%%") for text in period)
-            template = ("%d" + first_text + "%d" + second_text) * (span // 2)
-            step = c + 1
-            while step + span <= last:
-                write(template % (*range(step, step + span),))
-                step += span
-            write("".join(chain.from_iterable(zip(map(str, range(step, last)), cycle(period)))))
+            pair = "%d" + first_text + "%d" + second_text
+            template = pair * (span // 2)
+            for step in range(c + 1, last, span):
+                n = min(span, last - step)
+                # A prefix of n rows; a full-length slice is `template` itself.
+                rows_text = template[: len(pair) * (n // 2) + (2 + len(first_text)) * (n % 2)]
+                write(rows_text % (*range(step, step + n),))
             write(f"{last},{next(_cells((points[last],)))},,\r\n")
