@@ -9,7 +9,10 @@ one pass: text parts go onto a list, and once the list holds
 JSON_CHUNK_PARTS parts they are joined into a chunk, which bounds the
 list; the chunks are joined once.  Finite floats are formatted as they
 are met; separators, closing lines and the text before each key are made
-once per depth and call.
+once per depth and call.  A list of dicts of finite floats that share
+one set of str keys, such as an audit's violations on an interval, is a
+list of float records: its text is formatted JSON_CHUNK_PARTS records at
+a time by one `%` call, as `write_trace_csv` formats its float rows.
 """
 
 from __future__ import annotations
@@ -18,11 +21,12 @@ import json
 import math
 import re
 from itertools import chain, islice, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
 
-JSON_CHUNK_PARTS = 4096  # text parts the report writer joins at a time
+JSON_CHUNK_PARTS = 4096  # text parts joined, or float records formatted, at a time
 
 
 def format_float(x: float) -> str:
@@ -47,11 +51,20 @@ def _scalar(value: Any) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
+_FLOAT_TYPE = {float}
+
+
+def _floats_only(values: Iterable[Any]) -> bool:
+    """Whether every value is of type float exactly, not of a subclass."""
+    return {*map(type, values)} <= _FLOAT_TYPE
+
+
 def _json_chunks(value: Any, indent: int) -> list[str]:
     """The text of `canonical_json(value, indent)`, as chunks to be joined.
 
     A finite float of type float is formatted here; every other scalar
-    goes through `_scalar`, the rules the writer has always applied.
+    goes through `_scalar`, the rules the writer has always applied.  A
+    list of float records is written by `records`.
     """
     chunks: list[str] = []
     parts: list[str] = []
@@ -64,6 +77,13 @@ def _json_chunks(value: Any, indent: int) -> list[str]:
         if found is None:
             pad, inner = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
             found = levels[depth] = ("[" + inner, "," + inner, pad + "]", pad + "}", {})
+        return found
+
+    def new_head(heads: dict, name: str, depth: int) -> tuple:
+        """Keep in `heads` the text before key `name` of a dict at `depth`,
+        (first, later), and return it; callers look there first."""
+        text = "\n" + "  " * (depth + 1) + json.dumps(name) + ": "
+        found = heads[name] = ("{" + text, "," + text)
         return found
 
     def write(value: Any, depth: int) -> None:
@@ -79,11 +99,7 @@ def _json_chunks(value: Any, indent: int) -> list[str]:
             later = 0  # indexes a head: 0 opens the object, 1 follows a value
             for key in sorted(value, key=str):
                 name = str(key)
-                head = heads.get(name)
-                if head is None:
-                    text = "\n" + "  " * (depth + 1) + json.dumps(name) + ": "
-                    head = heads[name] = ("{" + text, "," + text)
-                add(head[later])
+                add((heads.get(name) or new_head(heads, name, depth))[later])
                 write(value[key], depth + 1)
                 later = 1
             add(close)
@@ -92,6 +108,8 @@ def _json_chunks(value: Any, indent: int) -> list[str]:
                 add("[]")
                 return
             mark, sep, close, _, _ = level(depth)
+            if len(value) > 1 and type(value[0]) is dict and records(value, depth):
+                return
             for item in value:
                 add(mark)
                 write(item, depth + 1)
@@ -99,6 +117,53 @@ def _json_chunks(value: Any, indent: int) -> list[str]:
             add(close)
         else:
             add(_scalar(value))
+
+    def records(value: list | tuple, depth: int) -> bool:
+        """Write `value`, a list at `depth`, as float records; False, with
+        nothing written, unless its items are dicts of one set of str keys
+        whose values are all finite and of type float.
+
+        A record is the text `write` gives such a dict, with "%.17g" in
+        place of each value and every "%" of its key text doubled.  The
+        records are formatted JSON_CHUNK_PARTS at a time, each chunk by one
+        `%` call on that text repeated once per record.  "%.17g" % x
+        equals format(x, ".17g") for every float, so the bytes are those of
+        the generic path.
+        """
+        first = value[0]
+        if (
+            {*map(type, first)} != {str}
+            or not _floats_only(first.values())
+            or {*map(type, value)} != {dict}
+            or not all(map(first.keys().__eq__, map(dict.keys, value)))
+        ):
+            return False
+        keys = sorted(first)
+        read = itemgetter(*keys)
+        if len(keys) > 1:
+            floats = (*chain.from_iterable(map(read, value)),)
+        else:
+            floats = (*map(read, value),)
+        if not (_floats_only(floats) and all(map(math.isfinite, floats))):
+            return False
+        mark, sep, close, _, _ = level(depth)
+        _, _, _, record_close, heads = level(depth + 1)
+        record = "".join(
+            (heads.get(name) or new_head(heads, name, depth + 1))[later > 0].replace("%", "%%")
+            + "%.17g"
+            for later, name in enumerate(keys)
+        )
+        record += record_close
+        unit = sep + record
+        step = JSON_CHUNK_PARTS * len(keys)
+        for start in range(0, len(floats), step):
+            chunk = floats[start : start + step]
+            if len(parts) >= JSON_CHUNK_PARTS:
+                flush()
+            add((mark + record + unit * (len(chunk) // len(keys) - 1)) % chunk)
+            mark = sep
+        add(close)
+        return True
 
     def flush() -> None:
         chunks.append("".join(parts))
@@ -129,7 +194,6 @@ def emit_report(report: dict, path: str | Path) -> bytes:
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
 TRACE_CHUNK_ROWS = 4096  # trace.csv rows the writer joins per write
 _FLOAT_ROW = "%d,%.17g,%.17g,%.17g\r\n"  # a row whose three cells are floats
-_FLOAT_TYPE = {float}
 
 
 def _cells(values: Iterable[Any]) -> Iterator[str]:
@@ -147,11 +211,6 @@ def _cells(values: Iterable[Any]) -> Iterator[str]:
             if _NEEDS_QUOTES.search(cell):
                 cell = '"' + cell.replace('"', '""') + '"'
             yield cell
-
-
-def _floats_only(values: list) -> bool:
-    """Whether every value is of type float exactly, not of a subclass."""
-    return {*map(type, values)} <= _FLOAT_TYPE
 
 
 def _rows_text(steps: range, points: list, dists: list, ratios: list) -> str:

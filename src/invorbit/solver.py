@@ -352,8 +352,15 @@ def expansion_test(hyp: Hypothesis, sharp: Callable[[Point, Point], float]) -> E
         if l > 0:
 
             def residual_test(x, y, tx, sy, dxy, lhs):
-                coeff = r + l * min(sharp(x, tx), sharp(y, sy), sharp(x, sy), sharp(y, tx))
-                rhs = coeff * dxy
+                least, s2, s3, s4 = sharp(x, tx), sharp(y, sy), sharp(x, sy), sharp(y, tx)
+                # What min() of the four returns: only a strictly smaller value replaces.
+                if s2 < least:
+                    least = s2
+                if s3 < least:
+                    least = s3
+                if s4 < least:
+                    least = s4
+                rhs = (r + l * least) * dxy
                 return rhs if rhs > lhs and exceeds(rhs, lhs) else None
 
             return residual_test

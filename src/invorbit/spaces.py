@@ -308,7 +308,7 @@ def _exhaustive_points(space: Space) -> tuple[Point, ...]:
     return space.carrier.points
 
 
-def _pair_axioms(space: Space, found: list) -> Callable[[Point, Point], float]:
+def _pair_axioms(space: Space, found: list, sampled: bool) -> Callable[[Point, Point], float]:
     """The pair-axiom test of `space`, as a function of (x, y).
 
     It appends to `found` the violations at (x, y) of nonnegativity,
@@ -319,6 +319,14 @@ def _pair_axioms(space: Space, found: list) -> Callable[[Point, Point], float]:
     differs(a, b) needs a != b, so a == b makes not differs(a, b) true.
     `table_admitted_k_values` applies the same tests to the table of a
     b-metric-like space; a test compares the two.
+
+    An exhaustive check reads every ordered pair as some (x, y), so it
+    tests each nan there.  A `sampled` one also tests the other reads it
+    makes, d(y, x) and, on a partial metric, d(x, x) and d(y, y): a nan
+    one is a nonneg violation at its own pair, unless x == y makes it
+    d(x, y) again.  Each nan test sits inside a comparison the check
+    makes anyway (d(x, y) != d(y, x), not d(x, x) <= d(x, y)), except
+    the one on d(y, y).
     """
     d = space.dist
     equal = space.points_equal
@@ -331,8 +339,12 @@ def _pair_axioms(space: Space, found: list) -> Callable[[Point, Point], float]:
         if not dxy >= 0.0 and (dxy != dxy or exceeds(0.0, dxy)):
             add(AxiomViolation("nonneg", (x, y), dxy, 0.0))
         dyx = d(y, x)
-        if dxy != dyx and differs(dxy, dyx):
-            add(AxiomViolation(sym_id, (x, y), dxy, dyx))
+        if dxy != dyx:
+            if dyx != dyx:
+                if sampled and x != y:
+                    add(AxiomViolation("nonneg", (y, x), dyx, 0.0))
+            elif differs(dxy, dyx):
+                add(AxiomViolation(sym_id, (x, y), dxy, dyx))
         if partial:
             dxx = d(x, x)
             dyy = d(y, y)
@@ -342,8 +354,14 @@ def _pair_axioms(space: Space, found: list) -> Callable[[Point, Point], float]:
                 and not equal(x, y)
             ):
                 add(AxiomViolation("P1", (x, y), dxy, dxx))
-            if dxx > dxy and exceeds(dxx, dxy):
-                add(AxiomViolation("P2", (x, y), dxx, dxy))
+            if not dxx <= dxy:
+                if dxx != dxx:
+                    if sampled and x != y:
+                        add(AxiomViolation("nonneg", (x, x), dxx, 0.0))
+                elif exceeds(dxx, dxy):
+                    add(AxiomViolation("P2", (x, y), dxx, dxy))
+            if sampled and dyy != dyy and x != y:
+                add(AxiomViolation("nonneg", (y, y), dyy, 0.0))
         elif dxy == 0.0 and not equal(x, y):
             add(AxiomViolation(zero_id, (x, y), dxy, 0.0))
         return dxy
@@ -363,7 +381,8 @@ def _d1_violations(space: Space, singles: Iterable[Point], found: list) -> None:
 def _triangle_fails(
     lhs: float, rhs: float, detour: float, factor: float, subtract_mid: bool
 ) -> bool:
-    """The triangle test beyond slack; callers test `lhs >= rhs` first.
+    """The triangle test beyond slack, false on a nan; callers test
+    `lhs >= rhs` or `not lhs < rhs` first.
 
     Also the ratio min_valid_k maximizes: at subnormal scale K * detour can
     round back onto lhs, where the ratio still separates K from
@@ -390,8 +409,10 @@ def check_axioms(space: Space, strategy: Strategy) -> AxiomReport:
     point; a sampled one checks the leading pair of each triple with its
     own z, so the anchor pairs are always covered.  Each d(x, y) is read
     once and serves both the pair axioms and the triangle, which relies on
-    the distance being a function of its points.  Violations come out as
-    pair violations, then D1 (b-metrics only), then triangle violations.
+    the distance being a function of its points.  A sampled check reads
+    its legs d(x, z), d(z, y) (and d(z, z)) only there, so it counts a
+    triangle whose rhs is nan as failed.  Violations come out as pair
+    violations, then D1 (b-metrics only), then triangle violations.
     Deterministic for a fixed seed.
     """
     d = space.dist
@@ -409,9 +430,10 @@ def check_axioms(space: Space, strategy: Strategy) -> AxiomReport:
     else:
         raise TypeError(f"unknown strategy: {strategy!r}")
 
+    sampled = isinstance(strategy, Sampled)
     violations: list[AxiomViolation] = []
     triangles: list[AxiomViolation] = []
-    check_pair = _pair_axioms(space, violations)
+    check_pair = _pair_axioms(space, violations, sampled)
     tri_id = _AXIOM_IDS[kind][2]
     factor = _triangle_factor(kind, space.k_const)
     subtract_mid = kind is SpaceKind.PARTIAL_METRIC
@@ -422,7 +444,11 @@ def check_axioms(space: Space, strategy: Strategy) -> AxiomReport:
         rhs = factor * detour
         if subtract_mid:
             rhs -= d(z, z)
-        if lhs >= rhs and _triangle_fails(lhs, rhs, detour, factor, subtract_mid):
+        # `not lhs < rhs` costs what `lhs >= rhs` does, and lets a sampled
+        # check count a nan rhs (from a nan leg it reads nowhere else) as a failure.
+        if not lhs < rhs and (
+            _triangle_fails(lhs, rhs, detour, factor, subtract_mid) or (sampled and rhs != rhs)
+        ):
             triangles.append(AxiomViolation(tri_id, (x, y, z), lhs, rhs))
     if kind is SpaceKind.B_METRIC:
         singles = (
@@ -546,10 +572,14 @@ def abs_metric_space(
 
 
 def max_partial_space(sample_bound: float = SAMPLE_BOUND) -> Space:
-    """max(x, y) on [0, inf): the standard partial metric with P(x,x) = x."""
+    """max(x, y) on [0, inf): the standard partial metric with P(x,x) = x.
+
+    The conditional is what `max(x, y)` returns, x unless y is strictly
+    greater, without the cost of a builtin call (see `numerics`).
+    """
     return Space(
         IntervalCarrier(0.0, math.inf, sample_bound),
-        lambda x, y: float(max(x, y)),
+        lambda x, y: float(y if y > x else x),
         1.0,
         SpaceKind.PARTIAL_METRIC,
         complete=True,

@@ -128,6 +128,67 @@ def test_writer_matches_the_recursive_reference(doc, indent, chunk):
     assert canonical_json(doc, indent) == _reference_canonical_json(doc, indent)
 
 
+class _SubFloat(float):
+    """A float whose own format differs from "%.17g"."""
+
+    def __format__(self, spec):
+        return "sub"
+
+
+def _from_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+_RECORD_FLOATS = (
+    st.floats()
+    | st.sampled_from(_EDGE_FLOATS + [-5e-324, 2.2250738585072014e-308, -1.7e308])
+    | st.integers(0, 2**64 - 1).map(_from_bits)
+)
+# Values that send a record down the value-by-value path.
+_RECORD_OTHERS = st.sampled_from([0, 1, 10**20, True, False, _SubFloat(2.5), None, "s"])
+_RECORD_KEYS = st.sampled_from(
+    ["x", "y", "lhs", "rhs", "%", "a%b", "%%s", "%(x)s", 'q"', "é", "a\nb"]
+)
+
+
+@st.composite
+def _record_lists(draw):
+    """Lists of dicts, nearly all of one key set and of float values."""
+    keys = draw(st.lists(_RECORD_KEYS | st.integers(0, 2), min_size=1, max_size=4, unique=True))
+    records = []
+    for _ in range(draw(st.integers(1, 9))):
+        record = {}
+        for key in draw(st.permutations(keys)):
+            other = draw(st.integers(0, 29)) == 0
+            record[key] = draw(_RECORD_OTHERS if other else _RECORD_FLOATS)
+        if draw(st.integers(0, 29)) == 0:
+            record.pop(keys[0]) if len(keys) > 1 else record.update(extra=1.0)
+        records.append(record)
+    return records
+
+
+@given(_record_lists(), st.integers(0, 3), st.sampled_from([1, report.JSON_CHUNK_PARTS]))
+@settings(max_examples=500, deadline=None, derandomize=True)
+def test_record_lists_match_the_recursive_reference(records, indent, chunk):
+    doc = {"violations": records, "nested": [records, tuple(records)]}
+    with mock.patch.object(report, "JSON_CHUNK_PARTS", chunk):
+        assert canonical_json(records, indent) == _reference_canonical_json(records, indent)
+        text = _reference_canonical_json(doc) + "\n"
+        assert report.emit_report(doc, os.devnull) == text.encode("ascii")
+
+
+def test_a_record_list_longer_than_a_chunk_matches_the_reference():
+    # Three chunks at the real size; with one nan the list is written
+    # value by value.
+    records = [
+        {"x": i / 7, "lhs": -i * 1e300, "rhs": 5e-324 * i}
+        for i in range(2 * report.JSON_CHUNK_PARTS + 3)
+    ]
+    assert canonical_json(records, 1) == _reference_canonical_json(records, 1)
+    records[report.JSON_CHUNK_PARTS + 1]["rhs"] = math.nan
+    assert canonical_json(records, 1) == _reference_canonical_json(records, 1)
+
+
 @pytest.mark.parametrize("value", [object(), {1, 2}, b"x", {"a": [1.0, {"b": complex(1, 2)}]}])
 def test_writer_refuses_unsupported_types(value):
     with pytest.raises(TypeError, match="cannot serialize"):

@@ -5,6 +5,8 @@ from functools import lru_cache
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import invorbit as iv
 from invorbit.numerics import TOL_FIX, exceeds, tail_window
@@ -816,3 +818,67 @@ def test_expansion_guard_agrees_with_bare_slack_test(hyp, coeff, edge_values):
         bare = None if vacuous or not exceeds(rhs, lhs) else rhs
         got = test(0, 1, 0, 1, dxy, lhs)
         assert repr(got) == repr(bare), (dxy, lhs)
+
+
+def _from_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+RESIDUALS = (
+    st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1.7e308])
+    | st.integers(0, 2**64 - 1).map(_from_bits)
+    | st.integers(-(2**53), 2**53)
+    | st.booleans()
+)
+
+
+def _residual_test_with_min(r, l, sharp):
+    """The residual form of `expansion_test` as it was, with builtin min."""
+
+    def test(x, y, tx, sy, dxy, lhs):
+        coeff = r + l * min(sharp(x, tx), sharp(y, sy), sharp(x, sy), sharp(y, tx))
+        rhs = coeff * dxy
+        return rhs if rhs > lhs and exceeds(rhs, lhs) else None
+
+    return test
+
+
+def _bits(value):
+    return struct.pack("<d", value) if type(value) is float else value
+
+
+@given(
+    st.lists(RESIDUALS, min_size=4, max_size=4),
+    st.floats(allow_nan=False, min_value=-2.0, max_value=4.0) | st.just(-0.0),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False) | st.just(1.0),
+    st.floats() | st.just(1.0),
+    st.floats() | st.just(-math.inf),
+)
+@settings(max_examples=1500, deadline=None, derandomize=True)
+@example([math.nan, 1.0, 2.0, 3.0], -0.0, 1.0, 1.0, -math.inf)
+@example([1.0, math.nan, 0.5, 3.0], -0.0, 1.0, 1.0, -math.inf)
+@example([0.0, -0.0, 1.0, 1.0], -0.0, 1.0, 1.0, -math.inf)
+@example([-0.0, 0.0, 1.0, 1.0], -0.0, 1.0, 1.0, -math.inf)
+def test_the_residual_minimum_equals_builtin_min(values, r, l, dxy, lhs):
+    # The four residuals are read in the order min() read them: x Tx, y Sy,
+    # x Sy, y Tx.  At R = -0.0, L = 1 and d(x, y) = 1 the rhs is the
+    # minimum itself, bit for bit, so its sign and a nan's place show.
+    pairs = [("x", "tx"), ("y", "sy"), ("x", "sy"), ("y", "tx")]
+    reads = []
+
+    def sharp(a, b):
+        reads.append((a, b))
+        return values[pairs.index((a, b))]
+
+    test = expansion_test(iv.RLHypothesis(r, l), sharp)
+    reference = _residual_test_with_min(r, l, sharp)
+    args = ("x", "y", "tx", "sy", dxy, lhs)
+    assert _bits(test(*args)) == _bits(reference(*args))
+    assert reads == pairs * 2
+    least = min(values)
+    got = expansion_test(iv.RLHypothesis(-0.0, 1.0), sharp)("x", "y", "tx", "sy", 1.0, -math.inf)
+    if least == least and least > -math.inf:
+        assert _bits(got) == _bits(1.0 * least)
+    else:
+        assert got is None
