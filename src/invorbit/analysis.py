@@ -4,21 +4,73 @@ Three checks, each a finite-prefix version of a classical convergence
 argument: a weighted polygon inequality along a chain of points, a
 geometric-ratio criterion certifying that pairwise distances of a sequence
 vanish, and a sandwich bound locating the limit of D(x_n, y) between
-D(x, y) / K and K * D(x, y).  The sandwich reads an orbit's repeated tail
-once, by the orbit's own `cycle_from`, which relies on the distance being
-a function of its points.
+D(x, y) / K and K * D(x, y).  The Cauchy and sandwich checks read an
+orbit's `Cycled` columns through their computed part plus one period.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from enum import Enum
+from heapq import merge
 from itertools import chain, cycle, islice, repeat
-from typing import Iterable, NamedTuple, NoReturn, Sequence
+from typing import Iterable, NamedTuple, NoReturn
 
 from .errors import HypothesisNotMet, NegativeDistance
 from .numerics import exceeds, tail_window
 from .spaces import Point, Space
+
+
+class Cycled(Sequence):
+    """`length` items stored as their computed `values` and a `period`.
+
+    Item i is values[i] below len(values) and item i - period from there
+    on, so the last `period` values repeat in turn without being stored:
+    the one tail rule of an orbit's columns (`OrbitTrace`).  Slices are tuples.
+    """
+
+    __slots__ = ("values", "length", "period")
+
+    def __init__(self, values: Sequence, length: int, period: int = 0):
+        self.values, self.length, self.period = values, length, period
+
+    @classmethod
+    def of(cls, seq: Sequence) -> Cycled:
+        """`seq` if it is a column, else a column whose values are all of `seq`."""
+        return seq if isinstance(seq, cls) else cls(seq, len(seq))
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __repr__(self) -> str:
+        return f"Cycled({self.values!r}, {self.length}, {self.period})"
+
+    def __eq__(self, other) -> bool:  # as stored, so records holding columns compare
+        state = (self.values, self.length, self.period)
+        return type(other) is Cycled and state == (other.values, other.length, other.period)
+
+    def __hash__(self) -> int:
+        return hash((self.values, self.length, self.period))
+
+    def __iter__(self):
+        values, n = self.values, len(self.values)
+        return chain(values, islice(cycle(values[n - self.period :]), self.length - n))
+
+    def __getitem__(self, i):
+        values, n = self.values, len(self.values)
+        if isinstance(i, slice):
+            start, stop, step = i.indices(self.length)
+            if step == 1 and stop <= n:
+                return tuple(values[start:stop])
+            return tuple(map(self.__getitem__, range(start, stop, step)))
+        i = range(self.length)[i]  # a negative index counts from the end
+        return values[i] if i < n else values[n - self.period + (i - n) % self.period]
+
+    def tail(self, start: int) -> Cycled:
+        """Items `start` on, as a column that stores the least run holding each of them."""
+        stop = min(self.length, max(start + self.period, len(self.values)))
+        return Cycled(self[start:stop], self.length - start, self.period)
 
 
 class PolygonBound(NamedTuple):
@@ -68,7 +120,6 @@ def geometric_cauchy_check(
     successive_distances: Sequence[float],
     k_const: float,
     noise_floor: float = 0.0,
-    cycle_from: int | None = None,
 ) -> CauchyVerdict:
     """Certify geometric decay of successive distances.
 
@@ -86,15 +137,14 @@ def geometric_cauchy_check(
     tests are pure, so their order leaves lambda_hat as it is.  The first
     negative distance raises NegativeDistance from within the ratio pass.
 
-    `cycle_from` is an orbit's (`OrbitTrace.cycle_from`): from that index
-    on, every distance is the one two places before it.  The pass then
-    stops after distance `cycle_from`, whose ratio is the second of the
-    repeated period; every later ratio, and a divergent step among the
-    last two, repeats with period two.  A repeated ratio tests the same
-    two distances, so it cannot raise lambda_hat.  The result is that of
-    the whole pass.
+    Of a `Cycled` column the pass reads the computed distances and the
+    first repeated one; the ratios, and the divergent steps among them,
+    repeat with its period.  A repeated ratio tests two distances already
+    tested, so the result is that of the whole pass.
     """
-    if len(successive_distances) < 2:
+    dists = Cycled.of(successive_distances)
+    n = len(dists)
+    if n < 2:
         raise ValueError("need at least two successive distances")
     if k_const < 1.0:
         raise ValueError("k_const must be >= 1")
@@ -102,10 +152,7 @@ def geometric_cauchy_check(
     append = ratios.append
     divergent: list[int] = []
     lam = 0.0
-    n = len(successive_distances)
-    rest = iter(successive_distances)
-    if cycle_from is not None:
-        rest = islice(rest, cycle_from + 1)
+    rest = islice(dists, len(dists.values) + 1)
     d0 = next(rest)
     if d0 < 0:
         _negative(d0)
@@ -122,20 +169,11 @@ def geometric_cauchy_check(
         if r > lam and max(d0, d1) > noise_floor:
             lam = r
         d0 = d1
-    if cycle_from is not None:
-        c = cycle_from
-        ratios.extend(islice(cycle(ratios[c - 2 :]), n - 1 - c))
-        # Ratios c - 2 and c - 1 cannot both be divergent: one's second
-        # distance is the other's first, positive in one and zero in the other.
-        if divergent and divergent[-1] >= c - 2:
-            divergent.extend(range(divergent[-1] + 2, n - 1, 2))
+    p, cycle_start = dists.period, len(ratios) - dists.period
+    divergent.extend(merge(*(range(j + p, n - 1, p) for j in divergent if j >= cycle_start)))
     threshold = 1.0 / k_const
-    outcome = (
-        CauchyOutcome.CAUCHY_CERTIFIED
-        if lam < threshold
-        else CauchyOutcome.INCONCLUSIVE
-    )
-    return CauchyVerdict(lam, threshold, outcome, tuple(ratios), tuple(divergent))
+    outcome = CauchyOutcome.CAUCHY_CERTIFIED if lam < threshold else CauchyOutcome.INCONCLUSIVE
+    return CauchyVerdict(lam, threshold, outcome, Cycled(tuple(ratios), n - 1, p), tuple(divergent))
 
 
 class SandwichBounds(NamedTuple):
@@ -151,7 +189,6 @@ def limit_sandwich_check(
     x: Point,
     ys: Iterable[Point],
     tol: float,
-    cycle_from: int | None = None,
 ) -> list[SandwichBounds]:
     """Bound the tail average of D(x_n, y) by [D(x,y)/K, K*D(x,y)], per y.
 
@@ -161,15 +198,10 @@ def limit_sandwich_check(
     condition does not depend on y, so it is tested once per sequence;
     each y then gets its own tail average.
 
-    `cycle_from` is an orbit's (`OrbitTrace.cycle_from`) when `seq` is its
-    points: from that index on every point is the same point as the one
-    two places before it.  The tail is then read up to point `cycle_from`,
-    the last computed one, or for one period when it starts past that
-    point, and the last two distances read repeat through the rest.  This
-    relies on the distance being a function: the same point in gives the
-    same distance out.  So `math.fsum` adds the same values in the same
-    order as over the whole tail, and a repeated value never changes a
-    running `max`.  With None the whole tail is read point by point.
+    The tail of a `Cycled` sequence, an orbit's points, is read through
+    the least run that holds each tail point (`Cycled.tail`), and the
+    distances repeat with the points, since the distance is a function.
+    So `math.fsum` adds the values of the whole tail in order.
     """
     if not seq:
         raise ValueError("sequence prefix must be nonempty")
@@ -177,23 +209,14 @@ def limit_sandwich_check(
         raise ValueError("tol must be positive")
     d = space.dist
     k = space.k_const
-    n = len(seq)
-    w = tail_window(n)
-    start = n - w
-    stop = n if cycle_from is None else min(n, max(start, cycle_from - 1) + 2)
-    tail = seq[start:stop]
-    worst = max(map(d, tail, repeat(x)))
+    w = tail_window(len(seq))
+    tail = Cycled.of(seq).tail(len(seq) - w)
+    worst = max(map(d, tail.values, repeat(x)))
     if worst >= tol:
-        raise HypothesisNotMet(
-            f"tail distance to the limit point is {worst}, not below {tol}"
-        )
+        raise HypothesisNotMet(f"tail distance to the limit point is {worst}, not below {tol}")
     out = []
     for y in ys:
-        tail_dists = map(d, tail, repeat(y))
-        if stop < n:
-            read = list(tail_dists)
-            tail_dists = chain(read, islice(cycle(read[-2:]), n - stop))
-        estimate = math.fsum(tail_dists) / w
+        estimate = math.fsum(Cycled((*map(d, tail.values, repeat(y)),), w, tail.period)) / w
         dxy = d(x, y)
         lower = dxy / k
         upper = k * dxy

@@ -87,13 +87,8 @@ def _run_solve(scenario: dict, out_dir: Path) -> tuple[dict, int]:
     x0 = _start_point(space, run)
     report = solve(space, maps, hyp, x0, max_steps=run["max_steps"])
     trace = report.trace
-    write_trace_csv(
-        trace.points,
-        trace.successive_distances,
-        trace.cauchy.per_step_ratios,
-        out_dir / "trace.csv",
-        trace.cycle_from,
-    )
+    columns = trace.points, trace.successive_distances, trace.cauchy.per_step_ratios
+    write_trace_csv(*columns, out_dir / "trace.csv")
     results = {
         "candidate": report.candidate,
         "t_residual": report.t_residual,
@@ -188,9 +183,7 @@ def _run_lemmas(scenario: dict, out_dir: Path) -> tuple[dict, int]:
     candidate = trace.points[-1]
     samples = sample_points(space, LEMMA_SANDWICH_SAMPLES, run["seed"])
     try:
-        checks = limit_sandwich_check(
-            space, trace.points, candidate, samples, tol, cycle_from=trace.cycle_from
-        )
+        checks = limit_sandwich_check(space, trace.points, candidate, samples, tol)
         hypothesis_met = True
     except HypothesisNotMet:
         checks, hypothesis_met = [], False

@@ -20,11 +20,12 @@ from __future__ import annotations
 import json
 import math
 import re
-from itertools import chain, islice, repeat
+from itertools import chain, cycle, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
+from .analysis import Cycled
 
 JSON_CHUNK_PARTS = 4096  # text parts joined, or float records formatted, at a time
 
@@ -201,7 +202,6 @@ def _cells(values: Iterable[Any]) -> Iterator[str]:
 
     Non-float text is quoted as csv's default dialect would: a cell holding
     a comma, a quote, CR or LF is wrapped in quotes with its quotes doubled.
-    A repeated two-step tail is formatted once by `write_trace_csv`.
     """
     for value in values:
         if isinstance(value, float):
@@ -223,38 +223,28 @@ def _rows_text(steps: range, points: list, dists: list, ratios: list) -> str:
     return "".join(map("{},{},{},{}\r\n".format, steps, *cells))
 
 
-def write_trace_csv(
-    points, distances, ratios, path: str | Path, cycle_from: int | None = None
-) -> None:
+def write_trace_csv(points, distances, ratios, path: str | Path) -> None:
     """Per-step orbit table: step, point, dist_to_next, ratio.
 
     Row n's ratio is distances[n] / distances[n-1]; the cells are blank
     where a value is undefined (the first row and the trailing edge).
     Rows end in CRLF, as csv's default dialect writes them.
 
-    Rows are written TRACE_CHUNK_ROWS at a time, each chunk's values read
-    from the three columns' iterators, never from slice copies.  Row 0, the
-    rows with all three values and the rows with a blank cell are chunked
-    apart.  A chunk whose three value columns hold only floats of type
-    float exactly is formatted by one `%` call, since "%.17g" % x equals
-    format(x, ".17g") for every float.  Any other chunk has its cells
-    formatted by `_cells` and its rows joined by `str.format`.
-
-    `cycle_from` is the trace's (`OrbitTrace.cycle_from`), given with the
-    full columns of an orbit.  Rows up to it are written as above.  From
-    the next row on, each row but the last is the row two before it with
-    another step number, so those rows are the step followed by the text
-    of rows cycle_from - 1 and cycle_from, in turn; the last row has only
-    its step and point.  Those rows are written in chunks of an even number
-    of rows, each formatted by one `%` call on a template that repeats the
-    two texts after a "%d" each; the shorter remainder takes a prefix of
-    that template.
+    Rows are written TRACE_CHUNK_ROWS at a time from the columns'
+    iterators; row 0, the rows with all three values and the rows with a
+    blank cell are chunked apart.  A chunk of floats of type float exactly
+    is formatted by one `%` call ("%.17g" % x equals format(x, ".17g")),
+    any other by `_cells` and `str.format`.  Past the computed points of
+    an orbit's `Cycled` columns, each row but the last repeats the row one
+    period before it with another step, so the period's row texts are
+    formatted once and repeated after a "%d" each, a chunk per `%` call.
     """
-    rows = len(points) if cycle_from is None else cycle_from + 1
+    points = Cycled.of(points)
+    rows, period, last = len(points.values), points.period, len(points) - 1
     first = min(1, rows)
     full = max(first, min(rows, len(distances), len(ratios) + 1))
     columns = (
-        iter(points),
+        iter(points.values),
         chain(distances, repeat("")),
         chain(("",), ratios, repeat("")),
     )
@@ -265,19 +255,17 @@ def write_trace_csv(
             for start in range(lo, hi, TRACE_CHUNK_ROWS):
                 steps = range(start, min(start + TRACE_CHUNK_ROWS, hi))
                 write(_rows_text(steps, *(list(islice(col, len(steps))) for col in columns)))
-        if cycle_from is not None:
-            c, last = cycle_from, len(points) - 1
-            period = [
-                ",{},{},{}\r\n".format(*_cells((points[n], distances[n], ratios[n - 1])))
-                for n in (c - 1, c)
-            ]
-            span = 2 * max(1, TRACE_CHUNK_ROWS // 2)  # even: each chunk starts with period[0]
-            first_text, second_text = (text.replace("%", "%%") for text in period)
-            pair = "%d" + first_text + "%d" + second_text
-            template = pair * (span // 2)
-            for step in range(c + 1, last, span):
+        if rows <= last:
+            # From row `rows` on, a row's text after its step is that of the
+            # row one period before it.
+            cells = (
+                _cells((points[n], distances[n], ratios[n - 1])) for n in range(rows - period, rows)
+            )
+            units = ["%d," + ",".join(row).replace("%", "%%") + "\r\n" for row in cells]
+            periods = max(1, TRACE_CHUNK_ROWS // period)  # whole ones: a chunk starts with units[0]
+            template, span = "".join(units) * periods, period * periods
+            for step in range(rows, last, span):
                 n = min(span, last - step)
-                # A prefix of n rows; a full-length slice is `template` itself.
-                rows_text = template[: len(pair) * (n // 2) + (2 + len(first_text)) * (n % 2)]
-                write(rows_text % (*range(step, step + n),))
+                text = template if n == span else "".join(islice(cycle(units), n))
+                write(text % (*range(step, step + n),))
             write(f"{last},{next(_cells((points[last],)))},,\r\n")

@@ -17,8 +17,8 @@ for a user function phi with values above K**2.
 The orbit stops only when a point is exactly fixed by both maps (exact
 identity, not ambient tolerance: residuals certify at zero only if the
 orbit genuinely lands on the fixed point, which linear preimages reach by
-underflow) or when the step budget runs out; in the latter case the trace
-is labelled by whether its tail had already collapsed below tolerance.
+underflow) or when the step budget runs out, labelled by whether its tail
+had collapsed below tolerance; a recurring state is computed once.
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from itertools import cycle, islice, product, repeat
+from itertools import cycle, islice, product
 from typing import Callable, Iterable, NamedTuple, NoReturn, Sequence, Union
 
-from .analysis import CauchyOutcome, CauchyVerdict, geometric_cauchy_check
+from .analysis import CauchyOutcome, CauchyVerdict, Cycled, geometric_cauchy_check
 from .errors import (
     ExhaustiveOnInfiniteCarrier,
     PhiBelowKSquared,
@@ -59,8 +59,8 @@ class MapPair(NamedTuple):
     The selectors must satisfy t_forward(t_preimage(y)) == y and likewise
     for s; round trips are checked at orbit time and by `check_roundtrip`.
     All four callables must be functions of their argument: the same point
-    in gives the same point out.  `inverse_orbit` repeats a two-step cycle
-    on that assumption, and `audit` reads the repeated tail as one run.
+    in gives the same point out.  `inverse_orbit` repeats a cycle on that
+    assumption, and `audit` repeats the outcomes of its pairs.
     """
 
     t_forward: Callable[[Point], Point]
@@ -165,27 +165,28 @@ class Termination(Enum):
 
 
 class OrbitTrace(NamedTuple):
-    """The points and distances of an orbit, its Cauchy verdict and its ending.
+    """An orbit's computed points and distances, its Cauchy verdict and its ending.
 
-    `cycle_from` is the number of steps actually computed when the orbit
-    repeats a two-step cycle after them, and None when nothing repeated.
-    From it on every distance is the one two places before it, and from
-    the next point on every point is the very object two places before it.
-    The readers of a trace (`geometric_cauchy_check`, `audit`,
-    `write_trace_csv`, `limit_sandwich_check`) check the computed part plus
-    one period and repeat the rest.
+    Of its `steps` steps only those up to a recurring state are computed
+    and stored, and `period` is the number of steps between the two visits
+    (0 if none).  `points`, `successive_distances` and
+    `cauchy.per_step_ratios` read as full-length `Cycled` columns.
     """
 
-    points: tuple[Point, ...]
-    successive_distances: tuple[float, ...]
+    computed_points: tuple[Point, ...]
+    computed_distances: tuple[float, ...]
     cauchy: CauchyVerdict
     terminated_by: Termination
-    cycle_from: int | None = None
+    period: int
+    steps: int
 
+    @property
+    def points(self) -> Cycled:
+        return Cycled(self.computed_points, self.steps + 1, self.period)
 
-def _trivial_verdict(k_const: float) -> CauchyVerdict:
-    # One distance yields no ratios: nothing to certify.
-    return CauchyVerdict(0.0, 1.0 / k_const, CauchyOutcome.INCONCLUSIVE, (), ())
+    @property
+    def successive_distances(self) -> Cycled:
+        return Cycled(self.computed_distances, self.steps, self.period)
 
 
 def inverse_orbit(
@@ -202,21 +203,16 @@ def inverse_orbit(
     identity-like map on one side) keeps iterating, since only a common
     fixed point ends the construction.
 
-    A two-step cycle is computed once and repeated.  When a new point
-    x_{s+1} is the same point as x_{s-1}, the state (point, side) has
-    recurred: every later step is the computation of step s-1 or step s on
-    the same inputs.  The remaining points and distances are then those two
-    objects repeated, up to `max_steps`, and the orbit ends as a full run
-    does (`max_iterations` or `tolerance_met`).  Two points are the same
-    point when they are the same object, or both of type float exactly,
-    equal and nonzero: the same double.  Zeros stay apart, since -0.0 ==
-    0.0 while a map or the distance may tell them apart, and so do equal
-    float-subclass points, which may carry state of their own.  The repeat
-    is exact because the maps, the selectors and the distance are
-    functions of their arguments.  The trace records the number of
-    computed steps as `cycle_from` when any step was repeated, and the
-    Cauchy check reads the repeated distances once.  Longer cycles are
-    computed step by step.
+    A cycle is computed once.  When a new point x_m is the same point as
+    an earlier x_j with m - j even, the state (point, side) has recurred,
+    and every later step would repeat the one m - j before it.  The orbit
+    then stops computing, records the period m - j (`OrbitTrace`) and ends
+    as a full run does.  Two points are the same point when they are the
+    same object, or both of type float exactly, equal and nonzero: -0.0
+    and 0.0 stay apart, and so do equal float-subclass points.  x_m is
+    tested against x_{m-2} and, at even m, against a checkpoint that moves
+    to x_m at each power of two (Brent's test), in O(1) memory: a cycle of
+    period p entered after s steps is found within 3(s + p) steps.
     """
     if max_steps < 2:
         raise ValueError("max_steps must be at least 2")
@@ -225,50 +221,48 @@ def inverse_orbit(
     pts: list[Point] = [x0]
     dists: list[float] = []
     terminated = Termination.MAX_ITERATIONS
-    cycle_from = None
-    # Everything the loop calls is bound once.  Each computed step runs
-    # every check in this order; only a repeated two-step cycle skips them,
-    # since its steps already passed them on the same inputs.
+    period = 0
+    # Everything the loop calls is bound once; each step runs every check.
     dist, equal, contains = space.dist, space.points_equal, space.carrier.contains
     add_point, add_dist = pts.append, dists.append
     t_forward, s_forward = maps.t_forward, maps.s_forward
-    sides = ((t_forward, maps.t_preimage), (s_forward, maps.s_preimage))
-    prev, cur = object(), x0
-    for step in range(max_steps):
-        forward, preimage = sides[step & 1]
+    sides = ((s_forward, maps.s_preimage), (t_forward, maps.t_preimage))
+    prev, cur, mark, mark_at = object(), x0, x0, 0
+    for m in range(1, max_steps + 1):  # x_m is the point step m - 1 computes
+        forward, preimage = sides[m & 1]
         nxt = preimage(cur)
         back = forward(nxt)
         if not equal(back, cur):
-            _roundtrip_broken("step", step, cur, back)
+            _roundtrip_broken("step", m - 1, cur, back)
         if not contains(nxt):
-            raise PreimageBroken(
-                f"step {step}: preimage {nxt!r} left the carrier"
-            )
+            raise PreimageBroken(f"step {m - 1}: preimage {nxt!r} left the carrier")
         add_point(nxt)
         add_dist(dist(cur, nxt))
         if nxt == cur and t_forward(nxt) == nxt and s_forward(nxt) == nxt:
             terminated = Termination.FIXED_POINT_HIT
             break
-        if nxt is prev or (
-            type(nxt) is float and type(prev) is float and nxt == prev and nxt
-        ):
-            rest = max_steps - step - 1
-            if rest:
-                cycle_from = step + 1
-                pts.extend(islice(cycle(pts[-2:]), rest))
-                dists.extend(islice(cycle(dists[-2:]), rest))
+        # The same-point rule, `==` first: the fixed-point test calls it anyway.
+        if nxt is prev or (nxt == prev and type(nxt) is float and type(prev) is float and nxt):
+            period = 2
             break
+        if not m & 1:
+            if nxt is mark or (nxt == mark and type(nxt) is float and type(mark) is float and nxt):
+                period = m - mark_at
+                break
+            if not m & (m - 1):
+                mark, mark_at = nxt, m
         prev, cur = cur, nxt
+    steps = max_steps if period else len(dists)
+    distances = Cycled(tuple(dists), steps, period)
     if terminated is Termination.MAX_ITERATIONS:
-        w = tail_window(len(dists))
-        if dists and max(dists[len(dists) - w :]) <= TOL_FIX:
+        if max(distances.tail(steps - tail_window(steps)).values) <= TOL_FIX:
             terminated = Termination.TOLERANCE_MET
-    cauchy = (
-        geometric_cauchy_check(dists, space.k_const, TOL_FIX, cycle_from)
-        if len(dists) >= 2
-        else _trivial_verdict(space.k_const)
+    cauchy = (  # one distance yields no ratios: nothing to certify
+        geometric_cauchy_check(distances, space.k_const, TOL_FIX)
+        if steps >= 2
+        else CauchyVerdict(0.0, 1.0 / space.k_const, CauchyOutcome.INCONCLUSIVE, (), ())
     )
-    return OrbitTrace(tuple(pts), tuple(dists), cauchy, terminated, cycle_from)
+    return OrbitTrace(tuple(pts), distances.values, cauchy, terminated, period, steps)
 
 
 def orbit_adjacent_pairs(points: Sequence[Point]) -> list[tuple[Point, Point]]:
@@ -278,7 +272,8 @@ def orbit_adjacent_pairs(points: Sequence[Point]) -> list[tuple[Point, Point]]:
     adjacent index pair contributes one ordered pair with the odd point
     first.
     """
-    return [(points[i | 1], points[(i + 1) & ~1]) for i in range(1, len(points) - 1)]
+    pts = tuple(points)
+    return [(pts[i | 1], pts[(i + 1) & ~1]) for i in range(1, len(pts) - 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -302,27 +297,26 @@ class AuditReport(NamedTuple):
 PairSource = Union[Exhaustive, Sampled, OrbitTrace, Iterable[tuple[Point, Point]]]
 
 
-def _resolve_pairs(
-    space: Space, pairs: PairSource
-) -> tuple[Iterable[tuple[Point, Point]], int]:
-    """The pairs to walk, and how many times the last of them repeats after."""
+def _resolve_pairs(space: Space, pairs: PairSource) -> tuple[Iterable, int, int]:
+    """The pairs to walk, the count of them before the outcomes that
+    repeat, and how many pairs repeat those outcomes after the walk."""
     if isinstance(pairs, Exhaustive):
         if not space.is_finite:
-            raise ExhaustiveOnInfiniteCarrier(
-                "exhaustive pair auditing needs a finite carrier"
-            )
-        return list(product(space.carrier.points, repeat=2)), 0
-    if isinstance(pairs, Sampled):
-        return sample_pairs(space, pairs.n, pairs.seed), 0
-    if isinstance(pairs, OrbitTrace):
-        # Pair i holds points i and i + 1.  From i = cycle_from on, point
-        # i + 1 is point i - 1, so pair i is pair i - 1: the same objects.
-        # The pairs of orbit_adjacent_pairs(pts[:stop]), walked lazily.
-        pts, c = pairs.points, pairs.cycle_from
-        stop = len(pts) if c is None else c + 1
-        walked = ((pts[i | 1], pts[(i + 1) & ~1]) for i in range(1, stop - 1))
-        return walked, len(pts) - stop
-    return list(pairs), 0
+            raise ExhaustiveOnInfiniteCarrier("exhaustive pair auditing needs a finite carrier")
+        walked = list(product(space.carrier.points, repeat=2))
+    elif isinstance(pairs, Sampled):
+        walked = sample_pairs(space, pairs.n, pairs.seed)
+    elif isinstance(pairs, OrbitTrace):
+        # Pair i holds points i and i + 1, so it is pair i - p once both
+        # points are: from i = len(values) - 1 on, and for i - p >= 1.
+        points = pairs.points
+        p, total = points.period, max(len(points) - 2, 0)
+        n = min(total, max(len(points.values) - 2, p))
+        pts = points[: n + 2]
+        return ((pts[i | 1], pts[(i + 1) & ~1]) for i in range(1, n + 1)), n - p, total - n
+    else:
+        walked = list(pairs)
+    return walked, len(walked), 0
 
 
 def check_hypothesis(space: Space, hyp: Hypothesis) -> None:
@@ -403,12 +397,10 @@ def audit(
     on a later pair is then never evaluated, and never raised.
 
     Every walked pair is evaluated.  An `OrbitTrace` stands for the pairs
-    its orbit consumed (`orbit_adjacent_pairs`).  From its `cycle_from` on,
-    every pair is the last computed pair again, so the loop walks the
-    computed pairs and the rest is added as one run: counted in
-    `checked_pairs`, with that pair's violation repeated (up to `limit`)
-    if it had one.  This relies on the maps, the distance and phi being
-    functions of their arguments.
+    its orbit consumed (`orbit_adjacent_pairs`), which repeat with its
+    points: the pairs of its computed points (one period at least) are
+    walked, and the outcomes of the last period repeat through the rest.
+    This relies on the maps, the distance and phi being functions.
     """
     check_hypothesis(space, hyp)
     d = space.dist
@@ -416,8 +408,8 @@ def audit(
     test = expansion_test(hyp, partial(d_sharp, space))
     violations: list[AuditViolation] = []
     checked = 0
-    violation = None
-    walked, repeats = _resolve_pairs(space, pairs)
+    walked, edge, repeats = _resolve_pairs(space, pairs)
+    last: list = []  # the outcomes from pair `edge` on, which the repeats take in turn
     for x, y in walked:
         checked += 1
         tx = t_forward(x)
@@ -425,16 +417,20 @@ def audit(
         lhs = d(tx, sy)
         rhs = test(x, y, tx, sy, d(x, y), lhs)
         violation = None if rhs is None else AuditViolation(x, y, lhs, rhs)
+        if checked > edge:
+            last.append(violation)
         if violation is not None:
             violations.append(violation)
             if limit is not None and len(violations) >= limit:
                 break
     else:
-        if violation is not None:
-            if limit is not None:
-                repeats = min(repeats, limit - len(violations))
-            violations.extend(repeat(violation, repeats))
         checked += repeats
+        for at, violation in enumerate(islice(cycle(last), repeats) if any(last) else (), 1):
+            if violation is not None:
+                violations.append(violation)
+                if limit is not None and len(violations) >= limit:
+                    checked += at - repeats
+                    break
     return AuditReport(checked, tuple(violations), not violations)
 
 

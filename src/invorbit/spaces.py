@@ -314,9 +314,9 @@ def _pair_axioms(space: Space, found: list, sampled: bool) -> Callable[[Point, P
     It appends to `found` the violations at (x, y) of nonnegativity,
     symmetry and zero distance (P1 and P2 on a partial metric), and
     returns d(x, y).  A nan d(x, y) violates nonnegativity, since every
-    other test compares false against it.  Each slack test sits behind
-    the exact comparison it implies: exceeds(a, b) needs a > b, and
-    differs(a, b) needs a != b, so a == b makes not differs(a, b) true.
+    other test compares false against it; P1 reads a nan self-distance
+    as equal to nothing.  A slack test sits behind the exact comparison
+    it implies: exceeds(a, b) needs a > b, differs(a, b) needs a != b.
     `table_admitted_k_values` applies the same tests to the table of a
     b-metric-like space; a test compares the two.
 
@@ -349,8 +349,8 @@ def _pair_axioms(space: Space, found: list, sampled: bool) -> Callable[[Point, P
             dxx = d(x, x)
             dyy = d(y, y)
             if (
-                (dxx == dxy or not differs(dxx, dxy))
-                and (dyy == dxy or not differs(dyy, dxy))
+                (dxx == dxy or (not differs(dxx, dxy) and dxx == dxx))
+                and (dyy == dxy or (not differs(dyy, dxy) and dyy == dyy))
                 and not equal(x, y)
             ):
                 add(AxiomViolation("P1", (x, y), dxy, dxx))

@@ -41,6 +41,13 @@ def test_polygon_holds_with_equality_on_two_point_space(two_point):
     assert bound.holds
 
 
+def test_polygon_fails_on_a_long_closing_distance():
+    # D(c, a) = 10 exceeds D(a, b) + D(b, c) = 2 at K = 1.
+    space = iv.table_space(["a", "b", "c"], [[0, 1, 10], [1, 0, 1], [10, 1, 0]], 1.0)
+    bound = iv.polygon_bound(space, ["a", "b", "c"])
+    assert (bound.lhs, bound.rhs, bound.holds) == (10.0, 2.0, False)
+
+
 def test_polygon_rejects_single_point(sqrt_square):
     with pytest.raises(ValueError):
         iv.polygon_bound(sqrt_square, [1.0])
@@ -248,9 +255,9 @@ def _bits(value):
     return struct.pack("<d", value).hex() if isinstance(value, float) else value
 
 
-def _whole_tail_sandwich(space, seq, x, ys, tol, cycle_from=None):
+def _whole_tail_sandwich(space, seq, x, ys, tol):
     """The sandwich check that evaluates every tail point, as a reference;
-    it reads no `cycle_from`."""
+    it reads a column's tail point by point."""
     d = space.dist
     k = space.k_const
     w = tail_window(len(seq))
@@ -271,9 +278,9 @@ def _whole_tail_sandwich(space, seq, x, ys, tol, cycle_from=None):
     return out
 
 
-def _sandwich_outcome(check, space, seq, x, ys, tol, cycle_from=None):
+def _sandwich_outcome(check, space, seq, x, ys, tol):
     try:
-        bounds = check(space, seq, x, ys, tol, cycle_from=cycle_from)
+        bounds = check(space, seq, x, ys, tol)
     except iv.HypothesisNotMet as exc:
         return "HypothesisNotMet", str(exc)
     return [tuple(map(_bits, (b.lower, b.estimate, b.upper, b.holds))) for b in bounds]
@@ -300,8 +307,8 @@ def _swap_case(max_steps):
     space = iv.table_space(("a", "b"), [[0.0, 0.1], [0.1, 3.0]])
     swap = iv.permutation_map({"a": "b", "b": "a"})
     trace = iv.inverse_orbit(space, iv.MapPair(swap[0], swap[0], swap[1], swap[1]), "b", max_steps)
-    assert trace.cycle_from == 2
-    return (space, trace.points, "a", ("a", "b"), 0.2, trace.cycle_from)
+    assert (len(trace.computed_points), trace.period) == (3, 2)
+    return (space, trace.points, "a", ("a", "b"), 0.2)
 
 
 @functools.lru_cache(maxsize=None)
@@ -317,36 +324,36 @@ def _sandwich_cases():
     )
     cycle = iv.permutation_map({0: 1, 1: 2, 2: 3, 3: 0})
     ident = iv.permutation_map({i: i for i in range(4)})
-    # S = identity doubles every point, so the orbit's period of eight
-    # steps is never detected.
+    # S = identity doubles every point, so the orbit's period is eight
+    # steps, found at the checkpoint of step 8 on step 16.
     periodic_orbit = iv.inverse_orbit(
         periodic, iv.MapPair(cycle[0], ident[0], cycle[1], ident[1]), 0, max_steps=203
     )
-    assert periodic_orbit.cycle_from is None
+    assert (len(periodic_orbit.computed_points), periodic_orbit.period) == (17, 8)
     # T = S = x / 1.02 stalls on one subnormal point after about 37.7k steps,
     # so this tail holds distinct points, then one point repeated: the
     # window straddles the start of the orbit's cycle.
     stalled = _linear_orbit(abs_metric, 1.02, 1.0, 45_000)
     tail = stalled.points[-tail_window(len(stalled.points)) :]
     assert tail[0] != tail[-1] == tail[-5_000]
-    assert len(stalled.points) - len(tail) < stalled.cycle_from
+    assert len(stalled.points) - len(tail) < len(stalled.computed_points) - 1
     unstalled = _linear_orbit(abs_metric, 1.02, 1.0, 2_000)
-    assert unstalled.cycle_from is None
+    assert unstalled.period == 0
     # T = 2x and S = x / 2 swing between 1.0 and 0.5 from point 2 on; with
     # 29 steps the window of eight points starts 20 points past the cycle.
     swing = _linear_orbit(abs_metric, 2.0, 1.0, 29, s_factor=0.5)
-    assert swing.cycle_from == 2
+    assert (len(swing.computed_points), swing.period) == (3, 2)
     # T = 10x and S = x / 10 round once before their cycle: point 2 is not
     # point 0, and the cycle starts at point 3 of a window of all 8 points.
     scaling = iv.MapPair(
         lambda x: 10.0 * x, lambda x: x / 10.0, lambda y: y / 10.0, lambda y: 10.0 * y
     )
     rounded = iv.inverse_orbit(abs_metric, scaling, 5.3, 7)
-    assert rounded.cycle_from == 3 and rounded.points[2] != rounded.points[0]
+    assert len(rounded.computed_points) == 4 and rounded.points[2] != rounded.points[0]
     harmonic = [1.0 / n for n in range(1, 5001)]
     ys = iv.sample_points(abs_metric, 26, seed=1) + [0.0, -0.0, nan]
     one_nan = float("nan")
-    stalled_args = (stalled.points, tail[-1], ys, 1e-6, stalled.cycle_from)
+    stalled_args = (stalled.points, tail[-1], ys, 1e-6)
     return {
         "stalled_abs_metric": (abs_metric, *stalled_args),
         "stalled_max_partial": (max_partial, *stalled_args),
@@ -365,8 +372,8 @@ def _sandwich_cases():
         "swap_even_phase": _swap_case(40),
         "swap_odd_phase": _swap_case(41),
         "swap_window_at_cycle": _swap_case(8),
-        "swing_past_cycle": (abs_metric, swing.points, 1.0, ys, 1.0, swing.cycle_from),
-        "rounded_before_cycle": (abs_metric, rounded.points, 0.53, ys, 10.0, rounded.cycle_from),
+        "swing_past_cycle": (abs_metric, swing.points, 1.0, ys, 1.0),
+        "rounded_before_cycle": (abs_metric, rounded.points, 0.53, ys, 10.0),
     }
 
 
@@ -393,8 +400,8 @@ SANDWICH_CASES = [
 
 @pytest.mark.parametrize("case", SANDWICH_CASES)
 def test_sandwich_runs_match_the_whole_tail(case):
-    # An orbit's case passes the trace's `cycle_from`, so the check reads
-    # the repeated tail once; every other case is read point by point.
+    # An orbit's case passes the trace's points, a column whose repeated
+    # tail the check reads once; every other case is read point by point.
     args = _sandwich_cases()[case]
     got = _sandwich_outcome(iv.limit_sandwich_check, *args)
     assert got == _sandwich_outcome(_whole_tail_sandwich, *args)
@@ -408,9 +415,9 @@ def test_a_period_read_out_of_phase_changes_the_estimate():
     # The odd window of the swap orbit holds one more "a" than "b", so
     # repeating its period one step out of phase, as the orbit one step
     # further on reads it, changes the tail average.
-    space, seq, x, _, tol, cycle_from = _sandwich_cases()["swap_odd_phase"]
+    space, seq, x, _, tol = _sandwich_cases()["swap_odd_phase"]
     assert tail_window(len(seq)) % 2 == 1
-    (bound,) = iv.limit_sandwich_check(space, seq, x, ["b"], tol, cycle_from=cycle_from)
+    (bound,) = iv.limit_sandwich_check(space, seq, x, ["b"], tol)
     assert bound.estimate == (6 * 0.1 + 5 * 3.0) / 11
     (shifted,) = _whole_tail_sandwich(space, seq[1:] + seq[-2:-1], x, ["b"], tol)
     assert shifted.estimate == (5 * 0.1 + 6 * 3.0) / 11 != bound.estimate

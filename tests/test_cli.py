@@ -258,7 +258,7 @@ def _planted(column, value):
     """All-float columns with `value` in row 5000's cell of one column."""
     columns = [list(_ALL_FLOATS), _ALL_FLOATS[1:], _ALL_FLOATS[2:]]
     columns[column][5000 - (column == 2)] = value
-    return (*columns, None)
+    return tuple(columns)
 
 
 def _cycled_columns():
@@ -268,9 +268,9 @@ def _cycled_columns():
     maps = iv.MapPair(flip, flip, lambda y: y / -1.5, lambda y: y / -1.5)
     space = iv.abs_metric_space(-2.0, 2.0)
     trace = iv.inverse_orbit(space, maps, 1.0, max_steps=3 * report.TRACE_CHUNK_ROWS)
-    assert trace.cycle_from + 2 * report.TRACE_CHUNK_ROWS < len(trace.points)
+    assert len(trace.computed_points) + 2 * report.TRACE_CHUNK_ROWS < len(trace.points)
     assert trace.points[-1] == -trace.points[-2] != 0.0
-    return trace.points, trace.successive_distances, trace.cauchy.per_step_ratios, trace.cycle_from
+    return trace.points, trace.successive_distances, trace.cauchy.per_step_ratios
 
 
 def _swap_orbit(tail_rows):
@@ -280,8 +280,8 @@ def _swap_orbit(tail_rows):
     space = iv.table_space(labels, [[0.0, 0.1], [0.1, 3.0]])
     swap = dict(zip(labels, labels[::-1])).__getitem__
     trace = iv.inverse_orbit(space, iv.MapPair(swap, swap, swap, swap), labels[0], tail_rows + 3)
-    assert trace.cycle_from == 2 and len(trace.points) - trace.cycle_from - 2 == tail_rows
-    return trace.points, trace.successive_distances, trace.cauchy.per_step_ratios, trace.cycle_from
+    assert len(trace.computed_points) == 3 and len(trace.points) - 4 == tail_rows
+    return trace.points, trace.successive_distances, trace.cauchy.per_step_ratios
 
 
 # Repeated tails of 0 and 1 rows, and of whole chunks with odd and even
@@ -308,19 +308,20 @@ def test_percent_17g_equals_format_17g(x):
 
 
 @pytest.mark.parametrize(
-    "points, distances, ratios, cycle_from",
+    "points, distances, ratios",
     [
-        (_SUBNORMAL_STALL, _SUBNORMAL_STALL[1:], [1.0] * 23, None),
-        (_SIGNED_ZEROS, _SIGNED_ZEROS[::-1], _SIGNED_ZEROS, None),
-        (_NON_FINITE, _NON_FINITE[1:], _NON_FINITE[2:], None),
-        (_INT_VS_FLOAT, _INT_VS_FLOAT[::-1], _INT_VS_FLOAT[3:], None),
-        (_LABELS, _LABELS[2:], _LABELS, None),
-        (_LABELS + _NON_FINITE, [0.5] * 3, [0.25] * 2, None),
-        (_SIGNED_ZEROS, [2e-323] * 12, [4e-323] * 12, None),
-        ([], [1.0], [1.0], None),
-        (_ZERO_RUNS, _ZERO_RUNS[1:] + [-0.0], _ZERO_RUNS[::-1], None),
-        (_ALL_FLOATS, _ALL_FLOATS[1:], _ALL_FLOATS[2:], None),
-        (_ALL_FLOATS, _ALL_FLOATS[::-1], _ALL_FLOATS[5:], None),
+        (_SUBNORMAL_STALL, _SUBNORMAL_STALL[1:], [1.0] * 23),
+        (_SIGNED_ZEROS, _SIGNED_ZEROS[::-1], _SIGNED_ZEROS),
+        (_NON_FINITE, _NON_FINITE[1:], _NON_FINITE[2:]),
+        (_INT_VS_FLOAT, _INT_VS_FLOAT[::-1], _INT_VS_FLOAT[3:]),
+        (_LABELS, _LABELS[2:], _LABELS),
+        (_LABELS + _NON_FINITE, [0.5] * 3, [0.25] * 2),
+        (_SIGNED_ZEROS, [2e-323] * 12, [4e-323] * 12),
+        ([], [1.0], [1.0]),
+        (_ZERO_RUNS, _ZERO_RUNS[1:] + [-0.0], _ZERO_RUNS[::-1]),
+        (_ALL_FLOATS, _ALL_FLOATS[1:], _ALL_FLOATS[2:]),
+        (_ALL_FLOATS, _ALL_FLOATS[::-1], _ALL_FLOATS[5:]),
+        (_LABELS * (_CHUNK // 3), [0.5] * (8 * (_CHUNK // 3) - 1), _LABELS * (_CHUNK // 3)),
         _planted(0, _Tagged(0.1)),
         _planted(1, _Tagged(2.5e-310)),
         _planted(2, _Tagged(-0.0)),
@@ -342,6 +343,7 @@ def test_percent_17g_equals_format_17g(x):
         "zero_runs",
         "all_floats",
         "all_floats_ragged",
+        "labels_at_scale",
         "subclass_point",
         "subclass_dist",
         "subclass_ratio",
@@ -352,7 +354,7 @@ def test_percent_17g_equals_format_17g(x):
         *(f"swap_tail_{rows}" for rows in SWAP_TAILS),
     ],
 )
-def test_trace_csv_matches_the_csv_writer(tmp_path, points, distances, ratios, cycle_from):
+def test_trace_csv_matches_the_csv_writer(tmp_path, points, distances, ratios):
     # The reference reads the full columns; a cycled trace's writer formats
     # its computed rows and repeats one period.  A small chunk size puts
     # chunk boundaries inside every case.
@@ -360,7 +362,7 @@ def test_trace_csv_matches_the_csv_writer(tmp_path, points, distances, ratios, c
     expected = (tmp_path / "reference.csv").read_bytes()
     for chunk in (report.TRACE_CHUNK_ROWS, 3):
         with mock.patch.object(report, "TRACE_CHUNK_ROWS", chunk):
-            write_trace_csv(points, distances, ratios, tmp_path / "new.csv", cycle_from)
+            write_trace_csv(points, distances, ratios, tmp_path / "new.csv")
         assert (tmp_path / "new.csv").read_bytes() == expected
 
 
@@ -815,9 +817,10 @@ def test_table_space_with_permutation_maps(tmp_path):
 
 
 def test_quoted_labels_at_scale_match_the_csv_writer(tmp_path):
-    # No benchmark trace holds labels.  T = S = a 3-cycle never repeats a
-    # two-step cycle, so every row of this orbit is computed, and the point
-    # cells take the quoting path for more rows than two chunks hold.
+    # No benchmark trace holds labels.  T = S = a 3-cycle repeats with a
+    # period of six steps, found on step 14, so the rows after the computed
+    # ones repeat the period's quoted row texts, for more rows than two
+    # chunks hold.
     first, second, third = "a,b", 'say "hi"', "c"
     cycle_map = {"kind": "permutation", "table": {first: second, second: third, third: first}}
     steps = 2 * report.TRACE_CHUNK_ROWS + 5
@@ -840,7 +843,7 @@ def test_quoted_labels_at_scale_match_the_csv_writer(tmp_path):
     scenario = load_scenario(path)
     space = build_space(scenario)
     trace = iv.inverse_orbit(space, build_maps(scenario, space), first, max_steps=steps)
-    assert trace.cycle_from is None and len(trace.points) == steps + 1
+    assert (len(trace.computed_points), trace.period, len(trace.points)) == (15, 6, steps + 1)
     columns = (trace.points, trace.successive_distances, trace.cauchy.per_step_ratios)
     _reference_trace_csv(*columns, tmp_path / "reference.csv")
     written = (out / "trace.csv").read_bytes()

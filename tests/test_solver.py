@@ -2,7 +2,7 @@ import math
 import struct
 from dataclasses import replace
 from functools import lru_cache
-from itertools import product
+from itertools import cycle, islice, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 
 import invorbit as iv
 from invorbit.numerics import TOL_FIX, exceeds, tail_window
+from unittest import mock
+
+from invorbit import report as report_module
 from invorbit.report import write_trace_csv
 from invorbit.solver import DEFAULT_MAX_STEPS, _resolve_pairs, check_roundtrip, expansion_test
 
@@ -80,7 +83,7 @@ def test_orbit_distances_from_one(sqrt_square, nine_identity):
 
 def test_identity_orbit_hits_fixed_point_immediately(sqrt_square, identity_pair):
     trace = iv.inverse_orbit(sqrt_square, identity_pair, 7.0)
-    assert trace.points == (7.0, 7.0)
+    assert tuple(trace.points) == (7.0, 7.0)
     assert trace.terminated_by is iv.Termination.FIXED_POINT_HIT
 
 
@@ -118,29 +121,42 @@ def test_orbit_adjacent_pairs_match_the_branching_loop(length):
     assert iv.orbit_adjacent_pairs(points) == _branching_adjacent_pairs(points)
 
 
-def _cycled_points(length, cycle_from):
-    """Distinct objects up to `cycle_from`, then the last two repeated."""
-    points = [object() for _ in range(length if cycle_from is None else cycle_from + 1)]
+def _cycled_points(length, computed, period):
+    """Distinct objects up to point `computed`, which is point
+    `computed - period`; every later point is the one `period` before it."""
+    points = [object() for _ in range(length if computed is None else computed)]
     while len(points) < length:
-        points.append(points[-2])
+        points.append(points[-period])
     return tuple(points)
 
 
-@pytest.mark.parametrize(
-    "length, cycle_from",
-    [(n, None) for n in range(13)] + [(n, c) for n in range(13) for c in range(2, n - 1)],
+LAZY_PAIRS = (
+    [(n, None, 0) for n in range(13)]
+    + [(n, c, 2) for n in range(13) for c in range(2, n - 1)]
+    + [(n, c, p) for p in (4, 6) for n in range(17) for c in range(p, n - 1)]
 )
-def test_lazy_orbit_pairs_match_the_adjacent_pairs(length, cycle_from):
-    # A trace with cycle_from c walks the pairs of its first c + 1 points,
-    # and its last walked pair stands for the repeats after them.
-    points = _cycled_points(length, cycle_from)
-    trace = iv.OrbitTrace(points, (), None, iv.Termination.MAX_ITERATIONS, cycle_from)
-    walked, repeats = _resolve_pairs(iv.abs_metric_space(), trace)
+
+
+@pytest.mark.parametrize(
+    "length, computed, period",
+    LAZY_PAIRS,
+    ids=[f"{n}-{c}" if p < 4 else f"{n}-{c}-period{p}" for n, c, p in LAZY_PAIRS],
+)
+def test_lazy_orbit_pairs_match_the_adjacent_pairs(length, computed, period):
+    # A trace of `computed` steps walks the pairs of its computed points,
+    # at least one period of them, and the pairs after them repeat the
+    # last period of the walk.
+    points = _cycled_points(length, computed, period)
+    stored = points if computed is None else points[: computed + 1]
+    trace = iv.OrbitTrace(stored, (), None, iv.Termination.MAX_ITERATIONS, period, length - 1)
+    walked, edge, repeats = _resolve_pairs(iv.abs_metric_space(), trace)
     assert not isinstance(walked, list)
     walked = list(walked)
-    expanded = walked + walked[-1:] * repeats
+    assert len(walked) - edge == period or not repeats
+    expanded = walked + list(islice(cycle(walked[edge:]), repeats))
     assert expanded == iv.orbit_adjacent_pairs(points)
     assert len(expanded) == max(length - 2, 0)
+    assert len(walked) <= max(len(stored) - 2, period)
 
 
 def _indexed_orbit(space, maps, x0, max_steps=DEFAULT_MAX_STEPS, tol_fix=TOL_FIX):
@@ -178,7 +194,7 @@ def _indexed_orbit(space, maps, x0, max_steps=DEFAULT_MAX_STEPS, tol_fix=TOL_FIX
         if len(dists) >= 2
         else iv.CauchyVerdict(0.0, 1.0 / space.k_const, iv.CauchyOutcome.INCONCLUSIVE, ())
     )
-    return iv.OrbitTrace(tuple(pts), tuple(dists), cauchy, terminated)
+    return iv.OrbitTrace(tuple(pts), tuple(dists), cauchy, terminated, 0, len(dists))
 
 
 def _bits(value):
@@ -358,18 +374,60 @@ def _counted_preimages(maps, calls):
     return maps._replace(t_preimage=counted(maps.t_preimage), s_preimage=counted(maps.s_preimage))
 
 
-@pytest.mark.parametrize("case", list(STALLED))
+def _table_cycles():
+    """Permutation orbits on tables, (space, maps, x0, max_steps, period).
+
+    A swap repeats with period 2, a swap against the identity with period
+    4, and a 3-cycle on a table with one distance of 1e-13 with period 6;
+    its pairs violate R = 1.5 in two of every three steps.  Every state
+    recurs from x0 on, since the preimages are bijections.
+    """
+    swap = iv.permutation_map({"a": "b", "b": "a"})
+    half_swap = iv.permutation_map({"a": "b", "b": "a", "c": "c"})
+    rotate = iv.permutation_map({"a": "b", "b": "c", "c": "a"})
+    labels = ("a", "b", "c")
+    two = iv.table_space(("a", "b"), [[0.0, 0.1], [0.1, 3.0]])
+    three = iv.table_space(labels, [[0.0, 0.1, 1.0], [0.1, 3.0, 1.0], [1.0, 1.0, 0.0]])
+    repro = iv.table_space(labels, [[0.0, 1e-13, 1.0], [1e-13, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    return {
+        "table_period_2": (two, _pair(swap, swap), "b", 10_001, 2),
+        "table_period_4": (three, _pair(half_swap, iv.identity_map()), "b", 10_002, 4),
+        "table_period_6": (repro, _pair(rotate, rotate), "c", 10_003, 6),
+    }
+
+
+TABLE_CYCLES = _table_cycles()
+
+
+def _cycle_case(case):
+    if case in TABLE_CYCLES:
+        return TABLE_CYCLES[case]
+    return (*_orbit_cases()[0][case], 2)
+
+
+@lru_cache(maxsize=None)
+def _reference_trace(case):
+    """The case's orbit from the loop that computes every step."""
+    case = _cycled_cases()[case] if case in CYCLED else _cycle_case(case)
+    return _indexed_orbit(*case[:4])
+
+
+@pytest.mark.parametrize("case", [*STALLED, *TABLE_CYCLES])
 def test_a_stalled_orbit_computes_its_two_step_cycle_once(case):
-    space, maps, x0, max_steps = _orbit_cases()[0][case]
+    # A stalled orbit finds its two-step cycle on the step after it starts;
+    # a cycle of period p entered after s steps is found within 3(s + p).
+    space, maps, x0, max_steps, period = _cycle_case(case)
     calls = [0]
     trace = iv.inverse_orbit(space, _counted_preimages(maps, calls), x0, max_steps)
-    pts = trace.points
-    assert len(pts) == max_steps + 1
-    start = next(i for i in range(len(pts) - 2) if _same_point(pts[i + 2], pts[i]))
-    assert start > 10_000
-    assert calls[0] <= start + 2
-    # `solve` audits the trace, whose repeated tail is one run of one pair,
-    # evaluated once.
+    pts = _reference_trace(case).computed_points
+    assert len(trace.points) == len(pts) == max_steps + 1
+    start = next(i for i in range(len(pts) - period) if _same_point(pts[i + period], pts[i]))
+    assert start > 10_000 if case in STALLED else start == 0
+    assert trace.period == period
+    bound = start + 2 if period == 2 else 3 * (start + period)
+    assert calls[0] == len(trace.computed_points) - 1 <= bound
+    # `solve` audits the trace: the pairs of its computed points, or one
+    # period of pairs if that is more, are evaluated once each.
     dist_calls = [0]
 
     def counted_dist(x, y):
@@ -383,13 +441,13 @@ def test_a_stalled_orbit_computes_its_two_step_cycle_once(case):
         trace,
     )
     assert report.checked_pairs == max_steps - 1
-    assert dist_calls[0] <= 2 * (start + 1)
+    assert dist_calls[0] == 2 * max(len(trace.computed_points) - 2, period)
 
 
 @pytest.mark.parametrize(
     "case, computed",
     [
-        ("labels", 50),
+        ("labels", 14),
         ("signed_zero_revisit", 6),
         ("swing", 2),
         ("swing_cycle_at_last_step", 2),
@@ -397,12 +455,14 @@ def test_a_stalled_orbit_computes_its_two_step_cycle_once(case):
     ],
 )
 def test_only_a_two_step_cycle_is_repeated(case, computed):
-    # A 3-cycle, and a zero that comes back with the other sign, are
-    # computed step by step; the swing a, b, a repeats from step 1.
+    # Any even period repeats, not only two: the 3-cycle of labels repeats
+    # with period 6, found at the checkpoint of step 8 on step 14, and the
+    # swing a, b, a from step 1.  A zero that comes back with the other
+    # sign is not the same point, so that orbit is computed step by step.
     space, maps, x0, max_steps = _orbit_cases()[0][case]
     calls = [0]
     trace = iv.inverse_orbit(space, _counted_preimages(maps, calls), x0, max_steps)
-    assert calls[0] == computed
+    assert calls[0] == computed == len(trace.computed_points) - 1
     assert len(trace.points) == max_steps + 1
 
 
@@ -416,15 +476,20 @@ def _cycle_at_the_end(extra):
     """The stalled x/1.3 orbit from 5.0, its budget ending `extra` steps
     after the step that finds its two-step cycle, as a case."""
     space, maps = iv.abs_metric_space(), _linear_pair(1.3)
-    found = iv.inverse_orbit(space, maps, 5.0, 5_000).cycle_from
-    return space, maps, 5.0, found + extra, found if extra else None
+    found = len(iv.inverse_orbit(space, maps, 5.0, 5_000).computed_points) - 1
+    return space, maps, 5.0, found + extra, (found, 2)
+
+
+def _table_cycle_at(case, max_steps, computed):
+    space, maps, x0, _, period = TABLE_CYCLES[case]
+    return space, maps, x0, max_steps, (computed, period)
 
 
 @lru_cache(maxsize=None)
 def _cycled_cases():
-    """(space, maps, x0, max_steps, expected cycle_from) per case.
+    """(space, maps, x0, max_steps, expected (computed steps, period)) per case.
 
-    An expected cycle_from of True means "some step past 10,000"."""
+    An expected value of True means "period 2 found past step 10,000"."""
     abs_metric = iv.abs_metric_space()
     two_labels = iv.table_space(("a", "b"), [[0, 1], [1, 0]])
     swap = _pair(*[iv.permutation_map({"a": "b", "b": "a"})] * 2)
@@ -435,26 +500,39 @@ def _cycled_cases():
     backward_only = replace(abs_metric, dist=lambda x, y: max(y - x, 0.0))
     nan_upward = replace(abs_metric, dist=lambda x, y: math.nan if x < y else x - y)
     all_nan = replace(abs_metric, dist=lambda x, y: math.nan)
+    # Distances 1, 1, 0 round the 3-cycle: two divergent steps per period.
+    repro, rotate, start = TABLE_CYCLES["table_period_6"][:3]
+    from_a_only = replace(repro, dist=lambda x, y: 0.0 if x == "a" else 1.0)
     stalled = {
         name: (family(), _linear_pair(c), x0, 75_000, True)
         for name, (family, c, x0) in STALLED.items()
     }
+    tables = {
+        name: (*case[:4], ({2: 2, 4: 8, 6: 14}[case[4]], case[4]))
+        for name, case in TABLE_CYCLES.items()
+    }
     return {
         **stalled,
-        "swap_cycle_at_step_1": (two_labels, swap, "a", 50, 2),
-        "swap_max_steps_2": (two_labels, swap, "a", 2, None),
-        "swap_max_steps_3": (two_labels, swap, "a", 3, 2),
-        "tiny_swap_repro": (tiny_swap, swap, "a", DEFAULT_MAX_STEPS, 2),
+        **tables,
+        "swap_cycle_at_step_1": (two_labels, swap, "a", 50, (2, 2)),
+        "swap_max_steps_2": (two_labels, swap, "a", 2, (2, 2)),
+        "swap_max_steps_3": (two_labels, swap, "a", 3, (2, 2)),
+        "tiny_swap_repro": (tiny_swap, swap, "a", DEFAULT_MAX_STEPS, (2, 2)),
         "float_cycle_at_last_step": _cycle_at_the_end(0),
         "float_cycle_one_step_before_end": _cycle_at_the_end(1),
         "float_cycle_two_steps_before_end": _cycle_at_the_end(2),
-        "signed_zeros_do_not_cycle": (abs_metric, _signed_zero_revisit(), 0.0, 6, None),
-        "asymmetric_positive_then_zero": (forward_only, _scaling_pair(10.0), 5.3, 41, 3),
-        "asymmetric_positive_then_zero_even": (forward_only, _scaling_pair(10.0), 5.3, 40, 3),
-        "asymmetric_zero_then_positive": (backward_only, _scaling_pair(10.0), 5.3, 41, 3),
-        "asymmetric_at_step_1": (backward_only, _scaling_pair(3.0), 1.0, 40, 2),
-        "nan_distances": (nan_upward, _scaling_pair(10.0), 123.456, 33, 3),
-        "all_nan_distances": (all_nan, _scaling_pair(10.0), 5.3, 34, 3),
+        "period_4_at_last_step": _table_cycle_at("table_period_4", 8, 8),
+        "period_4_one_step_before_end": _table_cycle_at("table_period_4", 9, 8),
+        "period_6_at_last_step": _table_cycle_at("table_period_6", 14, 14),
+        "period_6_five_steps_before_end": _table_cycle_at("table_period_6", 19, 14),
+        "period_6_divergent_twice": (from_a_only, rotate, start, 41, (14, 6)),
+        "signed_zeros_do_not_cycle": (abs_metric, _signed_zero_revisit(), 0.0, 6, (6, 0)),
+        "asymmetric_positive_then_zero": (forward_only, _scaling_pair(10.0), 5.3, 41, (3, 2)),
+        "asymmetric_positive_then_zero_even": (forward_only, _scaling_pair(10.0), 5.3, 40, (3, 2)),
+        "asymmetric_zero_then_positive": (backward_only, _scaling_pair(10.0), 5.3, 41, (3, 2)),
+        "asymmetric_at_step_1": (backward_only, _scaling_pair(3.0), 1.0, 40, (2, 2)),
+        "nan_distances": (nan_upward, _scaling_pair(10.0), 123.456, 33, (3, 2)),
+        "all_nan_distances": (all_nan, _scaling_pair(10.0), 5.3, 34, (3, 2)),
     }
 
 
@@ -463,26 +541,40 @@ CYCLED = list(_cycled_cases())
 
 @lru_cache(maxsize=None)
 def _cycled_trace(case):
-    """The case's orbit, checked for its expected cycle start; traces are immutable."""
+    """The case's orbit, checked for its expected computed steps and
+    period; traces are immutable."""
     space, maps, x0, max_steps, expected = _cycled_cases()[case]
     trace = iv.inverse_orbit(space, maps, x0, max_steps)
+    got = (len(trace.computed_points) - 1, trace.period)
     if expected is True:
-        assert trace.cycle_from > 10_000
+        assert got[0] > 10_000 and got[1] == 2
     else:
-        assert trace.cycle_from == expected
+        assert got == expected
     return space, maps, trace
 
 
 @pytest.mark.parametrize("case", CYCLED)
 def test_cycle_aware_cauchy_check_matches_the_whole_pass(case):
+    # The whole pass is that of the orbit loop that computes every step.
     space, _, trace = _cycled_trace(case)
-    whole = iv.geometric_cauchy_check(trace.successive_distances, space.k_const, TOL_FIX)
+    whole = _reference_trace(case).cauchy
     got = trace.cauchy
     assert _bits(got.lambda_hat) == _bits(whole.lambda_hat)
     assert (got.threshold, got.verdict) == (whole.threshold, whole.verdict)
     assert list(map(_bits, got.per_step_ratios)) == list(map(_bits, whole.per_step_ratios))
     assert got.divergent_steps == whole.divergent_steps
     assert len(got.per_step_ratios) == len(trace.successive_distances) - 1
+    assert len(got.per_step_ratios.values) <= len(trace.computed_distances)
+
+
+def test_a_cycled_trace_equals_its_recomputation():
+    # Columns compare as stored, so two runs of one orbit give equal and
+    # equally hashed traces; a column is not equal to a tuple of its items.
+    space, maps, x0, max_steps, _ = TABLE_CYCLES["table_period_6"]
+    one, two = (iv.inverse_orbit(space, maps, x0, max_steps) for _ in range(2))
+    assert one == two and hash(one) == hash(two)
+    assert one.points == two.points != tuple(two.points)
+    assert one.points[-1] == tuple(two.points)[-1] == two.computed_points[max_steps % 6]
 
 
 def test_divergent_steps_grow_through_a_repeated_tail():
@@ -497,7 +589,7 @@ def test_orbit_audit_matches_the_pairwise_audit(case, limit):
     space, maps, trace = _cycled_trace(case)
     hyp = iv.RLHypothesis(1.5)
     got = _audit_outcome(space, maps, hyp, trace, limit)
-    pairs = iv.orbit_adjacent_pairs(trace.points)
+    pairs = iv.orbit_adjacent_pairs(_reference_trace(case).points)
     assert got == _pairwise_audit(space, maps, hyp, pairs, limit)
     assert got[0] == len(pairs) or len(got[1]) == limit
 
@@ -518,26 +610,33 @@ def test_a_stalled_max_partial_orbit_repeats_its_violation():
     # d(p, p) = p on max_partial, so the stalled pair violates R = 1.5.
     space, maps, trace = _cycled_trace("stalled_max_partial")
     report = iv.audit(space, maps, iv.RLHypothesis(1.5), trace)
-    tail = len(trace.points) - 1 - trace.cycle_from
+    tail = len(trace.points) - len(trace.computed_points)
     assert len(report.violations) > tail
     assert len(set(report.violations[-tail - 1 :])) == 1
     # A limit that the prefix does not reach stops inside the repeated run.
     limit = len(report.violations) - tail + 100
     got = _audit_outcome(space, maps, iv.RLHypothesis(1.5), trace, limit)
-    pairs = iv.orbit_adjacent_pairs(trace.points)
+    pairs = iv.orbit_adjacent_pairs(_reference_trace("stalled_max_partial").points)
     assert got == _pairwise_audit(space, maps, iv.RLHypothesis(1.5), pairs, limit)
-    assert trace.cycle_from < got[0] < len(pairs)
+    assert len(trace.computed_points) - 1 < got[0] < len(pairs)
+
+
+def _columns(trace):
+    return trace.points, trace.successive_distances, trace.cauchy.per_step_ratios
 
 
 @pytest.mark.parametrize("case", CYCLED)
 def test_cycle_aware_trace_csv_matches_the_row_by_row_writer(tmp_path, case):
+    # The reference orbit computes every step, so its columns are written
+    # row by row; small chunks end inside and between the periods.
     _, _, trace = _cycled_trace(case)
-    columns = (trace.points, trace.successive_distances, trace.cauchy.per_step_ratios)
-    write_trace_csv(*columns, tmp_path / "cycled.csv", trace.cycle_from)
-    write_trace_csv(*columns, tmp_path / "rows.csv")
-    cycled = (tmp_path / "cycled.csv").read_bytes()
-    assert cycled == (tmp_path / "rows.csv").read_bytes()
-    assert cycled.count(b"\r\n") == len(trace.points) + 1
+    write_trace_csv(*_columns(_reference_trace(case)), tmp_path / "rows.csv")
+    expected = (tmp_path / "rows.csv").read_bytes()
+    assert expected.count(b"\r\n") == len(trace.points) + 1
+    for chunk in (report_module.TRACE_CHUNK_ROWS, 3, 5):
+        with mock.patch.object(report_module, "TRACE_CHUNK_ROWS", chunk):
+            write_trace_csv(*_columns(trace), tmp_path / "cycled.csv")
+        assert (tmp_path / "cycled.csv").read_bytes() == expected
 
 
 def test_roundtrip_check_names_the_broken_map(sqrt_square):
@@ -659,6 +758,19 @@ def test_audit_of_repeated_pairs_matches_the_pairwise_audit(sqrt_square, nine_id
     got = _audit_outcome(sqrt_square, nine_identity, hyp, pairs)
     assert got == _pairwise_audit(sqrt_square, nine_identity, hyp, pairs)
     assert len(got[1]) == 6
+    # An orbit's pairs repeat with its period of 2, 4 or 6: the outcomes of
+    # the last walked period repeat through the tail, and a limit stops
+    # inside it.  The reference walks the pairs of every computed step.
+    hyp = iv.RLHypothesis(1.5)
+    for case in TABLE_CYCLES:
+        space, maps, trace = _cycled_trace(case)
+        pairs = iv.orbit_adjacent_pairs(_reference_trace(case).points)
+        for limit in (None, 5_000):
+            got = _audit_outcome(space, maps, hyp, trace, limit)
+            assert got == _pairwise_audit(space, maps, hyp, pairs, limit)
+    # Two of every three pairs of the 3-cycle violate: the limit is reached
+    # far inside the repeated run.
+    assert len(trace.computed_points) < got[0] < len(pairs) and len(got[1]) == 5_000
 
 
 @pytest.mark.parametrize("limit", [1, 2, 3])
@@ -756,6 +868,18 @@ def test_solve_identity_pair_is_not_certified(sqrt_square, identity_pair):
     report = iv.solve(sqrt_square, identity_pair, iv.RLHypothesis(3.0, 0.0), 2.0)
     assert not report.certified
     assert report.t_residual == 0.0
+
+
+def test_solve_is_not_certified_on_residuals_alone():
+    # T = S = 2x from 5: three steps decay by 0.5, which certifies the
+    # Cauchy check, but the candidate 0.625 is not fixed: its residuals
+    # d_sharp(z, 2z) = 1.25 fail the gate, so the solve is not certified.
+    space = iv.abs_metric_space()
+    report = iv.solve(space, _linear_pair(2.0), iv.RLHypothesis(1.5), 5.0, max_steps=3)
+    assert report.trace.cauchy.lambda_hat == 0.5
+    assert report.trace.cauchy.verdict is iv.CauchyOutcome.CAUCHY_CERTIFIED
+    assert report.t_residual == report.s_residual == 1.25 > TOL_FIX
+    assert not report.certified
 
 
 def test_solve_requires_declared_completeness(nine_identity):

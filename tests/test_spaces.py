@@ -88,7 +88,9 @@ def test_every_family_space_copies_with_a_new_dist(family):
 def test_records_keep_their_repr_equality_hash_and_fields():
     ratios = (0.25, 0.125)
     verdict = iv.CauchyVerdict(0.25, 0.5, iv.CauchyOutcome.CAUCHY_CERTIFIED, ratios)
-    trace = iv.OrbitTrace((1.0, 0.5, 0.25), (0.5, 0.25), verdict, iv.Termination.MAX_ITERATIONS)
+    trace = iv.OrbitTrace(
+        (1.0, 0.5, 0.25), (0.5, 0.25), verdict, iv.Termination.MAX_ITERATIONS, 0, 2
+    )
     violation = iv.AuditViolation(1.0, "b", 3.0, 4.5)
     verdict_text = (
         "CauchyVerdict(lambda_hat=0.25, threshold=0.5, verdict=<CauchyOutcome."
@@ -104,10 +106,17 @@ def test_records_keep_their_repr_equality_hash_and_fields():
         ),
         (
             trace,
-            "OrbitTrace(points=(1.0, 0.5, 0.25), successive_distances=(0.5, 0.25), "
+            "OrbitTrace(computed_points=(1.0, 0.5, 0.25), computed_distances=(0.5, 0.25), "
             f"cauchy={verdict_text}, terminated_by=<Termination.MAX_ITERATIONS: "
-            "'max_iterations'>, cycle_from=None)",
-            ("points", "successive_distances", "cauchy", "terminated_by", "cycle_from"),
+            "'max_iterations'>, period=0, steps=2)",
+            (
+                "computed_points",
+                "computed_distances",
+                "cauchy",
+                "terminated_by",
+                "period",
+                "steps",
+            ),
         ),
     ]
     for record, text, fields in cases:
@@ -464,6 +473,17 @@ def test_a_nan_self_distance_fails_a_partial_metric():
     assert [(v.axiom_id, v.witness) for v in report.violations] == [("nonneg", (0, 0))]
 
 
+@pytest.mark.parametrize("strategy", [iv.Exhaustive(), iv.Sampled(50, 1)])
+def test_a_nan_self_distance_is_not_read_as_equal_in_p1(strategy):
+    # d(1, 1) = d(1, 0) = 1.0 says nothing about point 0, whose d(0, 0) is
+    # nan: P1 must not read that nan as equal to d(0, 1).  Only the nonneg
+    # violation at (0, 0), read once per leading pair (0, 0), remains.
+    rows = [[math.nan, 1.0], [1.0, 1.0]]
+    report = iv.check_axioms(_on_two_points(rows, iv.SpaceKind.PARTIAL_METRIC), strategy)
+    pairs = {(v.axiom_id, v.witness) for v in report.violations if len(v.witness) == 2}
+    assert pairs == {("nonneg", (0, 0))}
+
+
 # A sampled check reads d(x, y) as a pair only for each triple's leading
 # (x, y); its other reads are tested for nan where they are made.  On a
 # finite carrier the first sampled triples are the anchor triples in
@@ -687,7 +707,9 @@ def _bare_two_pass(space, pairs, singles, triples, sampled=False):
             out.append((sym_id, (x, y), dxy, dyx))
         if kind is iv.SpaceKind.PARTIAL_METRIC:
             dxx, dyy = d(x, x), d(y, y)
-            if x != y and not differs(dxx, dxy) and not differs(dyy, dxy):
+            # A nan self-distance is equal to nothing.
+            no_nan = dxx == dxx and dyy == dyy
+            if x != y and not differs(dxx, dxy) and not differs(dyy, dxy) and no_nan:
                 out.append(("P1", (x, y), dxy, dxx))
             if sampled and x != y and dxx != dxx:
                 out.append(("nonneg", (x, x), dxx, 0.0))
