@@ -56,10 +56,7 @@ def _audit_json(report) -> dict:
     return {
         "checked_pairs": report.checked_pairs,
         "passed": report.passed,
-        "violations": [
-            {"x": v.x, "y": v.y, "lhs": v.lhs, "rhs": v.rhs}
-            for v in report.violations
-        ],
+        "violations": report.violations,
     }
 
 
@@ -133,15 +130,7 @@ def _run_axioms(scenario: dict, out_dir: Path) -> tuple[dict, int]:
         "checked_triples": report.checked_triples,
         "kind": space.kind.value,
         "k_const": space.k_const,
-        "violations": [
-            {
-                "axiom_id": v.axiom_id,
-                "witness": list(v.witness),
-                "lhs": v.lhs,
-                "rhs": v.rhs,
-            }
-            for v in report.violations
-        ],
+        "violations": report.violations,
     }
     return results, EXIT_OK if report.passed else EXIT_FINDINGS
 
@@ -268,7 +257,16 @@ def run_scenario(
             "status": COMMANDS[cmd].passed if code == EXIT_OK else COMMANDS[cmd].failed,
             "results": results,
         }
-        emit_report(report, out / "report.json")
+        # A report is written in chunks: it becomes report.json only once
+        # it is whole, so a failed write leaves no truncated report.
+        partial = out / "report.json.partial"
+        try:
+            emit_report(report, partial)
+            os.replace(partial, out / "report.json")
+        except BaseException:
+            with contextlib.suppress(OSError):
+                partial.unlink()
+            raise
     except Exception as err:
         # An unexpected type, e.g. an OverflowError from a huge start, is named.
         message = f"{err}" if isinstance(err, _EXPECTED) else f"{type(err).__name__}: {err}"

@@ -5,25 +5,27 @@ are printed with a fixed 17-significant-digit format (enough to round-trip
 any double) and object keys are emitted in sorted order.  The stdlib JSON
 encoder delegates float formatting to repr, which is shortest-round-trip
 rather than fixed, hence the small writer here.  It writes a document in
-one pass: text parts go onto a list, and once the list holds
-JSON_CHUNK_PARTS parts they are joined into a chunk, which bounds the
-list; the chunks are joined once.  Finite floats are formatted as they
-are met; separators, closing lines and the text before each key are made
-once per depth and call.  A list of dicts of finite floats that share
-one set of str keys, such as an audit's violations on an interval, is a
-list of float records: its text is formatted JSON_CHUNK_PARTS records at
-a time by one `%` call, as `write_trace_csv` formats its float rows.
+one pass: text parts go onto a list, and once it holds JSON_CHUNK_PARTS
+parts they are joined into a chunk and handed on (`emit_report` writes
+each to its file at once), which bounds what is held.  Finite floats are
+formatted as they are met; separators, closing lines and the text before
+each key are made once per depth and call.  A NamedTuple is written as
+the object of its fields.  A list of NamedTuples of one type with finite
+float values, such as an audit's violations on an interval, is a list of
+float records: its text is formatted JSON_CHUNK_PARTS records at a time by
+one `%` call, as `write_trace_csv` formats its float rows.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import re
 from itertools import chain, cycle, islice, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from .analysis import Cycled
 
@@ -60,14 +62,14 @@ def _floats_only(values: Iterable[Any]) -> bool:
     return {*map(type, values)} <= _FLOAT_TYPE
 
 
-def _json_chunks(value: Any, indent: int) -> list[str]:
-    """The text of `canonical_json(value, indent)`, as chunks to be joined.
+def _json_text(value: Any, indent: int, put: Callable[[str], Any]) -> None:
+    """Hand `put` the text of `canonical_json(value, indent)`, chunk by chunk.
 
     A finite float of type float is formatted here; every other scalar
     goes through `_scalar`, the rules the writer has always applied.  A
-    list of float records is written by `records`.
+    NamedTuple is written as the object of its fields, and a list of
+    float records by `records`.
     """
-    chunks: list[str] = []
     parts: list[str] = []
     add = parts.append
     levels: dict[int, tuple] = {}
@@ -104,12 +106,14 @@ def _json_chunks(value: Any, indent: int) -> list[str]:
                 write(value[key], depth + 1)
                 later = 1
             add(close)
+        elif isinstance(value, tuple) and hasattr(value, "_fields"):
+            write(value._asdict(), depth)
         elif isinstance(value, (list, tuple)):
             if not value:
                 add("[]")
                 return
             mark, sep, close, _, _ = level(depth)
-            if len(value) > 1 and type(value[0]) is dict and records(value, depth):
+            if len(value) > 1 and records(value, depth):
                 return
             for item in value:
                 add(mark)
@@ -121,31 +125,27 @@ def _json_chunks(value: Any, indent: int) -> list[str]:
 
     def records(value: list | tuple, depth: int) -> bool:
         """Write `value`, a list at `depth`, as float records; False, with
-        nothing written, unless its items are dicts of one set of str keys
-        whose values are all finite and of type float.
+        nothing written, unless its items are NamedTuples of one type whose
+        values are all finite and of type float.
 
-        A record is the text `write` gives such a dict, with "%.17g" in
+        A record is the text `write` gives such an item, with "%.17g" in
         place of each value and every "%" of its key text doubled.  The
         records are formatted JSON_CHUNK_PARTS at a time, each chunk by one
-        `%` call on that text repeated once per record.  "%.17g" % x
-        equals format(x, ".17g") for every float, so the bytes are those of
-        the generic path.
+        `%` call on that text repeated once per record, and handed to
+        `put` at once.  "%.17g" % x equals format(x, ".17g") for every
+        float, so the bytes are those of the generic path.
         """
-        first = value[0]
-        if (
-            {*map(type, first)} != {str}
-            or not _floats_only(first.values())
-            or {*map(type, value)} != {dict}
-            or not all(map(first.keys().__eq__, map(dict.keys, value)))
-        ):
+        kind = type(value[0])
+        fields = getattr(kind, "_fields", None)
+        if not (fields and issubclass(kind, tuple) and {*map(type, value)} == {kind}):
             return False
-        keys = sorted(first)
-        read = itemgetter(*keys)
-        if len(keys) > 1:
-            floats = (*chain.from_iterable(map(read, value)),)
-        else:
-            floats = (*map(read, value),)
-        if not (_floats_only(floats) and all(map(math.isfinite, floats))):
+        keys = sorted(fields)
+        read = itemgetter(*map(fields.index, keys))
+
+        def floats(items: list | tuple) -> Iterable:
+            return map(read, items) if len(keys) == 1 else chain.from_iterable(map(read, items))
+
+        if not (_floats_only(floats(value)) and all(map(math.isfinite, floats(value)))):
             return False
         mark, sep, close, _, _ = level(depth)
         _, _, _, record_close, heads = level(depth + 1)
@@ -156,23 +156,21 @@ def _json_chunks(value: Any, indent: int) -> list[str]:
         )
         record += record_close
         unit = sep + record
-        step = JSON_CHUNK_PARTS * len(keys)
-        for start in range(0, len(floats), step):
-            chunk = floats[start : start + step]
-            if len(parts) >= JSON_CHUNK_PARTS:
-                flush()
-            add((mark + record + unit * (len(chunk) // len(keys) - 1)) % chunk)
+        flush()
+        for start in range(0, len(value), JSON_CHUNK_PARTS):
+            chunk = value[start : start + JSON_CHUNK_PARTS]
+            put((mark + record + unit * (len(chunk) - 1)) % (*floats(chunk),))
             mark = sep
         add(close)
         return True
 
     def flush() -> None:
-        chunks.append("".join(parts))
-        parts.clear()
+        if parts:
+            put("".join(parts))
+            parts.clear()
 
     write(value, indent)
     flush()
-    return chunks
 
 
 def canonical_json(value: Any, indent: int = 0) -> str:
@@ -181,15 +179,25 @@ def canonical_json(value: Any, indent: int = 0) -> str:
     `indent` is the depth the value starts at: it sets the indentation of
     the value's inner lines and closing bracket, not of its first line.
     """
-    return "".join(_json_chunks(value, indent))
+    chunks: list[str] = []
+    _json_text(value, indent, chunks.append)
+    return "".join(chunks)
 
 
 def emit_report(report: dict, path: str | Path) -> bytes:
-    chunks = _json_chunks(report, 0)
-    chunks.append("\n")
-    data = "".join(chunks).encode("ascii")
-    Path(path).write_bytes(data)
-    return data
+    """Write `report` as canonical JSON and a newline to `path`, a chunk at
+    a time, and return the bytes written."""
+    kept = io.BytesIO()
+    with open(path, "wb") as handle:
+
+        def put(text: str) -> None:
+            data = text.encode("ascii")
+            handle.write(data)
+            kept.write(data)
+
+        _json_text(report, 0, put)
+        put("\n")
+    return kept.getvalue()
 
 
 _NEEDS_QUOTES = re.compile('[,"\r\n]')

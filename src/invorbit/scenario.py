@@ -51,8 +51,9 @@ from .spaces import (
 COMMANDS = ("solve", "audit", "axioms", "oracle", "lemmas")
 
 # The largest `run.max_steps` and `run.n_samples`, and the most table
-# labels, a scenario may ask for: memory and output grow linearly with the
-# first two, and exhaustive axioms walk n**3 label triples.
+# labels, a scenario may ask for: an orbit's memory and output grow
+# linearly with the first, a sampled run's time and violations with the
+# second, and exhaustive axioms walk n**3 label triples.
 MAX_RUN_SIZE = 1_000_000
 MAX_LABELS = 100
 

@@ -396,11 +396,13 @@ def audit(
     which stops at an instance's first violation: a phi below its floor
     on a later pair is then never evaluated, and never raised.
 
-    Every walked pair is evaluated.  An `OrbitTrace` stands for the pairs
-    its orbit consumed (`orbit_adjacent_pairs`), which repeat with its
-    points: the pairs of its computed points (one period at least) are
-    walked, and the outcomes of the last period repeat through the rest.
-    This relies on the maps, the distance and phi being functions.
+    Every walked pair is evaluated.  `Sampled` pairs are drawn lazily as
+    they are walked, so the audit holds its violations, not its sample.
+    An `OrbitTrace` stands for the pairs its orbit consumed
+    (`orbit_adjacent_pairs`), which repeat with its points: the pairs of
+    its computed points (one period at least) are walked, and the
+    outcomes of the last period repeat through the rest.  This relies on
+    the maps, the distance and phi being functions.
     """
     check_hypothesis(space, hyp)
     d = space.dist

@@ -242,34 +242,52 @@ def _draws(rng: random.Random, pool: list, count: int) -> Iterator[list]:
         yield got
 
 
-def sample(space: Space, n: int, seed: int, arity: int) -> list:
+class Sample:
     """`n` points (arity 1) or ordered `arity`-tuples from a seeded pool.
 
     Every anchor combination comes first, then tuples of pool draws, each
     draw equivalent to one rng.randrange(len(pool)) call in tuple order.
+    The sample is lazy: each iteration builds the pool and draws afresh,
+    DRAW_CHUNK words at a time, so it yields the same items every time
+    and holds one chunk of draws, never the whole sample.
     """
-    rng = random.Random(seed)
-    pool, anchors = _pool_and_anchors(space, rng)
-    if arity == 1:
-        out = list(anchors[:n])
-    else:
-        out = list(islice(product(anchors, repeat=arity), n))
-    count = (n - len(out)) * arity
-    flat = islice(chain.from_iterable(_draws(rng, pool, count)), count)
-    out.extend(flat if arity == 1 else zip(*[flat] * arity))
-    return out
+
+    __slots__ = ("space", "n", "seed", "arity")
+
+    def __init__(self, space: Space, n: int, seed: int, arity: int):
+        self.space, self.n, self.seed, self.arity = space, n, seed, arity
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __iter__(self) -> Iterator:
+        n, arity = self.n, self.arity
+        rng = random.Random(self.seed)
+        pool, anchors = _pool_and_anchors(self.space, rng)
+        if arity == 1:
+            lead = anchors[:n]
+        else:
+            lead = list(islice(product(anchors, repeat=arity), n))
+        count = (n - len(lead)) * arity
+        flat = islice(chain.from_iterable(_draws(rng, pool, count)), count)
+        return chain(lead, flat if arity == 1 else zip(*[flat] * arity))
+
+
+def sample(space: Space, n: int, seed: int, arity: int) -> Sample:
+    """The lazy sample of `n` points or `arity`-tuples (see `Sample`)."""
+    return Sample(space, n, seed, arity)
 
 
 # The fixed-arity names stay public; cli, solver and check_axioms call them.
-def sample_points(space: Space, n: int, seed: int) -> list[Point]:
+def sample_points(space: Space, n: int, seed: int) -> Sample:
     return sample(space, n, seed, 1)
 
 
-def sample_pairs(space: Space, n: int, seed: int) -> list[tuple[Point, Point]]:
+def sample_pairs(space: Space, n: int, seed: int) -> Sample:
     return sample(space, n, seed, 2)
 
 
-def sample_triples(space: Space, n: int, seed: int) -> list[tuple[Point, Point, Point]]:
+def sample_triples(space: Space, n: int, seed: int) -> Sample:
     return sample(space, n, seed, 3)
 
 
@@ -378,6 +396,17 @@ def _d1_violations(space: Space, singles: Iterable[Point], found: list) -> None:
             found.append(AxiomViolation("D1", (x, x), dxx, 0.0))
 
 
+def _noted(triples: Iterable[tuple], seen: dict) -> Iterator[tuple]:
+    """`triples`, each of whose points is entered into `seen` as it
+    passes, so that once they are consumed `seen` holds the points in
+    first-occurrence order, as dict.fromkeys(chain.from_iterable(triples))
+    would."""
+    for t in triples:
+        x, y, z = t
+        seen[x] = seen[y] = seen[z] = None
+        yield t
+
+
 def _triangle_fails(
     lhs: float, rhs: float, detour: float, factor: float, subtract_mid: bool
 ) -> bool:
@@ -407,9 +436,11 @@ def check_axioms(space: Space, strategy: Strategy) -> AxiomReport:
     it checks the pair axioms of each (x, y) once, then the triangle for
     each midpoint z.  An exhaustive check pairs every (x, y) with every
     point; a sampled one checks the leading pair of each triple with its
-    own z, so the anchor pairs are always covered.  Each d(x, y) is read
-    once and serves both the pair axioms and the triangle, which relies on
-    the distance being a function of its points.  A sampled check reads
+    own z, so the anchor pairs are always covered.  Its triples are drawn
+    lazily and read once, by that loop, which on a b-metric also collects
+    the distinct points D1 checks; no triple is held past its turn.  Each
+    d(x, y) is read once and serves both the pair axioms and the triangle,
+    which relies on the distance being a function of its points.  A sampled check reads
     its legs d(x, z), d(z, y) (and d(z, z)) only there, so it counts a
     triangle whose rhs is nan as failed.  Violations come out as pair
     violations, then D1 (b-metrics only), then triangle violations.
@@ -418,7 +449,7 @@ def check_axioms(space: Space, strategy: Strategy) -> AxiomReport:
     d = space.dist
     kind = space.kind
     if isinstance(strategy, Exhaustive):
-        pts = _exhaustive_points(space)
+        pts = singles = _exhaustive_points(space)
         triples: Iterable[tuple] = product(pts, repeat=3)
         # In product order each (x, y) leads the run of its len(pts) midpoints.
         leads: Iterable[bool] = cycle((True,) + (False,) * (len(pts) - 1))
@@ -427,6 +458,9 @@ def check_axioms(space: Space, strategy: Strategy) -> AxiomReport:
         triples = sample_triples(space, strategy.n, strategy.seed)
         leads = repeat(True)
         checked_pairs = checked_triples = len(triples)
+        singles = {}
+        if kind is SpaceKind.B_METRIC:
+            triples = _noted(triples, singles)
     else:
         raise TypeError(f"unknown strategy: {strategy!r}")
 
@@ -451,11 +485,6 @@ def check_axioms(space: Space, strategy: Strategy) -> AxiomReport:
         ):
             triangles.append(AxiomViolation(tri_id, (x, y, z), lhs, rhs))
     if kind is SpaceKind.B_METRIC:
-        singles = (
-            pts
-            if isinstance(strategy, Exhaustive)
-            else dict.fromkeys(chain.from_iterable(triples))
-        )
         _d1_violations(space, singles, violations)
     violations.extend(triangles)
 

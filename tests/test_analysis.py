@@ -197,7 +197,7 @@ def test_batched_sandwich_matches_per_y_checks(k_const):
     # At K = 1 the bound [D(x,y), D(x,y)] leaves no room for the harmonic
     # tail's bias, so the batch mixes held and failed targets.
     space = iv.sqrt_square_space(k_const)
-    ys = iv.sample_points(space, 40, seed=7) + [0.0]
+    ys = list(iv.sample_points(space, 40, seed=7)) + [0.0]
     geometric = [4.0 / 9.0 ** n for n in range(60)]
     harmonic = [1.0 / n for n in range(1, 5001)]
     verdicts = set()
@@ -209,7 +209,7 @@ def test_batched_sandwich_matches_per_y_checks(k_const):
 
 
 def test_batched_sandwich_gate_raises_like_the_per_y_check(sqrt_square):
-    ys = iv.sample_points(sqrt_square, 10, seed=3)
+    ys = list(iv.sample_points(sqrt_square, 10, seed=3))
     with pytest.raises(iv.HypothesisNotMet):
         _per_y_sandwich(sqrt_square, [1.0] * 50, 1.0, ys[0], 1e-6)
     with pytest.raises(iv.HypothesisNotMet):
@@ -351,7 +351,7 @@ def _sandwich_cases():
     rounded = iv.inverse_orbit(abs_metric, scaling, 5.3, 7)
     assert len(rounded.computed_points) == 4 and rounded.points[2] != rounded.points[0]
     harmonic = [1.0 / n for n in range(1, 5001)]
-    ys = iv.sample_points(abs_metric, 26, seed=1) + [0.0, -0.0, nan]
+    ys = list(iv.sample_points(abs_metric, 26, seed=1)) + [0.0, -0.0, nan]
     one_nan = float("nan")
     stalled_args = (stalled.points, tail[-1], ys, 1e-6)
     return {

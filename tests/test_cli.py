@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import csv
+import errno
 import hashlib
 import importlib.util
 import json
@@ -167,26 +168,95 @@ def _record_lists(draw):
     return records
 
 
-@given(_record_lists(), st.integers(0, 3), st.sampled_from([1, report.JSON_CHUNK_PARTS]))
+_FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 0.1]
+)
+_POINT_LABELS = st.sampled_from(["a", 'q"', "é", 0, 2, True])
+
+
+@st.composite
+def _violation_lists(draw):
+    """Lists of `AuditViolation` or of `AxiomViolation` records, as audits
+    and axiom checks report them: nearly all finite floats, some nan, ±inf
+    or -0.0, some table labels, and witness tuples of two or three points."""
+
+    def value(finite):
+        if draw(st.integers(0, 29)) == 0:
+            return draw(_RECORD_FLOATS | _POINT_LABELS)
+        return draw(_FINITE_FLOATS if finite else _RECORD_FLOATS)
+
+    finite = draw(st.booleans())
+    size = draw(st.integers(1, 9))
+    if draw(st.booleans()):
+        return [iv.AuditViolation(*(value(finite) for _ in range(4))) for _ in range(size)]
+    return [
+        iv.AxiomViolation(
+            draw(st.sampled_from(["D1", "D3", "P4", "nonneg"])),
+            tuple(value(finite) for _ in range(draw(st.integers(2, 3)))),
+            value(finite),
+            value(finite),
+        )
+        for _ in range(size)
+    ]
+
+
+def _violation_dicts(violations):
+    """The dicts the command line once built from violation records."""
+    return [
+        {"axiom_id": v.axiom_id, "witness": list(v.witness), "lhs": v.lhs, "rhs": v.rhs}
+        if isinstance(v, iv.AxiomViolation)
+        else {"x": v.x, "y": v.y, "lhs": v.lhs, "rhs": v.rhs}
+        for v in violations
+    ]
+
+
+@given(
+    _record_lists(),
+    _violation_lists(),
+    st.integers(0, 3),
+    st.sampled_from([1, 3, report.JSON_CHUNK_PARTS]),
+)
 @settings(max_examples=500, deadline=None, derandomize=True)
-def test_record_lists_match_the_recursive_reference(records, indent, chunk):
-    doc = {"violations": records, "nested": [records, tuple(records)]}
+def test_record_lists_match_the_recursive_reference(records, violations, indent, chunk):
+    # Violation records are written as the dicts they replace, byte for byte.
+    dicts = _violation_dicts(violations)
+    doc = {"violations": records, "nested": [records, tuple(records)], "audit": violations}
     with mock.patch.object(report, "JSON_CHUNK_PARTS", chunk):
         assert canonical_json(records, indent) == _reference_canonical_json(records, indent)
-        text = _reference_canonical_json(doc) + "\n"
+        assert canonical_json(violations, indent) == _reference_canonical_json(dicts, indent)
+        assert canonical_json(tuple(violations), indent) == canonical_json(dicts, indent)
+        text = _reference_canonical_json({**doc, "audit": dicts}) + "\n"
         assert report.emit_report(doc, os.devnull) == text.encode("ascii")
 
 
 def test_a_record_list_longer_than_a_chunk_matches_the_reference():
-    # Three chunks at the real size; with one nan the list is written
-    # value by value.
-    records = [
-        {"x": i / 7, "lhs": -i * 1e300, "rhs": 5e-324 * i}
-        for i in range(2 * report.JSON_CHUNK_PARTS + 3)
+    # Three chunks and more, at the real size and at 3; with one nan the
+    # list is written value by value.  Violation records write the bytes
+    # of their dicts, compared line by line to keep a failure's report short.
+    for chunk in (report.JSON_CHUNK_PARTS, 3):
+        with mock.patch.object(report, "JSON_CHUNK_PARTS", chunk):
+            _check_long_record_lists(chunk)
+
+
+def _check_long_record_lists(chunk):
+    size = 2 * chunk + 3
+    records = [{"x": i / 7, "lhs": -i * 1e300, "rhs": 5e-324 * i} for i in range(size)]
+    assert canonical_json(records, 1) == _reference_canonical_json(records, 1)
+    records[chunk + 1]["rhs"] = math.nan
+    assert canonical_json(records, 1) == _reference_canonical_json(records, 1)
+    audit = [iv.AuditViolation(i / 7, -0.0, -i * 1e300, 5e-324 * i) for i in range(size)]
+    axioms = [
+        iv.AxiomViolation("D3", (i / 7, "b", -0.0), -i * 1e300, 5e-324 * i) for i in range(size)
     ]
-    assert canonical_json(records, 1) == _reference_canonical_json(records, 1)
-    records[report.JSON_CHUNK_PARTS + 1]["rhs"] = math.nan
-    assert canonical_json(records, 1) == _reference_canonical_json(records, 1)
+    audit_inf = audit.copy()
+    audit_inf[chunk + 1] = audit[chunk + 1]._replace(rhs=math.inf)
+    for violations in (audit, axioms, audit[:1], axioms[:1], audit_inf):
+        dicts = _violation_dicts(violations)
+        expected = _reference_canonical_json(dicts, 1).splitlines()
+        assert canonical_json(violations, 1).splitlines() == expected
+        text = _reference_canonical_json({"violations": dicts}) + "\n"
+        written = report.emit_report({"violations": violations}, os.devnull)
+        assert written.decode("ascii").splitlines(True) == text.splitlines(True)
 
 
 @pytest.mark.parametrize("value", [object(), {1, 2}, b"x", {"a": [1.0, {"b": complex(1, 2)}]}])
@@ -1047,6 +1117,49 @@ def test_unreadable_scenario_is_an_error(tmp_path, capsys, kind):
     assert main(["--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+class _DiskFullAfterOneChunk:
+    """A binary file that takes one chunk, then fails as a full disk does."""
+
+    chunks = 0
+
+    def __init__(self, path, mode):
+        self.handle = open(path, mode)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+    def write(self, data):
+        if _DiskFullAfterOneChunk.chunks:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        _DiskFullAfterOneChunk.chunks += 1
+        return self.handle.write(data)
+
+
+def test_a_report_that_fails_mid_write_leaves_no_report(tmp_path, capsys):
+    # The report is written chunk by chunk; a write that fails after the
+    # first leaves neither a truncated report.json nor its partial file.
+    out = tmp_path / "out"
+    with (
+        mock.patch.object(report, "JSON_CHUNK_PARTS", 1),
+        mock.patch.object(_DiskFullAfterOneChunk, "chunks", 0),
+        mock.patch.object(report, "open", _DiskFullAfterOneChunk, create=True),
+    ):
+        code = run_scenario(SCENARIOS / "sqrt_square_axioms.json", out)
+        assert _DiskFullAfterOneChunk.chunks == 1
+    assert code == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "No space left" in lines[0]
+    assert captured.out == ""
+    assert list(out.iterdir()) == []
+    # Unpatched, the same run writes its whole report and nothing else.
+    assert run_scenario(SCENARIOS / "sqrt_square_axioms.json", out) == 0
+    assert [path.name for path in out.iterdir()] == ["report.json"]
 
 
 def test_unreadable_scenarios_do_not_abort_the_batch(tmp_path, cli_env):

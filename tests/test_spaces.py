@@ -3,6 +3,7 @@ import math
 import pkgutil
 import random
 import struct
+import tracemalloc
 from dataclasses import is_dataclass, replace
 from itertools import islice, product
 
@@ -494,7 +495,7 @@ def test_a_nan_self_distance_is_not_read_as_equal_in_p1(strategy):
 def _sampled_on_table(table, kind, n):
     pts = tuple(sorted({x for x, _ in table}))
     space = iv.Space(iv.FiniteCarrier(pts), lambda x, y: table[x, y], 1.0, kind)
-    assert iv.sample_triples(space, n, 0) == list(islice(product(pts, repeat=3), n))
+    assert list(iv.sample_triples(space, n, 0)) == list(islice(product(pts, repeat=3), n))
     report = iv.check_axioms(space, iv.Sampled(n, 0))
     return [(v.axiom_id, v.witness, v.lhs, v.rhs) for v in report.violations]
 
@@ -612,10 +613,16 @@ def test_sample_pairs_cover_the_anchor_grid(sqrt_square):
 
 
 def test_sampling_is_deterministic(sqrt_square):
-    assert iv.sample_triples(sqrt_square, 500, 3) == iv.sample_triples(
-        sqrt_square, 500, 3
+    assert list(iv.sample_triples(sqrt_square, 500, 3)) == list(
+        iv.sample_triples(sqrt_square, 500, 3)
     )
-    assert iv.sample_pairs(sqrt_square, 500, 3) == iv.sample_pairs(sqrt_square, 500, 3)
+    assert list(iv.sample_pairs(sqrt_square, 500, 3)) == list(iv.sample_pairs(sqrt_square, 500, 3))
+    # A sample is sized, and each iteration of it draws the same items again.
+    for arity in (1, 2, 3):
+        sample = iv.sample(sqrt_square, 3 * iv.spaces.DRAW_CHUNK, 3, arity)
+        assert len(sample) == 3 * iv.spaces.DRAW_CHUNK
+        first = list(sample)
+        assert len(first) == len(sample) and list(sample) == first
 
 
 # The randrange loops the bulk sampler replaced, kept as its reference.
@@ -683,8 +690,8 @@ def test_bulk_sampler_matches_randrange(space, pool_size, arity, sampler, refere
         for n in sizes:
             expected = reference(space, n, seed)
             assert len(expected) == n
-            assert sampler(space, n, seed) == expected, (seed, n)
-            assert iv.sample(space, n, seed, arity) == expected, (seed, n)
+            assert list(sampler(space, n, seed)) == expected, (seed, n)
+            assert list(iv.sample(space, n, seed, arity)) == expected, (seed, n)
 
 
 def _bare_two_pass(space, pairs, singles, triples, sampled=False):
@@ -788,3 +795,74 @@ def test_sampled_axioms_agree_with_the_two_pass_reference(kind, edge_values):
         assert report.checked_pairs == report.checked_triples == len(triples) == 60
         expected = _bare_sampled_violations(space, triples)
         assert repr(_listed(report)) == repr(expected), (seed, table)
+
+
+def _b_metric_with_self_distances():
+    """A test-only b-metric on [0, 10] whose self-distances above 5 are
+    positive, so D1 fires, and whose distance is nan where x + y lies in
+    (3, 3.5), so some triangles read a nan leg."""
+
+    def dist(x, y):
+        if 3.0 < x + y < 3.5:
+            return math.nan
+        return abs(x - y) + (0.25 if x == y and x > 5.0 else 0.0)
+
+    return iv.Space(iv.IntervalCarrier(0.0, 10.0), dist, 1.0, iv.SpaceKind.B_METRIC)
+
+
+def test_a_streamed_check_matches_the_check_of_its_listed_sample():
+    # Past several draw chunks, the one-pass check of a lazy sample reports
+    # what the two-pass reference reports on the listed triples, D1 in the
+    # order dict.fromkeys(chain.from_iterable(triples)) gives its points.
+    space = _b_metric_with_self_distances()
+    n = 3 * iv.spaces.DRAW_CHUNK + 5
+    for seed in range(3):
+        report = iv.check_axioms(space, iv.Sampled(n, seed))
+        triples = list(iv.sample_triples(space, n, seed))
+        assert report.checked_pairs == report.checked_triples == len(triples) == n
+        listed = _listed(report)
+        assert repr(listed) == repr(_bare_sampled_violations(space, triples)), seed
+        ids = [v[0] for v in listed]
+        assert ids.count("D1") > 1 and "nonneg" in ids and "D3" in ids
+        assert any(math.isnan(v[3]) for v in listed if v[0] == "D3")
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _passing_phi_audit(n):
+    space = iv.square_diff_space()
+    forward, preimage = iv.linear_map(3.0)
+    maps = iv.MapPair(forward, forward, preimage, preimage)
+    report = iv.audit(space, maps, iv.PhiHypothesis(iv.affine_phi(5.0, 0.0), 4.0), iv.Sampled(n, 1))
+    assert report.passed and report.checked_pairs == n
+
+
+def _passing_axioms(family):
+    def run(n):
+        report = iv.check_axioms(family(), iv.Sampled(n, 1))
+        assert report.passed and report.checked_triples == n
+
+    return run
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        _passing_axioms(iv.sqrt_square_space),
+        _passing_axioms(iv.abs_metric_space),
+        _passing_axioms(iv.max_partial_space),
+        _passing_phi_audit,
+    ],
+    ids=["sqrt_square", "abs_metric", "max_partial", "phi_audit"],
+)
+def test_a_passing_sampled_run_holds_memory_bounded_in_n(run):
+    # A sample is drawn as it is read: ten times the draws may not hold a
+    # megabyte more (a listed sample holds about 72 bytes per triple).
+    assert _traced_peak(lambda: run(200_000)) - _traced_peak(lambda: run(20_000)) < 1 << 20
