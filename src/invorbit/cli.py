@@ -25,7 +25,7 @@ from .analysis import (
 )
 from .errors import HypothesisNotMet, InvorbitError
 from .numerics import TOL_AXIOM, TOL_FIX, TOL_POINT
-from .oracle import falsification_sweep
+from .oracle import SweepReport, falsification_sweep
 from .report import canonical_json, emit_report, write_trace_csv
 from .scenario import (
     SCENARIO_SCHEMA,
@@ -34,7 +34,6 @@ from .scenario import (
     build_space,
     coerce_point,
     load_scenario,
-    normalize_scenario,
 )
 from .solver import audit, inverse_orbit, solve
 from .spaces import Exhaustive, Sampled, check_axioms, sample_points
@@ -50,14 +49,6 @@ EXIT_FINDINGS = 2
 # ---------------------------------------------------------------------------
 # Result serialization helpers
 # ---------------------------------------------------------------------------
-
-
-def _audit_json(report) -> dict:
-    return {
-        "checked_pairs": report.checked_pairs,
-        "passed": report.passed,
-        "violations": report.violations,
-    }
 
 
 def _cauchy_json(verdict) -> dict:
@@ -92,10 +83,10 @@ def _run_solve(scenario: dict, out_dir: Path) -> tuple[dict, int]:
         "s_residual": report.s_residual,
         "certified": report.certified,
         "terminated_by": trace.terminated_by.value,
-        "orbit_steps": len(trace.points) - 1,
-        "final_point": trace.points[-1],
+        "orbit_steps": trace.steps,
+        "final_point": report.candidate,
         "cauchy": _cauchy_json(trace.cauchy),
-        "hypothesis_audit": _audit_json(report.hypothesis_audit),
+        "hypothesis_audit": report.hypothesis_audit,
     }
     return results, EXIT_OK if report.certified else EXIT_FINDINGS
 
@@ -112,52 +103,26 @@ def _run_audit(scenario: dict, out_dir: Path) -> tuple[dict, int]:
     hyp = build_hypothesis(scenario, space)
     run = scenario["run"]
     report = audit(space, maps, hyp, _pair_strategy(space, run))
-    results = _audit_json(report)
-    results["strategy"] = (
-        "exhaustive"
-        if space.is_finite
-        else {"sampled": run["n_samples"], "seed": run["seed"]}
-    )
+    sampled = {"sampled": run["n_samples"], "seed": run["seed"]}
+    results = {**report._asdict(), "strategy": "exhaustive" if space.is_finite else sampled}
     return results, EXIT_OK if report.passed else EXIT_FINDINGS
 
 
 def _run_axioms(scenario: dict, out_dir: Path) -> tuple[dict, int]:
     space = build_space(scenario)
     report = check_axioms(space, _pair_strategy(space, scenario["run"]))
-    results = {
-        "passed": report.passed,
-        "checked_pairs": report.checked_pairs,
-        "checked_triples": report.checked_triples,
-        "kind": space.kind.value,
-        "k_const": space.k_const,
-        "violations": report.violations,
-    }
+    results = {**report._asdict(), "kind": space.kind.value, "k_const": space.k_const}
     return results, EXIT_OK if report.passed else EXIT_FINDINGS
 
 
-def _run_oracle(scenario: dict, out_dir: Path) -> tuple[dict, int]:
+def _run_oracle(scenario: dict, out_dir: Path) -> tuple[SweepReport, int]:
     sweep = falsification_sweep(**scenario["oracle"])
     # A sweep that walked no instance would pass vacuously.
     if not sweep.spaces_admitted:
         raise InvorbitError("the oracle grid admits no space, so nothing was checked")
     if not sweep.instances_checked:
         raise InvorbitError("the oracle grid checks no instance, so nothing was checked")
-    results = {
-        "matrices_checked": sweep.matrices_checked,
-        "spaces_admitted": sweep.spaces_admitted,
-        "instances_checked": sweep.instances_checked,
-        "hypothesis_holders": sweep.hypothesis_holders,
-        "counterexamples": [
-            {
-                "t_table": [list(kv) for kv in cx.t_table],
-                "s_table": [list(kv) for kv in cx.s_table],
-                "fixed_points": list(cx.fixed_points),
-            }
-            for cx in sweep.counterexamples
-        ],
-    }
-    code = EXIT_OK if not sweep.counterexamples else EXIT_FINDINGS
-    return results, code
+    return sweep, EXIT_OK if not sweep.counterexamples else EXIT_FINDINGS
 
 
 def _run_lemmas(scenario: dict, out_dir: Path) -> tuple[dict, int]:
@@ -184,21 +149,21 @@ def _run_lemmas(scenario: dict, out_dir: Path) -> tuple[dict, int]:
     cauchy_ok = trace.cauchy.verdict is CauchyOutcome.CAUCHY_CERTIFIED
     passed = polygon.holds and cauchy_ok and hypothesis_met and not sandwich_failures
     results = {
-        "polygon": {"lhs": polygon.lhs, "rhs": polygon.rhs, "holds": polygon.holds},
+        "polygon": polygon,
         "cauchy": _cauchy_json(trace.cauchy),
         "sandwich": {
             "samples": len(samples),
             "hypothesis_met": hypothesis_met,
             "failures": sandwich_failures,
         },
-        "orbit_steps": len(trace.points) - 1,
+        "orbit_steps": trace.steps,
         "terminated_by": trace.terminated_by.value,
     }
     return results, EXIT_OK if passed else EXIT_FINDINGS
 
 
 class Command(NamedTuple):
-    run: Callable[[dict, Path], tuple[dict, int]]
+    run: Callable[[dict, Path], tuple[dict | SweepReport, int]]
     passed: str  # the report status at exit 0
     failed: str  # the report status at exit 2
 
@@ -235,12 +200,9 @@ def run_scenario(
     try:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        scenario = load_scenario(path)
         overrides = {"command": command, "seed": seed}
         overrides = {key: value for key, value in overrides.items() if value is not None}
-        if overrides:
-            # normalized again: an override is checked, and defaulted, like the file
-            scenario = normalize_scenario({**scenario, "run": {**scenario["run"], **overrides}})
+        scenario = load_scenario(path, overrides)
         cmd = scenario["run"]["command"]
         results, code = COMMANDS[cmd].run(scenario, out)
         report = {

@@ -13,12 +13,18 @@ ordered pair exactly once as (x, y) does, so on a finite carrier
 
     sum of d(Tx, Sy) over all pairs  =  sum of d(x, y) over all pairs.
 
-A holder of the constant form with R > K >= 1 has d(Tx, Sy) >= R d(x, y)
-on every pair (the L term only raises the bound on nonnegative
-distances), so the sum of all distances is at most zero: every distance is
-zero.  The same holds for a rate function above K**2 >= 1.  Axiom D1 then
-forbids two points, so no admitted carrier with n >= 2 has a hypothesis
-holder, and every holder a sweep finds is a one-point carrier.
+The audit flags a pair only when d(Tx, Sy) falls below its bound by more
+than half of TOL_AXIOM (`exceeds`), so with c = 1 - TOL_AXIOM/2 a holder
+of the constant form has d(Tx, Sy) >= c R d(x, y) on every pair (the L
+term only raises the bound on nonnegative distances).  Summed, the sum of
+all distances is at least c R times itself, so when c R > 1 every distance
+is zero.  The same holds for a rate function with c phi > 1.  Axiom D1
+then forbids two points: no admitted carrier with n >= 2 has such a
+holder, and when every R of a sweep has c R > 1, as on the shipped grid,
+every holder it finds is on a one-point carrier.  The premise is c R > 1
+(by more than the rounding of the bound, a few parts in 2**53), not
+R > K >= 1: at K = 1 an R of 1 + 1e-10 lies within the slack and two- and
+three-point carriers have holders, while 1 + 1e-9 leaves none.
 
 Cycle lemma.  Restricting the hypothesis to the pairs an inverse orbit
 consumes (`orbit_adjacent_pairs`) leaves no holder off the fixed points
@@ -466,7 +472,9 @@ def falsification_sweep(
     constants R drawn from {K + offset} and {K * factor} and L from
     `l_values`.  A report with no counterexamples means every
     hypothesis holder had exactly one common fixed point.  By the counting
-    lemma (module docstring) every holder has n = 1.
+    lemma (module docstring) every holder has n = 1 when every R of the
+    grid has R * (1 - TOL_AXIOM/2) > 1; an R within that slack of 1 admits
+    holders on more points.
 
     The matrices are walked one relabelling class at a time (see the
     relabelling lemma): a class whose first member has no holder is

@@ -62,8 +62,8 @@ def _floats_only(values: Iterable[Any]) -> bool:
     return {*map(type, values)} <= _FLOAT_TYPE
 
 
-def _json_text(value: Any, indent: int, put: Callable[[str], Any]) -> None:
-    """Hand `put` the text of `canonical_json(value, indent)`, chunk by chunk.
+def _json_text(value: Any, put: Callable[[str], Any]) -> None:
+    """Hand `put` the text of `canonical_json(value)`, chunk by chunk.
 
     A finite float of type float is formatted here; every other scalar
     goes through `_scalar`, the rules the writer has always applied.  A
@@ -169,18 +169,14 @@ def _json_text(value: Any, indent: int, put: Callable[[str], Any]) -> None:
             put("".join(parts))
             parts.clear()
 
-    write(value, indent)
+    write(value, 0)
     flush()
 
 
-def canonical_json(value: Any, indent: int = 0) -> str:
-    """JSON text with sorted keys, two-space indentation and .17g floats.
-
-    `indent` is the depth the value starts at: it sets the indentation of
-    the value's inner lines and closing bracket, not of its first line.
-    """
+def canonical_json(value: Any) -> str:
+    """JSON text with sorted keys, two-space indentation and .17g floats."""
     chunks: list[str] = []
-    _json_text(value, indent, chunks.append)
+    _json_text(value, chunks.append)
     return "".join(chunks)
 
 
@@ -195,7 +191,7 @@ def emit_report(report: dict, path: str | Path) -> bytes:
             handle.write(data)
             kept.write(data)
 
-        _json_text(report, 0, put)
+        _json_text(report, put)
         put("\n")
     return kept.getvalue()
 

@@ -49,6 +49,15 @@ from .spaces import (
 
 # The commands a scenario may request; the CLI's command table runs them.
 COMMANDS = ("solve", "audit", "axioms", "oracle", "lemmas")
+# The sections of a scenario each command reads, in echo order; a
+# normalized scenario holds these only.
+_SECTIONS_READ = {
+    "solve": ("space", "maps", "hypothesis", "run", "assumptions"),
+    "audit": ("space", "maps", "hypothesis", "run", "assumptions"),
+    "axioms": ("space", "run", "assumptions"),
+    "oracle": ("space", "run", "assumptions", "oracle"),
+    "lemmas": ("space", "maps", "run", "assumptions"),
+}
 
 # The largest `run.max_steps` and `run.n_samples`, and the most table
 # labels, a scenario may ask for: an orbit's memory and output grow
@@ -544,8 +553,12 @@ def _filled(section: dict, where: str, key: str, table: dict) -> dict:
 
 
 def normalize_scenario(doc: dict) -> dict:
-    """Validate and fill every default; idempotent on its own output."""
+    """Validate and fill every default; idempotent on its own output.
+
+    A section its command does not read is validated, then dropped.
+    """
     validate_scenario(doc)
+    reads = _SECTIONS_READ[doc["run"]["command"]]
     space = _filled(doc["space"], "$.space", "family", FAMILIES)
     out: dict = {"space": space}
     if "maps" in doc:
@@ -560,9 +573,10 @@ def normalize_scenario(doc: dict) -> dict:
         out["hypothesis"] = hyp
     out["run"] = {**_RUN_DEFAULTS, **doc["run"]}
     out["assumptions"] = {**_ASSUMPTION_DEFAULTS, **doc.get("assumptions", {})}
-    if doc["run"]["command"] == "oracle" or "oracle" in doc:
+    if "oracle" in reads:
         # Each fill gets its own lists: they are the sweep's defaults too.
         out["oracle"] = {**copy.deepcopy(DEFAULT_GRID), **doc.get("oracle", {})}
+    out = {section: out[section] for section in reads if section in out}
     return _as_integers(out, SCENARIO_SCHEMA, SCENARIO_SCHEMA)
 
 
@@ -573,13 +587,17 @@ def _finite_float(literal: str | float) -> float:
     return value
 
 
-def load_scenario(path: str | Path) -> dict:
+def load_scenario(path: str | Path, overrides: dict | None = None) -> dict:
     """Parse, validate and normalize a scenario file.
 
     Python's JSON parser accepts Infinity, NaN and literals such as 1e999
     that overflow to infinity; all are rejected, since an infinite bound
     passes every inequality it appears in.  A file that cannot be read, or
     nests too deeply for the parser, is a `ScenarioError` as well.
+
+    `overrides` (the CLI's --command and --seed) replace fields of the
+    file's `run` once the file is valid as written; they are applied to
+    the file's own document, so a section the new command reads is kept.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -593,7 +611,11 @@ def load_scenario(path: str | Path) -> dict:
         raise ScenarioError("JSON nested too deeply to parse") from err
     if not isinstance(doc, dict):
         raise ScenarioError("scenario must be a JSON object")
-    return normalize_scenario(doc)
+    scenario = normalize_scenario(doc)
+    if overrides:
+        # normalized again: an override is checked, and defaulted, like the file
+        scenario = normalize_scenario({**doc, "run": {**doc["run"], **overrides}})
+    return scenario
 
 
 # ---------------------------------------------------------------------------

@@ -108,10 +108,11 @@ def check_roundtrip(space: Space, maps: MapPair, points: Iterable[Point]) -> Non
         (maps.t_forward, maps.t_preimage, maps.t_label),
         (maps.s_forward, maps.s_preimage, maps.s_label),
     )
+    equal = space.carrier.equal
     for p in points:
         for forward, preimage, label in sides:
             back = forward(preimage(p))
-            if not space.points_equal(back, p):
+            if not equal(back, p):
                 _roundtrip_broken("map", label, p, back)
 
 
@@ -223,7 +224,7 @@ def inverse_orbit(
     terminated = Termination.MAX_ITERATIONS
     period = 0
     # Everything the loop calls is bound once; each step runs every check.
-    dist, equal, contains = space.dist, space.points_equal, space.carrier.contains
+    dist, equal, contains = space.dist, space.carrier.equal, space.carrier.contains
     add_point, add_dist = pts.append, dists.append
     t_forward, s_forward = maps.t_forward, maps.s_forward
     sides = ((s_forward, maps.s_preimage), (t_forward, maps.t_preimage))

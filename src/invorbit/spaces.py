@@ -149,9 +149,6 @@ class Space:
         if self.k_const < 1.0:
             raise ValueError("k_const must be >= 1")
 
-    def points_equal(self, x: Point, y: Point) -> bool:
-        return self.carrier.equal(x, y)
-
     @property
     def is_finite(self) -> bool:
         return isinstance(self.carrier, FiniteCarrier)
@@ -347,7 +344,7 @@ def _pair_axioms(space: Space, found: list, sampled: bool) -> Callable[[Point, P
     the one on d(y, y).
     """
     d = space.dist
-    equal = space.points_equal
+    equal = space.carrier.equal
     add = found.append
     sym_id, zero_id, _ = _AXIOM_IDS[space.kind]
     partial = space.kind is SpaceKind.PARTIAL_METRIC

@@ -614,10 +614,18 @@ def test_held_classes_are_walked_member_by_member(monkeypatch):
 
 
 def test_counting_lemma_leaves_only_one_point_holders():
-    # Sum of d(Tx, Sy) equals sum of d(x, y) for bijections, so with R > K >= 1
+    # Sum of d(Tx, Sy) equals sum of d(x, y) for bijections, and a holder has
+    # d(Tx, Sy) >= (1 - TOL_AXIOM/2) R d(x, y), so with R (1 - TOL_AXIOM/2) > 1
     # no admitted carrier of two or more points has a holder.
     assert iv.falsification_sweep(sizes=(2, 3)).hypothesis_holders == 0
     assert iv.falsification_sweep(sizes=(1,)).hypothesis_holders == 8
+    # R > K >= 1 is not the premise: at K = 1 an offset of 1e-10 lies within
+    # the slack, and one of 1e-9 does not.
+    grid = dict(sizes=(2, 3), k_values=(1.0,), r_factors=(), l_values=(0.0,))
+    within = iv.falsification_sweep(**grid, r_offsets=(1e-10,))
+    assert (within.hypothesis_holders, len(within.counterexamples)) == (1750, 1252)
+    beyond = iv.falsification_sweep(**grid, r_offsets=(1e-9,))
+    assert (beyond.hypothesis_holders, len(beyond.counterexamples)) == (0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,24 @@ def test_a_filled_oracle_grid_shares_no_list_with_the_defaults():
     assert falsification_sweep.__defaults__[0] == [1, 2, 3]
 
 
+# The sections each command reads beside space, run and assumptions.
+SECTIONS_READ = {
+    "solve": {"maps", "hypothesis"},
+    "audit": {"maps", "hypothesis"},
+    "axioms": set(),
+    "oracle": {"oracle"},
+    "lemmas": {"maps"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(SECTIONS_READ))
+def test_a_section_its_command_does_not_read_is_dropped(command):
+    doc = {**_maps(SQRT, LINEAR, RL, command), "oracle": {"sizes": [1]}}
+    once = normalize_scenario(doc)
+    assert set(once) == {"space", "run", "assumptions"} | SECTIONS_READ[command]
+    assert normalize_scenario(once) == once
+
+
 def _sized(field, size):
     """A document whose `field` asks for `size` steps, samples or labels."""
     if field == "labels":

@@ -65,9 +65,9 @@ def test_orbit_obeys_the_construction(sqrt_square, nine_identity):
     pts = trace.points
     for i in range(len(pts) - 1):
         if i % 2 == 0:
-            assert sqrt_square.points_equal(nine_identity.t_forward(pts[i + 1]), pts[i])
+            assert sqrt_square.carrier.equal(nine_identity.t_forward(pts[i + 1]), pts[i])
         else:
-            assert sqrt_square.points_equal(nine_identity.s_forward(pts[i + 1]), pts[i])
+            assert sqrt_square.carrier.equal(nine_identity.s_forward(pts[i + 1]), pts[i])
     assert len(trace.successive_distances) == len(pts) - 1
     for i, d in enumerate(trace.successive_distances):
         assert d == sqrt_square.dist(pts[i], pts[i + 1])
@@ -174,7 +174,7 @@ def _indexed_orbit(space, maps, x0, max_steps=DEFAULT_MAX_STEPS, tol_fix=TOL_FIX
         forward, preimage = sides[step % 2]
         nxt = preimage(cur)
         back = forward(nxt)
-        if not space.points_equal(back, cur):
+        if not space.carrier.equal(back, cur):
             raise iv.PreimageBroken(
                 f"step {step}: forward(preimage({cur!r})) = {back!r} != {cur!r}"
             )

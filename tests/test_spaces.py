@@ -45,8 +45,8 @@ def test_table_space_requires_symmetry():
 
 def test_interval_point_equality_is_tolerant():
     s = iv.sqrt_square_space()
-    assert s.points_equal(1.0, 1.0 + 1e-13)
-    assert not s.points_equal(1.0, 1.0 + 1e-9)
+    assert s.carrier.equal(1.0, 1.0 + 1e-13)
+    assert not s.carrier.equal(1.0, 1.0 + 1e-9)
 
 
 # ---------------------------------------------------------------------------
