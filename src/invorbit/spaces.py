@@ -17,6 +17,13 @@ Point equality is ambient, not metric: on an interval carrier two floats
 are the same point when they agree within TOL_POINT, on a finite carrier
 identifiers are compared directly.  This matters because D1 is only an
 implication; distinct points may sit at distance zero in unvetted tables.
+
+Sampled checks draw from a seeded pool (the finite carrier, or 1024 points
+of an interval) with exactly the indices of one rng.randrange(len(pool))
+call per draw, read from bulk Mersenne words.  A pool holds fewer than
+2**16 points, so each draw's test and index depend only on its word's
+high 16 bits, which index a table that repeats each pool point; see
+`_draws`.
 """
 
 from __future__ import annotations
@@ -39,6 +46,9 @@ SAMPLE_BOUND = 10.0  # default cap on the sampled range of an unbounded interval
 GRID_POINTS = 33
 POOL_SIZE = 1024
 DRAW_CHUNK = 1 << 11  # Mersenne words per bulk draw
+# The high 16 bits of each of DRAW_CHUNK little-endian words; struct
+# compiles the format on its first use and caches it.
+HIGH_HALVES = "<" + "2xH" * DRAW_CHUNK
 
 
 class SpaceKind(Enum):
@@ -225,16 +235,26 @@ def _draws(rng: random.Random, pool: list, count: int) -> Iterator[list]:
     of one 32-bit Mersenne word and redraws while that value is >= s.
     getrandbits(32 * m) returns m such words, least significant first, so
     keeping `w >> shift` for every word `w < s << shift` yields the same
-    indices.  Words are read in chunks of at most DRAW_CHUNK, which bounds
-    the transient memory; pools must hold fewer than 2**32 points.
+    indices, where shift = 32 - s.bit_length().
+
+    Pools hold fewer than 2**16 points (a scenario's finite carrier has at
+    most 100, an interval pool POOL_SIZE), so shift >= 16 and `s << shift`
+    has 16 zero low bits: `w < s << shift` holds exactly when the high half
+    `w >> 16` is below `s << (shift - 16)`, and `w >> shift` is that half
+    shifted right by `shift - 16`.  So each word's high half alone indexes
+    a spread table that holds each point `1 << (shift - 16)` times in a
+    row, 2**15 to 2**16 - 1 entries, with the same indices.  Words are
+    read DRAW_CHUNK at a time, which bounds the transient memory; the
+    caller owns rng, so whole chunks are drawn and any surplus dropped.
     """
     shift = 32 - len(pool).bit_length()
-    limit = len(pool) << shift
+    if shift < 16:
+        raise ValueError(f"a sampling pool holds fewer than 2**16 points, not {len(pool)}")
+    spread = list(chain.from_iterable(map(repeat, pool, repeat(1 << (shift - 16)))))
+    size = len(spread)
     while count > 0:
-        # At least half of all words are kept, so 2 * count words seldom fall short.
-        m = min(DRAW_CHUNK, 2 * count + 8)
-        words = unpack(f"<{m}I", rng.getrandbits(32 * m).to_bytes(4 * m, "little"))
-        got = [pool[w >> shift] for w in words if w < limit]
+        words = rng.getrandbits(32 * DRAW_CHUNK).to_bytes(4 * DRAW_CHUNK, "little")
+        got = [spread[h] for h in unpack(HIGH_HALVES, words) if h < size]
         count -= len(got)
         yield got
 
@@ -246,7 +266,10 @@ class Sample:
     draw equivalent to one rng.randrange(len(pool)) call in tuple order.
     The sample is lazy: each iteration builds the pool and draws afresh,
     DRAW_CHUNK words at a time, so it yields the same items every time
-    and holds one chunk of draws, never the whole sample.
+    and holds one chunk of draws, never the whole sample.  Draws are read
+    from each word's high half through a table that repeats each pool
+    point (see `_draws`; 32,768 entries for the 1024-point interval pool),
+    with the indices, and so the items, of the randrange loop.
     """
 
     __slots__ = ("space", "n", "seed", "arity")

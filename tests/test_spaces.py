@@ -694,6 +694,43 @@ def test_bulk_sampler_matches_randrange(space, pool_size, arity, sampler, refere
             assert list(iv.sample(space, n, seed, arity)) == expected, (seed, n)
 
 
+_REFERENCES = {1: _randrange_points, 2: _randrange_pairs, 3: _randrange_triples}
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+@pytest.mark.parametrize(
+    "pool_size",
+    [1024, 1 << 15, (1 << 16) - 1],
+    ids=["pool1024", "pool2^15", "pool2^16-1"],
+)
+def test_spread_table_draws_match_randrange(monkeypatch, pool_size, arity):
+    # An interval pool of any size: few anchors, so every arity draws.
+    # The spread table is 1024 << 5, 2**15 << 1 and 2**16 - 1 entries.
+    monkeypatch.setattr(iv.spaces, "POOL_SIZE", pool_size)
+    space = iv.sqrt_square_space()
+    pool, anchors = _pool_and_anchors(space, random.Random(0))
+    assert len(pool) == pool_size
+    lead = len(anchors) ** arity
+    # One draw tuple, about one chunk of words, and several chunks.
+    sizes = [lead + 1, lead + iv.spaces.DRAW_CHUNK // arity, lead + 3 * iv.spaces.DRAW_CHUNK]
+    for seed in (0, 7, 2024):
+        # A shorter randrange sample is a prefix of a longer one.
+        reference = _REFERENCES[arity](space, sizes[-1], seed)
+        for n in sizes:
+            lazy = iv.sample(space, n, seed, arity)
+            assert list(lazy) == reference[:n], (seed, n)
+        assert list(lazy) == reference, seed  # a second iteration draws afresh
+
+
+@pytest.mark.parametrize("pool_size", [1 << 16, (1 << 16) + 1])
+def test_a_pool_of_2_16_points_or_more_is_refused(monkeypatch, pool_size):
+    # The spread table needs each word's high half to decide its draw.
+    monkeypatch.setattr(iv.spaces, "POOL_SIZE", pool_size)
+    lazy = iv.sample(iv.sqrt_square_space(), 100, 0, 2)
+    with pytest.raises(ValueError, match=rf"fewer than 2\*\*16 points, not {pool_size}$"):
+        list(lazy)
+
+
 def _bare_two_pass(space, pairs, singles, triples, sampled=False):
     """check_axioms with every slack test unguarded, in two passes: the
     pair axioms on `pairs`, D1 of a b-metric on `singles`, then the
