@@ -26,7 +26,7 @@ from .analysis import (
 from .errors import HypothesisNotMet, InvorbitError
 from .numerics import TOL_AXIOM, TOL_FIX, TOL_POINT
 from .oracle import SweepReport, falsification_sweep
-from .report import canonical_json, emit_report, write_trace_csv
+from .report import _usable_cpus, canonical_json, emit_report, write_trace_csv
 from .scenario import (
     SCENARIO_SCHEMA,
     build_hypothesis,
@@ -236,13 +236,6 @@ def run_scenario(
         return EXIT_ERROR
     print(f"{cmd}: {report['status']} (exit {code}) -> {out / 'report.json'}")
     return code
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not offered on this platform
-        return os.cpu_count() or 1
 
 
 def _run_captured(

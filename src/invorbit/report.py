@@ -18,10 +18,14 @@ one `%` call, as `write_trace_csv` formats its float rows.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import math
+import os
 import re
+import shutil
+import threading
 from itertools import chain, cycle, islice, repeat
 from operator import itemgetter
 from pathlib import Path
@@ -198,6 +202,11 @@ def emit_report(report: dict, path: str | Path) -> bytes:
 
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
 TRACE_CHUNK_ROWS = 4096  # trace.csv rows the writer joins per write
+# Computed trace rows from which two processes write trace.csv.  A fork,
+# the wait and the copy of the part cost about 1.5 ms more than one
+# process; on a 2-vCPU Linux VM two processes were faster in 17 of 40
+# alternating writes of 4,096 float rows and in 37 of 40 at 8,192.
+TRACE_SPLIT_ROWS = 8192
 _FLOAT_ROW = "%d,%.17g,%.17g,%.17g\r\n"  # a row whose three cells are floats
 
 
@@ -227,6 +236,82 @@ def _rows_text(steps: range, points: list, dists: list, ratios: list) -> str:
     return "".join(map("{},{},{},{}\r\n".format, steps, *cells))
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: the `--batch` pool runs a worker on
+    each, and the trace writer forks only when there are two or more."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not offered on this platform
+        return os.cpu_count() or 1
+
+
+def _write_rows(write: Callable[[str], Any], points: Cycled, distances, ratios, lo, hi) -> None:
+    """Hand `write` the text of trace rows `lo` to `hi` - 1 (see `write_trace_csv`).
+
+    The columns are read from row `lo` on through `islice`, never item by
+    item; a range that starts inside the repeated tail starts its template
+    at that row's place in the period.
+    """
+    rows, period, last = len(points.values), points.period, len(points) - 1
+    first = min(1, rows)
+    full = max(first, min(rows, len(distances), len(ratios) + 1))
+    columns = (
+        islice(points.values, lo, None),
+        islice(chain(distances, repeat("")), lo, None),
+        islice(chain(("",), ratios, repeat("")), lo, None),
+    )
+    for begin, stop in ((0, first), (first, full), (full, rows)):
+        stop = min(stop, hi)
+        for start in range(max(begin, lo), stop, TRACE_CHUNK_ROWS):
+            steps = range(start, min(start + TRACE_CHUNK_ROWS, stop))
+            write(_rows_text(steps, *(list(islice(col, len(steps))) for col in columns)))
+    if rows > last:
+        return
+    start, stop = max(lo, rows), min(hi, last)
+    if start < stop:
+        # From row `rows` on, a row's text after its step is that of the
+        # row one period before it.
+        cells = (
+            _cells((points[n], distances[n], ratios[n - 1])) for n in range(rows - period, rows)
+        )
+        units = ["%d," + ",".join(row).replace("%", "%%") + "\r\n" for row in cells]
+        phase = (start - rows) % period
+        units = units[phase:] + units[:phase]  # a chunk starts with row `start`'s unit
+        periods = max(1, TRACE_CHUNK_ROWS // period)
+        template, span = "".join(units) * periods, period * periods
+        for step in range(start, stop, span):
+            n = min(span, stop - step)
+            text = template if n == span else "".join(islice(cycle(units), n))
+            write(text % (*range(step, step + n),))
+    if lo <= last < hi:
+        write(f"{last},{next(_cells((points[last],)))},,\r\n")
+
+
+def _other_cpus() -> set[int]:
+    """The usable CPUs but the one this process runs on now; empty off Linux.
+
+    A forked child starts on its parent's CPU, and on a 2-vCPU host it was
+    seen to stay there for about a second while the other CPU idled, so
+    the two halves of a trace took turns instead of running at once.  The
+    trace writer's child moves to these CPUs.
+    """
+    if not hasattr(os, "sched_getaffinity"):
+        return set()
+    try:
+        with open("/proc/self/stat", "rb") as stat:
+            cpu = int(stat.read().rsplit(b")", 1)[1].split()[36])  # field 39, the CPU
+    except (OSError, IndexError, ValueError):
+        return set()
+    return os.sched_getaffinity(0) - {cpu}
+
+
+def _forkable() -> bool:
+    """Whether a forked child may write part of a trace: `os.fork` exists,
+    a second CPU is usable, and no other thread runs (a thread holding a
+    lock at the fork would leave it held in the child)."""
+    return hasattr(os, "fork") and _usable_cpus() > 1 and threading.active_count() == 1
+
+
 def write_trace_csv(points, distances, ratios, path: str | Path) -> None:
     """Per-step orbit table: step, point, dist_to_next, ratio.
 
@@ -242,34 +327,50 @@ def write_trace_csv(points, distances, ratios, path: str | Path) -> None:
     an orbit's `Cycled` columns, each row but the last repeats the row one
     period before it with another step, so the period's row texts are
     formatted once and repeated after a "%d" each, a chunk per `%` call.
+
+    A trace of TRACE_SPLIT_ROWS computed points or more is written by two
+    processes when `_forkable()`: a forked child, moved off this process's
+    CPU, writes the rows from the middle computed row on, the repeated
+    tail included, to `<path>.part` while this process writes the header
+    and the rows before it, then appends the part and deletes it.
+    Both halves are formatted as above, so the bytes are those of one
+    process.  A child that fails raises ChildProcessError here, and no
+    part file is left.
     """
     points = Cycled.of(points)
-    rows, period, last = len(points.values), points.period, len(points) - 1
-    first = min(1, rows)
-    full = max(first, min(rows, len(distances), len(ratios) + 1))
-    columns = (
-        iter(points.values),
-        chain(distances, repeat("")),
-        chain(("",), ratios, repeat("")),
-    )
+    rows, end = len(points.values), len(points)
+    split = rows // 2 if rows >= TRACE_SPLIT_ROWS and _forkable() else end
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        write = handle.write
-        write("step,point,dist_to_next,ratio\r\n")
-        for lo, hi in ((0, first), (first, full), (full, rows)):
-            for start in range(lo, hi, TRACE_CHUNK_ROWS):
-                steps = range(start, min(start + TRACE_CHUNK_ROWS, hi))
-                write(_rows_text(steps, *(list(islice(col, len(steps))) for col in columns)))
-        if rows <= last:
-            # From row `rows` on, a row's text after its step is that of the
-            # row one period before it.
-            cells = (
-                _cells((points[n], distances[n], ratios[n - 1])) for n in range(rows - period, rows)
-            )
-            units = ["%d," + ",".join(row).replace("%", "%%") + "\r\n" for row in cells]
-            periods = max(1, TRACE_CHUNK_ROWS // period)  # whole ones: a chunk starts with units[0]
-            template, span = "".join(units) * periods, period * periods
-            for step in range(rows, last, span):
-                n = min(span, last - step)
-                text = template if n == span else "".join(islice(cycle(units), n))
-                write(text % (*range(step, step + n),))
-            write(f"{last},{next(_cells((points[last],)))},,\r\n")
+        handle.write("step,point,dist_to_next,ratio\r\n")
+        if split == end:
+            _write_rows(handle.write, points, distances, ratios, 0, end)
+            return
+        part = f"{path}.part"
+        others = _other_cpus()
+        pid = os.fork()
+        if pid == 0:
+            # The child writes the second half and leaves by os._exit: it
+            # runs no cleanup and flushes none of this process's buffers.
+            code = 1
+            try:
+                if others:
+                    with contextlib.suppress(OSError):
+                        os.sched_setaffinity(0, others)
+                with open(part, "w", encoding="utf-8", newline="") as second:
+                    _write_rows(second.write, points, distances, ratios, split, end)
+                code = 0
+            finally:
+                os._exit(code)
+        try:
+            try:
+                _write_rows(handle.write, points, distances, ratios, 0, split)
+            finally:
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code:
+                raise ChildProcessError(f"the process writing rows {split} on exited with {code}")
+            handle.flush()
+            with open(part, "rb") as second:
+                shutil.copyfileobj(second, handle.buffer)
+        finally:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(part)

@@ -228,6 +228,18 @@ def _pool_and_anchors(space: Space, rng: random.Random) -> tuple[list, list]:
     return pool, anchors
 
 
+def _spread_table(pool: list) -> list:
+    """Each pool point `1 << (shift - 16)` times in a row (see `_draws`)."""
+    shift = 32 - len(pool).bit_length()
+    if shift < 16:
+        raise ValueError(f"a sampling pool holds fewer than 2**16 points, not {len(pool)}")
+    repeats = 1 << (shift - 16)
+    spread = [None] * (len(pool) * repeats)
+    for j in range(repeats):  # one slice assignment per repeat, not one item at a time
+        spread[j::repeats] = pool
+    return spread
+
+
 def _draws(rng: random.Random, pool: list, count: int) -> Iterator[list]:
     """At least `count` draws of pool[rng.randrange(len(pool))], in chunks.
 
@@ -247,10 +259,7 @@ def _draws(rng: random.Random, pool: list, count: int) -> Iterator[list]:
     read DRAW_CHUNK at a time, which bounds the transient memory; the
     caller owns rng, so whole chunks are drawn and any surplus dropped.
     """
-    shift = 32 - len(pool).bit_length()
-    if shift < 16:
-        raise ValueError(f"a sampling pool holds fewer than 2**16 points, not {len(pool)}")
-    spread = list(chain.from_iterable(map(repeat, pool, repeat(1 << (shift - 16)))))
+    spread = _spread_table(pool)
     size = len(spread)
     while count > 0:
         words = rng.getrandbits(32 * DRAW_CHUNK).to_bytes(4 * DRAW_CHUNK, "little")
@@ -584,10 +593,16 @@ def min_valid_k(space: Space) -> float:
 
 
 def sqrt_square_space(k_const: float = 2.0, sample_bound: float = SAMPLE_BOUND) -> Space:
-    """(sqrt(x) + sqrt(y))**2 on [0, inf): self-distance 4x, valid with K = 2."""
+    """(sqrt(x) + sqrt(y))**2 on [0, inf): self-distance 4x, valid with K = 2.
+
+    A square past the largest double is inf, where `**` would raise.
+    """
 
     def dist(x, y):
-        return (math.sqrt(x) + math.sqrt(y)) ** 2
+        try:
+            return (math.sqrt(x) + math.sqrt(y)) ** 2
+        except OverflowError:
+            return math.inf
 
     return Space(
         IntervalCarrier(0.0, math.inf, sample_bound),

@@ -17,6 +17,29 @@ def cli_env():
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), path]))}
 
 
+@pytest.fixture
+def split_traces(monkeypatch):
+    """Have `write_trace_csv` fork its second process for a trace of one
+    computed row or more, as it does from TRACE_SPLIT_ROWS on when two
+    CPUs are usable.  Returns the list of the pids it forks."""
+    if not hasattr(os, "fork"):
+        pytest.skip("the two-process trace writer needs os.fork")
+    from invorbit import report
+
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(report, "TRACE_SPLIT_ROWS", 1)
+    monkeypatch.setattr(report, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
 def make_pair(t, s, t_label="custom", s_label="custom"):
     """Assemble a MapPair from two (forward, preimage) tuples."""
     return iv.MapPair(t[0], s[0], t[1], s[1], t_label, s_label)

@@ -13,6 +13,7 @@ import signal
 import struct
 import subprocess
 import sys
+import threading
 from itertools import cycle
 from pathlib import Path
 from unittest import mock
@@ -25,6 +26,7 @@ import invorbit as iv
 from invorbit import cli, report
 from invorbit.cli import COMMANDS, main, run_batch, run_scenario
 from invorbit.report import canonical_json, format_float, write_trace_csv
+from invorbit.analysis import Cycled
 from invorbit.errors import ScenarioError
 from invorbit.oracle import DEFAULT_GRID
 from invorbit.scenario import (
@@ -376,53 +378,35 @@ def test_percent_17g_equals_format_17g(x):
     assert "%.17g" % x == format(x, ".17g")
 
 
-@pytest.mark.parametrize(
-    "points, distances, ratios",
-    [
-        (_SUBNORMAL_STALL, _SUBNORMAL_STALL[1:], [1.0] * 23),
-        (_SIGNED_ZEROS, _SIGNED_ZEROS[::-1], _SIGNED_ZEROS),
-        (_NON_FINITE, _NON_FINITE[1:], _NON_FINITE[2:]),
-        (_INT_VS_FLOAT, _INT_VS_FLOAT[::-1], _INT_VS_FLOAT[3:]),
-        (_LABELS, _LABELS[2:], _LABELS),
-        (_LABELS + _NON_FINITE, [0.5] * 3, [0.25] * 2),
-        (_SIGNED_ZEROS, [2e-323] * 12, [4e-323] * 12),
-        ([], [1.0], [1.0]),
-        (_ZERO_RUNS, _ZERO_RUNS[1:] + [-0.0], _ZERO_RUNS[::-1]),
-        (_ALL_FLOATS, _ALL_FLOATS[1:], _ALL_FLOATS[2:]),
-        (_ALL_FLOATS, _ALL_FLOATS[::-1], _ALL_FLOATS[5:]),
-        (_LABELS * (_CHUNK // 3), [0.5] * (8 * (_CHUNK // 3) - 1), _LABELS * (_CHUNK // 3)),
-        _planted(0, _Tagged(0.1)),
-        _planted(1, _Tagged(2.5e-310)),
-        _planted(2, _Tagged(-0.0)),
-        _planted(0, True),
-        _planted(1, 10**20),
-        _planted(2, False),
-        _cycled_columns(),
-        *map(_swap_orbit, SWAP_TAILS),
-    ],
-    ids=[
-        "subnormal_stall",
-        "signed_zeros",
-        "non_finite",
-        "int_vs_float",
-        "labels",
-        "short_columns",
-        "long_columns",
-        "empty",
-        "zero_runs",
-        "all_floats",
-        "all_floats_ragged",
-        "labels_at_scale",
-        "subclass_point",
-        "subclass_dist",
-        "subclass_ratio",
-        "bool_point",
-        "int_dist",
-        "bool_ratio",
-        "cycled",
-        *(f"swap_tail_{rows}" for rows in SWAP_TAILS),
-    ],
-)
+TRACE_CASES = {
+    "subnormal_stall": (_SUBNORMAL_STALL, _SUBNORMAL_STALL[1:], [1.0] * 23),
+    "signed_zeros": (_SIGNED_ZEROS, _SIGNED_ZEROS[::-1], _SIGNED_ZEROS),
+    "non_finite": (_NON_FINITE, _NON_FINITE[1:], _NON_FINITE[2:]),
+    "int_vs_float": (_INT_VS_FLOAT, _INT_VS_FLOAT[::-1], _INT_VS_FLOAT[3:]),
+    "labels": (_LABELS, _LABELS[2:], _LABELS),
+    "short_columns": (_LABELS + _NON_FINITE, [0.5] * 3, [0.25] * 2),
+    "long_columns": (_SIGNED_ZEROS, [2e-323] * 12, [4e-323] * 12),
+    "empty": ([], [1.0], [1.0]),
+    "zero_runs": (_ZERO_RUNS, _ZERO_RUNS[1:] + [-0.0], _ZERO_RUNS[::-1]),
+    "all_floats": (_ALL_FLOATS, _ALL_FLOATS[1:], _ALL_FLOATS[2:]),
+    "all_floats_ragged": (_ALL_FLOATS, _ALL_FLOATS[::-1], _ALL_FLOATS[5:]),
+    "labels_at_scale": (
+        _LABELS * (_CHUNK // 3),
+        [0.5] * (8 * (_CHUNK // 3) - 1),
+        _LABELS * (_CHUNK // 3),
+    ),
+    "subclass_point": _planted(0, _Tagged(0.1)),
+    "subclass_dist": _planted(1, _Tagged(2.5e-310)),
+    "subclass_ratio": _planted(2, _Tagged(-0.0)),
+    "bool_point": _planted(0, True),
+    "int_dist": _planted(1, 10**20),
+    "bool_ratio": _planted(2, False),
+    "cycled": _cycled_columns(),
+    **{f"swap_tail_{rows}": _swap_orbit(rows) for rows in SWAP_TAILS},
+}
+
+
+@pytest.mark.parametrize("points, distances, ratios", TRACE_CASES.values(), ids=TRACE_CASES)
 def test_trace_csv_matches_the_csv_writer(tmp_path, points, distances, ratios):
     # The reference reads the full columns; a cycled trace's writer formats
     # its computed rows and repeats one period.  A small chunk size puts
@@ -433,6 +417,133 @@ def test_trace_csv_matches_the_csv_writer(tmp_path, points, distances, ratios):
         with mock.patch.object(report, "TRACE_CHUNK_ROWS", chunk):
             write_trace_csv(points, distances, ratios, tmp_path / "new.csv")
         assert (tmp_path / "new.csv").read_bytes() == expected
+
+
+# Traces whose split row, half their computed rows, falls as named: in
+# row 0 (the child writes every row), just after it, on a chunk boundary
+# at each chunk size the tests use (chunks start at row 1) and in the
+# trailing edge, with float cells and str, int and None label cells.
+SPLIT_CASES = {
+    "row_0": (([0.5], [], []), 0),
+    "after_row_0": ((["a", 7], [0.25], []), 1),
+    "labels_after_row_0": (([3, "b,c", None], [1, 0.5], [0.5]), 1),
+    "chunk_boundary": (
+        (_ALL_FLOATS[: 2 * _CHUNK + 2], _ALL_FLOATS[1:], _ALL_FLOATS[2:]),
+        _CHUNK + 1,
+    ),
+    "small_chunk_boundary": ((_ALL_FLOATS[:32], _ALL_FLOATS[1:32], _ALL_FLOATS[2:32]), 16),
+    "labels_on_chunk_boundary": ((_LABELS * 4, [0.5] * 31, _LABELS * 4), 16),
+    "trailing_edge": (TRACE_CASES["short_columns"], 7),
+}
+
+
+@pytest.mark.parametrize("case", [*SPLIT_CASES, *TRACE_CASES])
+def test_two_process_trace_csv_writes_the_bytes_of_one(tmp_path, split_traces, case):
+    # A forked child writes the rows from the split on; the bytes are the
+    # csv module's at both chunk sizes, and the part file is gone.
+    columns, split = SPLIT_CASES[case] if case in SPLIT_CASES else (TRACE_CASES[case], None)
+    rows = len(Cycled.of(columns[0]).values)
+    assert split in (None, rows // 2)
+    _reference_trace_csv(*columns, tmp_path / "reference.csv")
+    expected = (tmp_path / "reference.csv").read_bytes()
+    for chunk in (report.TRACE_CHUNK_ROWS, 3):
+        with mock.patch.object(report, "TRACE_CHUNK_ROWS", chunk):
+            write_trace_csv(*columns, tmp_path / "new.csv")
+        assert (tmp_path / "new.csv").read_bytes() == expected
+    assert len(split_traces) == (2 if rows else 0)
+    assert sorted(os.listdir(tmp_path)) == ["new.csv", "reference.csv"]
+
+
+def _forbid_fork(monkeypatch):
+    def fork():
+        raise AssertionError("os.fork was called")
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+def _long_float_columns():
+    points = [math.ldexp(1.0, -(i % 1000)) for i in range(report.TRACE_SPLIT_ROWS)]
+    return points, points[1:], [0.5] * (len(points) - 2)
+
+
+@pytest.mark.parametrize("setting", ["below_threshold", "one_cpu", "second_thread"])
+def test_the_trace_writer_stays_in_one_process(tmp_path, monkeypatch, setting):
+    # Below TRACE_SPLIT_ROWS computed rows, with one usable CPU, or while
+    # another thread runs (it could hold a lock the child would inherit),
+    # one process writes every row.
+    points, distances, ratios = _long_float_columns()
+    monkeypatch.setattr(report, "_usable_cpus", lambda: 1 if setting == "one_cpu" else 2)
+    if setting == "below_threshold":
+        points = points[:-1]
+    _forbid_fork(monkeypatch)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if setting == "second_thread":
+        thread.start()
+    try:
+        write_trace_csv(points, distances, ratios, tmp_path / "one.csv")
+    finally:
+        stop.set()
+        if thread.is_alive():
+            thread.join()
+    _reference_trace_csv(points, distances, ratios, tmp_path / "reference.csv")
+    assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def test_the_trace_writer_forks_at_its_threshold(tmp_path, monkeypatch):
+    # The control for the test above: TRACE_SPLIT_ROWS computed rows, two
+    # CPUs and no other thread make the writer fork.
+    monkeypatch.setattr(report, "_usable_cpus", lambda: 2)
+    _forbid_fork(monkeypatch)
+    with pytest.raises(AssertionError, match="os.fork was called"):
+        write_trace_csv(*_long_float_columns(), tmp_path / "trace.csv")
+
+
+_STALL_SOLVE = {
+    "space": {"family": "abs_metric"},
+    "maps": {"t": {"kind": "linear", "a": 1.02}, "s": {"kind": "linear", "a": 1.02}},
+    "hypothesis": {"form": "rl", "r_const": 1.01},
+    "run": {"command": "solve", "x0": 1.0, "max_steps": 45_000},
+    "assumptions": {"complete": True},
+}
+
+
+def test_a_failed_trace_child_ends_the_run_in_one_error_line(tmp_path, capsys, split_traces):
+    # The child raises while it formats its rows; the run ends in exit 1
+    # with one error line, and neither a part file nor a report is left.
+    parent, write_rows = os.getpid(), report._write_rows
+
+    def failing(*args):
+        if os.getpid() != parent:
+            raise MemoryError
+        return write_rows(*args)
+
+    with mock.patch.object(report, "_write_rows", failing):
+        code = run_scenario(_write(tmp_path, "stall.json", _STALL_SOLVE), tmp_path / "out")
+    assert code == 1 and len(split_traces) == 1
+    assert capsys.readouterr() == (
+        "",
+        f"error: {tmp_path / 'stall.json'}: ChildProcessError: "
+        "the process writing rows 18713 on exited with 1\n",
+    )
+    assert sorted(os.listdir(tmp_path / "out")) == ["trace.csv"]
+
+
+def test_a_long_solve_writes_its_trace_from_two_processes(tmp_path, monkeypatch):
+    # A stalled orbit of 37,427 computed rows is past TRACE_SPLIT_ROWS:
+    # with two CPUs its trace is written by two processes, with the bytes
+    # that one process writes.
+    scenario = _write(tmp_path, "stall.json", _STALL_SOLVE)
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    for cpus in (1, 2):
+        monkeypatch.setattr(report, "_usable_cpus", lambda: cpus)
+        assert run_scenario(scenario, tmp_path / f"cpus{cpus}") == 0
+    assert len(forks) == 1
+    one, two = tmp_path / "cpus1", tmp_path / "cpus2"
+    assert (one / "trace.csv").read_bytes() == (two / "trace.csv").read_bytes()
+    assert (one / "report.json").read_bytes() == (two / "report.json").read_bytes()
+    assert sorted(os.listdir(two)) == ["report.json", "trace.csv"]
 
 
 # ---------------------------------------------------------------------------
@@ -555,6 +666,21 @@ def test_axioms_scenario_fails_with_k1(tmp_path):
     report = json.loads((out / "report.json").read_text())
     ids = {v["axiom_id"] for v in report["results"]["violations"]}
     assert "D3" in ids
+
+
+def test_sqrt_square_axioms_near_the_largest_float_write_a_report(tmp_path, capsys):
+    # (sqrt(x) + sqrt(y))**2 passes the largest double here; it used to
+    # raise OverflowError, and the run ended in exit 1.
+    doc = {
+        "space": {"family": "sqrt_square", "sample_bound": 1.7e308},
+        "run": {"command": "axioms", "n_samples": 100, "seed": 1},
+        "assumptions": {"complete": True},
+    }
+    out = tmp_path / "out"
+    assert run_scenario(_write(tmp_path, "overflow.json", doc), out) in (0, 2)
+    assert capsys.readouterr().err == ""
+    report = json.loads((out / "report.json").read_text())
+    assert report["results"]["checked_triples"] == 100
 
 
 def test_oracle_scenario_passes(tmp_path):

@@ -639,6 +639,42 @@ def test_cycle_aware_trace_csv_matches_the_row_by_row_writer(tmp_path, case):
         assert (tmp_path / "cycled.csv").read_bytes() == expected
 
 
+@pytest.mark.parametrize("case", CYCLED)
+def test_two_process_cycled_trace_csv_matches_the_row_by_row_writer(tmp_path, case, split_traces):
+    # The split row is half the computed rows, before the repeated tail of
+    # period 2, 4 or 6, which the forked child writes whole.
+    _, _, trace = _cycled_trace(case)
+    write_trace_csv(*_columns(_reference_trace(case)), tmp_path / "rows.csv")
+    expected = (tmp_path / "rows.csv").read_bytes()
+    split_traces.clear()
+    for chunk in (report_module.TRACE_CHUNK_ROWS, 3, 5):
+        with mock.patch.object(report_module, "TRACE_CHUNK_ROWS", chunk):
+            write_trace_csv(*_columns(trace), tmp_path / "cycled.csv")
+        assert (tmp_path / "cycled.csv").read_bytes() == expected
+    assert len(split_traces) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cycled.csv", "rows.csv"]
+
+
+@pytest.mark.parametrize(
+    "case", ["swap_max_steps_3", "period_4_one_step_before_end", "period_6_divergent_twice"]
+)
+def test_every_row_range_of_a_cycled_trace_is_its_slice_of_the_rows(case):
+    # A range may start and end anywhere: in the computed rows, inside a
+    # repeated period, or at the last row.
+    _, _, trace = _cycled_trace(case)
+    points, distances, ratios = _columns(trace)
+    whole = []
+    report_module._write_rows(whole.append, points, distances, ratios, 0, len(points))
+    lines = "".join(whole).splitlines(keepends=True)
+    assert len(lines) == len(points)
+    with mock.patch.object(report_module, "TRACE_CHUNK_ROWS", 3):
+        for lo in range(len(points) + 1):
+            for hi in range(lo, len(points) + 1):
+                got = []
+                report_module._write_rows(got.append, points, distances, ratios, lo, hi)
+                assert "".join(got) == "".join(lines[lo:hi]), (lo, hi)
+
+
 def test_roundtrip_check_names_the_broken_map(sqrt_square):
     f, _ = iv.linear_map(9.0)
     maps = iv.MapPair(f, f, lambda y: y / 9.0, lambda y: y / 3.0, "t9", "s3")

@@ -5,7 +5,7 @@ import random
 import struct
 import tracemalloc
 from dataclasses import is_dataclass, replace
-from itertools import islice, product
+from itertools import chain, islice, product, repeat
 
 import pytest
 from hypothesis import example, given, settings
@@ -729,6 +729,25 @@ def test_a_pool_of_2_16_points_or_more_is_refused(monkeypatch, pool_size):
     lazy = iv.sample(iv.sqrt_square_space(), 100, 0, 2)
     with pytest.raises(ValueError, match=rf"fewer than 2\*\*16 points, not {pool_size}$"):
         list(lazy)
+
+
+@pytest.mark.parametrize("pool_size", [1, 2, 3, 100, 1024, 1 << 15, (1 << 16) - 1])
+def test_spread_table_repeats_each_point_in_a_row(pool_size):
+    # The slice-assignment build gives the list of the item-by-item one.
+    pool = [f"p{i}" for i in range(pool_size)]
+    repeats = 1 << (16 - pool_size.bit_length())
+    expected = list(chain.from_iterable(map(repeat, pool, repeat(repeats))))
+    table = iv.spaces._spread_table(pool)
+    assert table == expected
+    assert 1 << 15 <= len(table) < 1 << 16
+
+
+def test_sqrt_square_distance_is_inf_where_its_square_overflows():
+    d = iv.sqrt_square_space().dist
+    assert d(1.7e308, 1.7e308) == d(1e308, 5e307) == math.inf
+    # Finite squares are those of `**`, bit for bit.
+    for x, y in [(3.7, 8.1), (1e-310, 2.5), (1e154, 3e153), (4e307, 4e307)]:
+        assert d(x, y) == (math.sqrt(x) + math.sqrt(y)) ** 2
 
 
 def _bare_two_pass(space, pairs, singles, triples, sampled=False):
