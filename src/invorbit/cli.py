@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import marshal
 import os
 import sys
 from pathlib import Path
@@ -76,7 +77,7 @@ def _run_solve(scenario: dict, out_dir: Path) -> tuple[dict, int]:
     report = solve(space, maps, hyp, x0, max_steps=run["max_steps"])
     trace = report.trace
     columns = trace.points, trace.successive_distances, trace.cauchy.per_step_ratios
-    write_trace_csv(*columns, out_dir / "trace.csv")
+    _write_whole(out_dir / "trace.csv", lambda path: write_trace_csv(*columns, path))
     results = {
         "candidate": report.candidate,
         "t_residual": report.t_residual,
@@ -186,6 +187,19 @@ COMMANDS = {
 _EXPECTED = (InvorbitError, ValueError, KeyError)
 
 
+def _write_whole(path: Path, write: Callable[[Path], object]) -> None:
+    """Have `write` write a file at a path it is given, which becomes `path`
+    only once whole, so a failed write leaves no truncated file."""
+    partial = path.with_name(path.name + ".partial")
+    try:
+        write(partial)
+        os.replace(partial, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            partial.unlink()
+        raise
+
+
 def run_scenario(
     path: str | Path,
     out_dir: str | Path,
@@ -195,10 +209,14 @@ def run_scenario(
     """Execute one scenario file and write its report; returns the exit code.
 
     Every exception ends as exit 1 and one `error: <path>: ...` line, so
-    one failing file never takes down a batch.
+    one failing file never takes down a batch.  A run that ends in exit 1
+    also removes `report.json` and `trace.csv` from `out_dir`, so no
+    earlier run's result stands beside its exit code.  A solve writes its
+    `trace.csv` before its `report.json`, so a report is there only when
+    its run finished.
     """
+    out = Path(out_dir)
     try:
-        out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         overrides = {"command": command, "seed": seed}
         overrides = {key: value for key, value in overrides.items() if value is not None}
@@ -219,20 +237,14 @@ def run_scenario(
             "status": COMMANDS[cmd].passed if code == EXIT_OK else COMMANDS[cmd].failed,
             "results": results,
         }
-        # A report is written in chunks: it becomes report.json only once
-        # it is whole, so a failed write leaves no truncated report.
-        partial = out / "report.json.partial"
-        try:
-            emit_report(report, partial)
-            os.replace(partial, out / "report.json")
-        except BaseException:
-            with contextlib.suppress(OSError):
-                partial.unlink()
-            raise
+        _write_whole(out / "report.json", lambda partial: emit_report(report, partial))
     except Exception as err:
         # An unexpected type, e.g. an OverflowError from a huge start, is named.
         message = f"{err}" if isinstance(err, _EXPECTED) else f"{type(err).__name__}: {err}"
         print(f"error: {path}: {message}", file=sys.stderr)
+        for name in ("report.json", "trace.csv"):
+            with contextlib.suppress(OSError):
+                (out / name).unlink()
         return EXIT_ERROR
     print(f"{cmd}: {report['status']} (exit {code}) -> {out / 'report.json'}")
     return code
@@ -254,32 +266,146 @@ def _batch_outcomes(
     """Yield `_run_captured` of every path, in path order.
 
     The scenarios are pure Python, so threads would take turns on the GIL:
-    they run on a process pool with one worker per usable CPU.  The workers
-    are forked, because a spawned worker imports invorbit again, which costs
-    about as much as a small batch.  With one worker, or no `fork`, they
-    run one after another in this process.
+    they run on forked worker processes, one per usable CPU.  A forked
+    worker starts with invorbit imported, where a spawned one would import
+    it again, which costs about as much as a small batch.  With one
+    worker, or no `os.fork`, they run one after another in this process.
     """
     jobs = [(path, out / path.stem, command, seed) for path in paths]
     workers = min(_usable_cpus(), len(jobs))
-    if workers > 1:
-        # imported here, so that `--scenario` runs do not pay for it
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-            from concurrent.futures.process import BrokenProcessPool
-
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                futures = [pool.submit(_run_captured, *job) for job in jobs]
-                for path, future in zip(paths, futures):
-                    try:
-                        yield future.result()
-                    except BrokenProcessPool:
-                        yield EXIT_ERROR, "", f"error: {path}: its worker process died\n"
-            return
+    if workers > 1 and hasattr(os, "fork"):
+        yield from _forked_outcomes(jobs, workers)
+        return
     for job in jobs:
         yield _run_captured(*job)
+
+
+_WORD = 8  # bytes of a file number, or of an outcome's length, little-endian
+
+
+def _serve(jobs: list[tuple], orders: int, results: int, parents: set[int]) -> None:
+    """In a forked worker: run each file number read from `orders`, and
+    write its outcome to `results` as its length and its marshal bytes,
+    until `orders` ends.  Leaves by os._exit: it runs no cleanup of the
+    parent's and flushes none of the parent's buffers.
+
+    It first closes `parents`, the pipe ends it inherited that are the
+    parent's, so that its orders end when the parent closes them.
+    """
+    code = 1
+    try:
+        for fd in parents:
+            os.close(fd)
+        with open(results, "wb") as replies:
+            while number := os.read(orders, _WORD):
+                outcome = marshal.dumps(_run_captured(*jobs[int.from_bytes(number, "little")]))
+                replies.write(len(outcome).to_bytes(_WORD, "little") + outcome)
+                replies.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _read_exactly(fd: int, size: int) -> bytes:
+    """`size` bytes from `fd`; EOFError if it ends first."""
+    data = b""
+    while len(data) < size:
+        chunk = os.read(fd, size - len(data))
+        if not chunk:
+            raise EOFError
+        data += chunk
+    return data
+
+
+def _forked_outcomes(jobs: list[tuple], workers: int):
+    """Run `jobs` on `workers` forked processes; yield the outcomes in job order.
+
+    Each worker holds one file at a time, and is handed its next file
+    number when its outcome arrives: a slow file holds up no other, and
+    no pipe ever holds more than one number, so none can fill up.  A
+    worker that dies fails only the file it held, with one `error:` line,
+    and the others run the rest.  A number that cannot be written to a
+    worker that has just died goes to another one.  Every worker is
+    reaped before this generator ends, also when it raises or is closed.
+    """
+    import selectors  # here, so that `--scenario` runs do not pay for it
+
+    todo = list(range(len(jobs) - 1, -1, -1))  # file numbers to hand out, the next one last
+    outcomes: dict[int, tuple[int, str, str]] = {}
+    held: dict[int, int] = {}  # a worker's results pipe -> the file number it runs
+    opened: set[int] = set()  # the pipe ends this process holds
+    pids: list[int] = []
+    selector = None
+
+    def close(fd: int) -> None:
+        opened.remove(fd)
+        os.close(fd)
+
+    def retire(results: int) -> None:
+        close(selector.unregister(results).data)
+        close(results)
+
+    def hand(results: int) -> None:
+        """Give the worker its next file, or retire it when none is left."""
+        if todo:
+            number = todo.pop()
+            try:
+                os.write(selector.get_key(results).data, number.to_bytes(_WORD, "little"))
+            except BrokenPipeError:  # the worker has just died
+                todo.append(number)
+            else:
+                held[results] = number
+                return
+        retire(results)  # a worker whose orders end leaves
+
+    def died(number: int) -> tuple[int, str, str]:
+        return EXIT_ERROR, "", f"error: {jobs[number][0]}: its worker process died\n"
+
+    try:
+        ends = []  # (orders, results) of each worker, as this process writes and reads them
+        for _ in range(workers):
+            orders_r, orders_w = os.pipe()
+            opened.update((orders_r, orders_w))
+            results_r, results_w = os.pipe()
+            opened.update((results_r, results_w))
+            pid = os.fork()
+            if pid == 0:
+                _serve(jobs, orders_r, results_w, opened - {orders_r, results_w})
+            pids.append(pid)
+            close(orders_r)
+            close(results_w)
+            ends.append((orders_w, results_r))
+        selector = selectors.DefaultSelector()  # after the forks: no worker holds it
+        for orders, results in ends:
+            selector.register(results, selectors.EVENT_READ, orders)
+            hand(results)
+        done = 0
+        while selector.get_map():
+            for key, _ in selector.select():
+                number = held.pop(key.fd)
+                try:
+                    size = int.from_bytes(_read_exactly(key.fd, _WORD), "little")
+                    outcomes[number] = marshal.loads(_read_exactly(key.fd, size))
+                except EOFError:
+                    outcomes[number] = died(number)
+                    retire(key.fd)
+                else:
+                    hand(key.fd)
+            while done in outcomes:
+                yield outcomes.pop(done)
+                done += 1
+        # Left here only if every worker died: the files none of them took
+        # fail as the files they held did.
+        for number in range(done, len(jobs)):
+            yield outcomes.pop(number, None) or died(number)
+    finally:
+        if selector is not None:
+            selector.close()
+        for fd in list(opened):
+            close(fd)
+        for pid in pids:
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
 
 
 def run_batch(

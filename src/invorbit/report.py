@@ -237,8 +237,8 @@ def _rows_text(steps: range, points: list, dists: list, ratios: list) -> str:
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on: the `--batch` pool runs a worker on
-    each, and the trace writer forks only when there are two or more."""
+    """CPUs this process may run on: `--batch` forks a worker for each,
+    and the trace writer forks only when there are two or more."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # not offered on this platform

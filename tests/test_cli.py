@@ -6,7 +6,6 @@ import hashlib
 import importlib.util
 import json
 import math
-import multiprocessing
 import os
 import shutil
 import signal
@@ -14,6 +13,7 @@ import struct
 import subprocess
 import sys
 import threading
+import time
 from itertools import cycle
 from pathlib import Path
 from unittest import mock
@@ -510,7 +510,7 @@ _STALL_SOLVE = {
 
 def test_a_failed_trace_child_ends_the_run_in_one_error_line(tmp_path, capsys, split_traces):
     # The child raises while it formats its rows; the run ends in exit 1
-    # with one error line, and neither a part file nor a report is left.
+    # with one error line, and no trace, part file or report is left.
     parent, write_rows = os.getpid(), report._write_rows
 
     def failing(*args):
@@ -526,7 +526,65 @@ def test_a_failed_trace_child_ends_the_run_in_one_error_line(tmp_path, capsys, s
         f"error: {tmp_path / 'stall.json'}: ChildProcessError: "
         "the process writing rows 18713 on exited with 1\n",
     )
-    assert sorted(os.listdir(tmp_path / "out")) == ["trace.csv"]
+    assert sorted(os.listdir(tmp_path / "out")) == []
+
+
+def test_a_failed_trace_child_leaves_no_earlier_trace_or_report(tmp_path, capsys, split_traces):
+    # A re-run into the directory of a finished solve whose trace child
+    # fails removes that solve's outputs, and leaves no partial file.
+    parent, write_rows = os.getpid(), report._write_rows
+    scenario, out = _write(tmp_path, "stall.json", _STALL_SOLVE), tmp_path / "out"
+    assert run_scenario(scenario, out) == 0
+    assert sorted(os.listdir(out)) == ["report.json", "trace.csv"]
+
+    def failing(*args):
+        if os.getpid() != parent:
+            raise MemoryError
+        return write_rows(*args)
+
+    with mock.patch.object(report, "_write_rows", failing):
+        assert run_scenario(scenario, out) == 1
+    assert len(split_traces) == 2
+    assert capsys.readouterr().err.startswith(f"error: {scenario}: ChildProcessError")
+    assert os.listdir(out) == []
+
+
+def test_an_interrupted_trace_write_leaves_no_truncated_trace(tmp_path):
+    # The trace is written through trace.csv.partial: an interrupt in the
+    # middle of a re-run's trace leaves the earlier run's files whole, and
+    # no partial file.
+    out = tmp_path / "out"
+    assert run_scenario(SCENARIOS / "sqrt_square_solve.json", out) == 0
+    before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+    write_rows = report._write_rows
+
+    def interrupted(write, points, distances, ratios, lo, hi):
+        write_rows(write, points, distances, ratios, lo, (lo + hi) // 2)
+        raise KeyboardInterrupt
+
+    with mock.patch.object(report, "_write_rows", interrupted), pytest.raises(KeyboardInterrupt):
+        run_scenario(SCENARIOS / "sqrt_square_solve.json", out)
+    assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
+
+
+def test_a_failed_rerun_leaves_no_certified_report_behind(tmp_path, capsys):
+    # The directory holds a certified solve's report and trace; a run into
+    # it that ends in exit 1 removes both, so none contradicts its exit code.
+    out = tmp_path / "out"
+    assert run_scenario(SCENARIOS / "sqrt_square_solve.json", out) == 0
+    assert json.loads((out / "report.json").read_text())["results"]["certified"] is True
+    assert sorted(os.listdir(out)) == ["report.json", "trace.csv"]
+    no_start = {
+        "space": {"family": "abs_metric"},
+        "maps": {"t": {"kind": "linear", "a": 2.0}, "s": {"kind": "linear", "a": 2.0}},
+        "hypothesis": {"form": "rl", "r_const": 1.5},
+        "run": {"command": "solve"},
+        "assumptions": {"complete": True},
+    }
+    path = _write(tmp_path, "no_start.json", no_start)
+    assert run_scenario(path, out) == 1
+    assert capsys.readouterr().err.endswith(f"error: {path}: solve requires run.x0\n")
+    assert os.listdir(out) == []
 
 
 def test_a_long_solve_writes_its_trace_from_two_processes(tmp_path, monkeypatch):
@@ -1348,10 +1406,7 @@ def _time_limit(seconds: int):
         signal.signal(signal.SIGALRM, previous)
 
 
-needs_fork = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="the batch pool needs the fork start method",
-)
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="batch workers need os.fork")
 
 
 @needs_fork
@@ -1376,17 +1431,140 @@ def test_a_dead_worker_fails_the_batch_without_hanging(tmp_path, monkeypatch, ca
         code = run_batch(batch, out, seed=None)
     assert code == 1
     captured = capsys.readouterr()
-    assert "Traceback" not in captured.out + captured.err
-    finished = captured.out.splitlines()
-    unfinished = captured.err.splitlines()
-    assert all(line.startswith("solve: certified (exit 0)") for line in finished)
-    assert all(line.startswith("error:") and "worker process died" in line for line in unfinished)
-    assert f"error: {batch / 'b.json'}: its worker process died" in unfinished
-    # every file is named by exactly one line: its status or its error
+    # Only the file the dead worker held fails; the other worker runs the rest.
+    assert captured.err == f"error: {batch / 'b.json'}: its worker process died\n"
+    assert captured.out.splitlines() == [
+        f"solve: certified (exit 0) -> {out / name / 'report.json'}" for name in names if name != "b"
+    ]
+
+
+@needs_fork
+@pytest.mark.parametrize("failed_writes", [1, 2])
+def test_a_file_number_a_worker_cannot_take_goes_to_another(
+    tmp_path, monkeypatch, capsys, failed_writes
+):
+    # The first writes of a file number fail as they would to a worker
+    # that has just died.  After one, the other worker runs every file;
+    # after two, no worker is left and every file fails with one line.
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    names = ("a", "b", "c")
     for name in names:
-        named = [line for line in finished if line.endswith(str(out / name / "report.json"))]
-        named += [line for line in unfinished if str(batch / f"{name}.json") in line]
-        assert len(named) == 1, name
+        (batch / f"{name}.json").write_text((SCENARIOS / "sqrt_square_solve.json").read_text())
+    parent, write, failed = os.getpid(), os.write, []
+
+    def breaks(fd, data):
+        if os.getpid() == parent and len(failed) < failed_writes:
+            failed.append(fd)
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+        return write(fd, data)
+
+    monkeypatch.setattr(os, "write", breaks)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    out = tmp_path / "out"
+    with _time_limit(60):
+        code = run_batch(batch, out, seed=None)
+    assert len(set(failed)) == failed_writes
+    captured = capsys.readouterr()
+    if failed_writes == 1:
+        assert code == 0 and captured.err == ""
+        assert captured.out.splitlines() == [
+            f"solve: certified (exit 0) -> {out / name / 'report.json'}" for name in names
+        ]
+    else:
+        assert code == 1 and captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {batch / name}.json: its worker process died" for name in names
+        ]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+def test_a_slow_first_file_keeps_the_batch_in_file_order(tmp_path, monkeypatch, capsys):
+    # The first file is the slowest, so the other worker runs the files
+    # after it first; the lines still come in file order, and each report
+    # and trace is that of the file's --scenario run.
+    names = {
+        "a": "sqrt_square_solve.json",
+        "b": "sqrt_square_audit.json",
+        "c": "lemmas_sqrt_square.json",
+        "d": "sqrt_square_axioms.json",
+        "e": "b_metric_solve.json",
+    }
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    for name, source in names.items():
+        (batch / f"{name}.json").write_text((SCENARIOS / source).read_text())
+    real = cli.run_scenario
+
+    def slow_on_a(path, out_dir, command=None, seed=None):
+        if Path(path).stem == "a":
+            time.sleep(0.5)
+        return real(path, out_dir, command, seed)
+
+    monkeypatch.setattr(cli, "run_scenario", slow_on_a)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    out = tmp_path / "out"
+    with _time_limit(60):
+        assert run_batch(batch, out, seed=None) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    statuses = [line.split(" -> ") for line in captured.out.splitlines()]
+    assert [Path(written).parent.name for _, written in statuses] == list(names)
+    for (status, _), (name, source) in zip(statuses, names.items()):
+        alone = tmp_path / "alone" / name
+        code = real(SCENARIOS / source, alone)
+        assert status == capsys.readouterr().out.split(" -> ")[0]
+        assert status.endswith(f"(exit {code})")
+        assert sorted(os.listdir(out / name)) == sorted(os.listdir(alone))
+        for file in os.listdir(alone):
+            assert (out / name / file).read_bytes() == (alone / file).read_bytes(), (name, file)
+
+
+@needs_fork
+@pytest.mark.parametrize("ending", ["whole", "closed_after_one"])
+def test_no_batch_worker_outlives_the_batch(tmp_path, monkeypatch, ending):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    paths = [SCENARIOS / name for name in ("sqrt_square_audit.json", "sqrt_square_axioms.json")]
+    outcomes = cli._batch_outcomes(paths, tmp_path / "out", None, None)
+    with _time_limit(60):
+        if ending == "whole":
+            assert [code for code, _, _ in outcomes] == [2, 0]
+        else:
+            assert next(outcomes)[0] == 2
+            outcomes.close()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# A two-file batch with two usable CPUs, so that it runs on forked workers.
+BATCH_MODULES = """
+import sys
+import invorbit.cli
+invorbit.cli._usable_cpus = lambda: 2
+code = invorbit.cli.main(["--batch", sys.argv[1], "--out", sys.argv[2]])
+print([m for m in sys.modules if m.split(".")[0] in ("multiprocessing", "concurrent")])
+sys.exit(code)
+"""
+
+
+@needs_fork
+def test_a_forked_batch_imports_no_multiprocessing(tmp_path, cli_env):
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    for name in ("sqrt_square_audit.json", "sqrt_square_axioms.json"):
+        (batch / name).write_text((SCENARIOS / name).read_text())
+    run = subprocess.run(
+        [sys.executable, "-c", BATCH_MODULES, str(batch), str(tmp_path / "out")],
+        env=cli_env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 2, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
+    assert len(run.stdout.splitlines()) == 3
 
 
 @needs_fork
@@ -1418,8 +1596,8 @@ def test_a_one_file_batch_runs_in_process_like_the_pool(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pooled"])
 def test_an_unexpected_exception_does_not_abort_the_batch(tmp_path, monkeypatch, capsys, workers):
-    if workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("the batch pool needs the fork start method")
+    if workers > 1 and not hasattr(os, "fork"):
+        pytest.skip("batch workers need os.fork")
     batch = tmp_path / "batch"
     batch.mkdir()
     for name in ("a_bad.json", "b_good.json"):
@@ -1446,9 +1624,9 @@ def test_an_unexpected_exception_does_not_abort_the_batch(tmp_path, monkeypatch,
 
 @pytest.mark.parametrize("files", [1, 2], ids=["serial", "pooled"])
 def test_batch_applies_the_command_override(tmp_path, monkeypatch, capsys, files):
-    # With two usable CPUs, one file runs in this process and two run on the pool.
-    if files > 1 and "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("the batch pool needs the fork start method")
+    # With two usable CPUs, one file runs in this process and two run on forked workers.
+    if files > 1 and not hasattr(os, "fork"):
+        pytest.skip("batch workers need os.fork")
     names = ("a", "b")[:files]
     batch = tmp_path / "batch"
     batch.mkdir()
