@@ -25,9 +25,10 @@ from .analysis import (
     polygon_bound,
 )
 from .errors import HypothesisNotMet, InvorbitError
+from .forking import _usable_cpus
 from .numerics import TOL_AXIOM, TOL_FIX, TOL_POINT
 from .oracle import SweepReport, falsification_sweep
-from .report import _usable_cpus, canonical_json, emit_report, write_trace_csv
+from .report import canonical_json, emit_report, write_trace_csv
 from .scenario import (
     SCENARIO_SCHEMA,
     build_hypothesis,

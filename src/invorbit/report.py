@@ -25,13 +25,13 @@ import math
 import os
 import re
 import shutil
-import threading
 from itertools import chain, cycle, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
 from .analysis import Cycled
+from .forking import Child, _forkable
 
 JSON_CHUNK_PARTS = 4096  # text parts joined, or float records formatted, at a time
 
@@ -236,15 +236,6 @@ def _rows_text(steps: range, points: list, dists: list, ratios: list) -> str:
     return "".join(map("{},{},{},{}\r\n".format, steps, *cells))
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: `--batch` forks a worker for each,
-    and the trace writer forks only when there are two or more."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not offered on this platform
-        return os.cpu_count() or 1
-
-
 def _write_rows(write: Callable[[str], Any], points: Cycled, distances, ratios, lo, hi) -> None:
     """Hand `write` the text of trace rows `lo` to `hi` - 1 (see `write_trace_csv`).
 
@@ -287,31 +278,6 @@ def _write_rows(write: Callable[[str], Any], points: Cycled, distances, ratios, 
         write(f"{last},{next(_cells((points[last],)))},,\r\n")
 
 
-def _other_cpus() -> set[int]:
-    """The usable CPUs but the one this process runs on now; empty off Linux.
-
-    A forked child starts on its parent's CPU, and on a 2-vCPU host it was
-    seen to stay there for about a second while the other CPU idled, so
-    the two halves of a trace took turns instead of running at once.  The
-    trace writer's child moves to these CPUs.
-    """
-    if not hasattr(os, "sched_getaffinity"):
-        return set()
-    try:
-        with open("/proc/self/stat", "rb") as stat:
-            cpu = int(stat.read().rsplit(b")", 1)[1].split()[36])  # field 39, the CPU
-    except (OSError, IndexError, ValueError):
-        return set()
-    return os.sched_getaffinity(0) - {cpu}
-
-
-def _forkable() -> bool:
-    """Whether a forked child may write part of a trace: `os.fork` exists,
-    a second CPU is usable, and no other thread runs (a thread holding a
-    lock at the fork would leave it held in the child)."""
-    return hasattr(os, "fork") and _usable_cpus() > 1 and threading.active_count() == 1
-
-
 def write_trace_csv(points, distances, ratios, path: str | Path) -> None:
     """Per-step orbit table: step, point, dist_to_next, ratio.
 
@@ -329,13 +295,14 @@ def write_trace_csv(points, distances, ratios, path: str | Path) -> None:
     formatted once and repeated after a "%d" each, a chunk per `%` call.
 
     A trace of TRACE_SPLIT_ROWS computed points or more is written by two
-    processes when `_forkable()`: a forked child, moved off this process's
-    CPU, writes the rows from the middle computed row on, the repeated
-    tail included, to `<path>.part` while this process writes the header
-    and the rows before it, then appends the part and deletes it.
-    Both halves are formatted as above, so the bytes are those of one
-    process.  A child that fails raises ChildProcessError here, and no
-    part file is left.
+    processes when `_forkable()`: a forked `Child`, moved off this
+    process's CPU, writes the rows from the middle computed row on, the
+    repeated tail included, to `<path>.part` while this process writes
+    the header and the rows before it, then appends the part and deletes
+    it.  Both halves are formatted as above, so the bytes are those of
+    one process.  A child that fails raises ChildProcessError here, with
+    its exit code, and no part file is left; an error of this process's
+    half stops the child.
     """
     points = Cycled.of(points)
     rows, end = len(points.values), len(points)
@@ -346,28 +313,23 @@ def write_trace_csv(points, distances, ratios, path: str | Path) -> None:
             _write_rows(handle.write, points, distances, ratios, 0, end)
             return
         part = f"{path}.part"
-        others = _other_cpus()
-        pid = os.fork()
-        if pid == 0:
-            # The child writes the second half and leaves by os._exit: it
-            # runs no cleanup and flushes none of this process's buffers.
-            code = 1
-            try:
-                if others:
-                    with contextlib.suppress(OSError):
-                        os.sched_setaffinity(0, others)
-                with open(part, "w", encoding="utf-8", newline="") as second:
-                    _write_rows(second.write, points, distances, ratios, split, end)
-                code = 0
-            finally:
-                os._exit(code)
+
+        def second_half() -> None:
+            with open(part, "w", encoding="utf-8", newline="") as second:
+                _write_rows(second.write, points, distances, ratios, split, end)
+
         try:
+            child = Child(second_half)
             try:
                 _write_rows(handle.write, points, distances, ratios, 0, split)
-            finally:
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            if code:
-                raise ChildProcessError(f"the process writing rows {split} on exited with {code}")
+            except BaseException:
+                child.stop()
+                raise
+            try:
+                child.result()
+            except Exception as err:
+                message = f"the process writing rows {split} on exited with {child.code}"
+                raise ChildProcessError(message) from err
             handle.flush()
             with open(part, "rb") as second:
                 shutil.copyfileobj(second, handle.buffer)

@@ -39,10 +39,12 @@ from .numerics import TOL_FIX, exceeds, tail_window
 from .spaces import (
     Exhaustive,
     Point,
+    Sample,
     Sampled,
     Space,
     d_sharp,
     sample_pairs,
+    split_walk,
 )
 
 DEFAULT_MAX_STEPS = 10_000
@@ -398,7 +400,10 @@ def audit(
     on a later pair is then never evaluated, and never raised.
 
     Every walked pair is evaluated.  `Sampled` pairs are drawn lazily as
-    they are walked, so the audit holds its violations, not its sample.
+    they are walked, so the audit holds its violations, not its sample;
+    without a `limit`, a large sample of an interval carrier is walked in
+    two halves on two processes (`split_walk`), whose violations are
+    joined in pair order.
     An `OrbitTrace` stands for the pairs its orbit consumed
     (`orbit_adjacent_pairs`), which repeat with its points: the pairs of
     its computed points (one period at least) are walked, and the
@@ -406,14 +411,42 @@ def audit(
     the maps, the distance and phi being functions.
     """
     check_hypothesis(space, hyp)
-    d = space.dist
-    t_forward, s_forward = maps.t_forward, maps.s_forward
     test = expansion_test(hyp, partial(d_sharp, space))
-    violations: list[AuditViolation] = []
-    checked = 0
+    walk = partial(_walk_pairs, space.dist, maps.t_forward, maps.s_forward, test)
     walked, edge, repeats = _resolve_pairs(space, pairs)
-    last: list = []  # the outcomes from pair `edge` on, which the repeats take in turn
-    for x, y in walked:
+    if isinstance(walked, Sample) and limit is None:
+        first, second = split_walk(walked, lambda items: walk(items, edge, None)[0], _ship_pairs)
+        if second is not None:
+            first.extend(map(AuditViolation._make, second))
+        return AuditReport(len(walked), tuple(first), not first)
+    violations, checked, last = walk(walked, edge, limit)
+    if last is not None:
+        checked += repeats
+        for at, violation in enumerate(islice(cycle(last), repeats) if any(last) else (), 1):
+            if violation is not None:
+                violations.append(violation)
+                if limit is not None and len(violations) >= limit:
+                    checked += at - repeats
+                    break
+    return AuditReport(checked, tuple(violations), not violations)
+
+
+def _walk_pairs(
+    d: Callable[[Point, Point], float],
+    t_forward: Callable[[Point], Point],
+    s_forward: Callable[[Point], Point],
+    test: ExpansionTest,
+    pairs: Iterable[tuple[Point, Point]],
+    edge: int,
+    limit: int | None,
+) -> tuple[list, int, list | None]:
+    """The loop of `audit` over `pairs`: the violations, the pairs
+    checked, and the outcomes from pair `edge` on (None once `limit`
+    violations stopped the walk)."""
+    violations: list[AuditViolation] = []
+    last: list = []
+    checked = 0
+    for x, y in pairs:
         checked += 1
         tx = t_forward(x)
         sy = s_forward(y)
@@ -425,16 +458,13 @@ def audit(
         if violation is not None:
             violations.append(violation)
             if limit is not None and len(violations) >= limit:
-                break
-    else:
-        checked += repeats
-        for at, violation in enumerate(islice(cycle(last), repeats) if any(last) else (), 1):
-            if violation is not None:
-                violations.append(violation)
-                if limit is not None and len(violations) >= limit:
-                    checked += at - repeats
-                    break
-    return AuditReport(checked, tuple(violations), not violations)
+                return violations, checked, None
+    return violations, checked, last
+
+
+def _ship_pairs(violations: list) -> list:
+    """Audit violations as marshal writes them: tuples."""
+    return list(map(tuple, violations))
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from struct import unpack
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import ExhaustiveOnInfiniteCarrier, NoFiniteK
+from .forking import Child, Unshippable, _forkable
 from .numerics import TOL_POINT, differs, exceeds
 
 Point = Any
@@ -221,7 +222,11 @@ def _pool_and_anchors(space: Space, rng: random.Random) -> tuple[list, list]:
         return pts, pts
     anchors = carrier.anchors()
     lo, hi = carrier.lower, carrier.sampling_upper
-    grid = [lo + (hi - lo) * i / (GRID_POINTS - 1) for i in range(GRID_POINTS)]
+    width, last = hi - lo, GRID_POINTS - 1
+    if width < 1.0:  # width * i / last, whose subnormal points differ from width * (i / last)
+        grid = [lo + width * i / last for i in range(GRID_POINTS)]
+    else:  # the same points where width * i is finite, and finite where it is not
+        grid = [lo + width * (i / last) for i in range(GRID_POINTS)]
     pool = list(dict.fromkeys(anchors + grid))
     while len(pool) < POOL_SIZE:
         pool.append(rng.uniform(lo, hi))
@@ -240,8 +245,9 @@ def _spread_table(pool: list) -> list:
     return spread
 
 
-def _draws(rng: random.Random, pool: list, count: int) -> Iterator[list]:
-    """At least `count` draws of pool[rng.randrange(len(pool))], in chunks.
+def _draws(rng: random.Random, pool: list, count: int, skip: int = 0) -> Iterator[list]:
+    """At least `count` draws of pool[rng.randrange(len(pool))], in chunks,
+    after the first `skip` draws.
 
     For a pool of size s, randrange(s) keeps the top s.bit_length() bits
     of one 32-bit Mersenne word and redraws while that value is >= s.
@@ -258,12 +264,28 @@ def _draws(rng: random.Random, pool: list, count: int) -> Iterator[list]:
     row, 2**15 to 2**16 - 1 entries, with the same indices.  Words are
     read DRAW_CHUNK at a time, which bounds the transient memory; the
     caller owns rng, so whole chunks are drawn and any surplus dropped.
+
+    Skipped draws are drawn too, since the Mersenne state only moves
+    forward, but a chunk that holds only skipped draws is counted, not
+    read, where the table's size is a multiple of 256 (the interval pool,
+    and every pool under 256 points): a high half is then below the size
+    exactly when its top byte, the last of its little-endian word, is
+    below size / 256, so one `translate` and `count` over those bytes
+    count the chunk's draws.
     """
     spread = _spread_table(pool)
     size = len(spread)
+    tops = None if size % 256 else bytes(top >= size >> 8 for top in range(256))  # 0: a draw
     while count > 0:
         words = rng.getrandbits(32 * DRAW_CHUNK).to_bytes(4 * DRAW_CHUNK, "little")
+        if skip and tops is not None:
+            passed = words[3::4].translate(tops).count(0)
+            if passed <= skip:
+                skip -= passed
+                continue
         got = [spread[h] for h in unpack(HIGH_HALVES, words) if h < size]
+        if skip:
+            got, skip = got[skip:], max(skip - len(got), 0)
         count -= len(got)
         yield got
 
@@ -290,6 +312,14 @@ class Sample:
         return self.n
 
     def __iter__(self) -> Iterator:
+        return self.iter_from(0)
+
+    def iter_from(self, start: int) -> Iterator:
+        """The items from index `start` on: those of `list(self)[start:]`.
+
+        The draws of the items before `start` are skipped, not built (see
+        `_draws`), so a second process can take the items of a later range.
+        """
         n, arity = self.n, self.arity
         rng = random.Random(self.seed)
         pool, anchors = _pool_and_anchors(self.space, rng)
@@ -297,9 +327,10 @@ class Sample:
             lead = anchors[:n]
         else:
             lead = list(islice(product(anchors, repeat=arity), n))
-        count = (n - len(lead)) * arity
-        flat = islice(chain.from_iterable(_draws(rng, pool, count)), count)
-        return chain(lead, flat if arity == 1 else zip(*[flat] * arity))
+        skip = max(start - len(lead), 0) * arity
+        count = max((n - len(lead)) * arity - skip, 0)
+        flat = islice(chain.from_iterable(_draws(rng, pool, count, skip)), count)
+        return chain(lead[start:], flat if arity == 1 else zip(*[flat] * arity))
 
 
 def sample(space: Space, n: int, seed: int, arity: int) -> Sample:
@@ -318,6 +349,48 @@ def sample_pairs(space: Space, n: int, seed: int) -> Sample:
 
 def sample_triples(space: Space, n: int, seed: int) -> Sample:
     return sample(space, n, seed, 3)
+
+
+# Items from which a sampled check of an interval carrier runs on two
+# processes.  A fork, the child's start on another CPU and its exit cost
+# about 3 ms more than one process.  On a 2-vCPU Linux VM, the four checks
+# of the `sampled_checks` benchmark (two axioms runs, an rl and a phi
+# audit) took less time on two processes in 0 of 40 alternating passes at
+# 4,096 items each, 4 at 6,144, 23 at 8,192, 10 at 10,000, and 29 and 28
+# of 40 in two series at 12,288.
+SPLIT_ITEMS = 12_288
+
+
+def split_walk(
+    items: Sample, walk: Callable[[Iterable], Any], ship: Callable[[Any], Any]
+) -> tuple[Any, Any]:
+    """`walk` over the items of a sample: (its result, None), or (its
+    result on the first half, `ship` of its result on the second half).
+
+    A sample of an interval carrier with SPLIT_ITEMS items or more is
+    split when `_forkable()`: a forked `Child`, moved to another CPU,
+    walks items [n // 2, n) from `Sample.iter_from` while this process
+    walks [0, n // 2).  `ship` turns the child's result into values that
+    marshal writes (its records into tuples), and the caller rebuilds
+    them.  The first error in item order is raised: one of this
+    process's half as it is, after the child is stopped, then one of the
+    child's half with its type and message.  A result that marshal cannot
+    write (a distance of a float subclass, say) is walked again here.
+    """
+    n = len(items)
+    if n < SPLIT_ITEMS or items.space.is_finite or not _forkable():
+        return walk(items), None
+    half = n // 2
+    child = Child(lambda: ship(walk(items.iter_from(half))))
+    try:
+        first = walk(islice(items, half))
+    except BaseException:
+        child.stop()
+        raise
+    try:
+        return first, child.result()
+    except Unshippable:
+        return first, ship(walk(items.iter_from(half)))
 
 
 # ---------------------------------------------------------------------------
@@ -457,49 +530,30 @@ def _triangle_factor(kind: SpaceKind, k_const: float) -> float:
     return k_const if kind in (SpaceKind.B_METRIC, SpaceKind.B_METRIC_LIKE) else 1.0
 
 
-def check_axioms(space: Space, strategy: Strategy) -> AxiomReport:
-    """Audit the kind-specific distance axioms and collect every violation.
+def _walk_triples(
+    space: Space, triples: Iterable[tuple], leads: Iterable[bool], sampled: bool
+) -> tuple[list, list, list]:
+    """The loop of `check_axioms` over `triples`: the pair violations, the
+    points of a sampled b-metric's triples in first-occurrence order (D1
+    reads them; empty otherwise) and the triangle violations.
 
-    For the triangle-type violations the witness is stored as (x, y, z)
-    with z the midpoint of the detour.  One loop serves both strategies:
-    it checks the pair axioms of each (x, y) once, then the triangle for
-    each midpoint z.  An exhaustive check pairs every (x, y) with every
-    point; a sampled one checks the leading pair of each triple with its
-    own z, so the anchor pairs are always covered.  Its triples are drawn
-    lazily and read once, by that loop, which on a b-metric also collects
-    the distinct points D1 checks; no triple is held past its turn.  Each
-    d(x, y) is read once and serves both the pair axioms and the triangle,
-    which relies on the distance being a function of its points.  A sampled check reads
-    its legs d(x, z), d(z, y) (and d(z, z)) only there, so it counts a
-    triangle whose rhs is nan as failed.  Violations come out as pair
-    violations, then D1 (b-metrics only), then triangle violations.
-    Deterministic for a fixed seed.
+    The pair axioms of (x, y) are checked where `leads` reads True.  Each
+    d(x, y) is read once and serves both the pair axioms and the
+    triangle, which relies on the distance being a function of its
+    points.  A sampled check reads its legs d(x, z), d(z, y) (and d(z, z))
+    only here, so it counts a triangle whose rhs is nan as failed.
     """
     d = space.dist
     kind = space.kind
-    if isinstance(strategy, Exhaustive):
-        pts = singles = _exhaustive_points(space)
-        triples: Iterable[tuple] = product(pts, repeat=3)
-        # In product order each (x, y) leads the run of its len(pts) midpoints.
-        leads: Iterable[bool] = cycle((True,) + (False,) * (len(pts) - 1))
-        checked_pairs, checked_triples = len(pts) ** 2, len(pts) ** 3
-    elif isinstance(strategy, Sampled):
-        triples = sample_triples(space, strategy.n, strategy.seed)
-        leads = repeat(True)
-        checked_pairs = checked_triples = len(triples)
-        singles = {}
-        if kind is SpaceKind.B_METRIC:
-            triples = _noted(triples, singles)
-    else:
-        raise TypeError(f"unknown strategy: {strategy!r}")
-
-    sampled = isinstance(strategy, Sampled)
-    violations: list[AxiomViolation] = []
+    pairs: list[AxiomViolation] = []
     triangles: list[AxiomViolation] = []
-    check_pair = _pair_axioms(space, violations, sampled)
+    seen: dict = {}
+    check_pair = _pair_axioms(space, pairs, sampled)
     tri_id = _AXIOM_IDS[kind][2]
     factor = _triangle_factor(kind, space.k_const)
     subtract_mid = kind is SpaceKind.PARTIAL_METRIC
+    if sampled and kind is SpaceKind.B_METRIC:
+        triples = _noted(triples, seen)
     for (x, y, z), lead in zip(triples, leads):
         if lead:
             lhs = check_pair(x, y)
@@ -513,10 +567,60 @@ def check_axioms(space: Space, strategy: Strategy) -> AxiomReport:
             _triangle_fails(lhs, rhs, detour, factor, subtract_mid) or (sampled and rhs != rhs)
         ):
             triangles.append(AxiomViolation(tri_id, (x, y, z), lhs, rhs))
+    return pairs, list(seen), triangles
+
+
+def _ship_walk(found: tuple[list, list, list]) -> tuple[list, list, list]:
+    """A `_walk_triples` result as marshal writes it: records as tuples."""
+    pairs, seen, triangles = found
+    return list(map(tuple, pairs)), seen, list(map(tuple, triangles))
+
+
+def check_axioms(space: Space, strategy: Strategy) -> AxiomReport:
+    """Audit the kind-specific distance axioms and collect every violation.
+
+    For the triangle-type violations the witness is stored as (x, y, z)
+    with z the midpoint of the detour.  One loop, `_walk_triples`, serves
+    both strategies: it checks the pair axioms of each (x, y) once, then
+    the triangle for each midpoint z.  An exhaustive check pairs every
+    (x, y) with every point; a sampled one checks the leading pair of each
+    triple with its own z, so the anchor pairs are always covered.  Its
+    triples are drawn lazily and read once, by that loop, which on a
+    b-metric also collects the distinct points D1 checks; no triple is
+    held past its turn.  A large sampled check of an interval carrier
+    runs its two halves on two processes (`split_walk`), each returning
+    its own three lists, which are merged in item order.  Violations come
+    out as pair violations, then D1 (b-metrics only), then triangle
+    violations.  Deterministic for a fixed seed.
+    """
+    kind = space.kind
+    if isinstance(strategy, Exhaustive):
+        pts = _exhaustive_points(space)
+        # In product order each (x, y) leads the run of its len(pts) midpoints.
+        leads = cycle((True,) + (False,) * (len(pts) - 1))
+        parts = [_walk_triples(space, product(pts, repeat=3), leads, False)]
+        singles: Iterable[Point] = pts
+        checked_pairs, checked_triples = len(pts) ** 2, len(pts) ** 3
+    elif isinstance(strategy, Sampled):
+        triples = sample_triples(space, strategy.n, strategy.seed)
+        first, second = split_walk(
+            triples, lambda items: _walk_triples(space, items, repeat(True), True), _ship_walk
+        )
+        parts = [first]
+        if second is not None:
+            pairs, seen, triangles = second
+            rebuild = AxiomViolation._make
+            parts.append((list(map(rebuild, pairs)), seen, list(map(rebuild, triangles))))
+        singles = dict.fromkeys(chain.from_iterable(part[1] for part in parts))
+        checked_pairs = checked_triples = len(triples)
+    else:
+        raise TypeError(f"unknown strategy: {strategy!r}")
+
+    violations = [v for part in parts for v in part[0]]
     if kind is SpaceKind.B_METRIC:
         _d1_violations(space, singles, violations)
-    violations.extend(triangles)
-
+    for part in parts:
+        violations.extend(part[2])
     return AxiomReport(
         passed=not violations,
         violations=tuple(violations),
@@ -592,10 +696,48 @@ def min_valid_k(space: Space) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _finite_range(space: Space, family: str, field: str) -> Space:
+    """`space`, built by `family` with `field` as the top of its sampling
+    range, unless a distance or a triangle right-hand side
+    K * (d(x, z) + d(z, y)) on that range can overflow: then ValueError
+    naming `field` and the largest value it may take.
+
+    Each family's distance, as rounded, grows with |x - y| or with x and
+    y (its docstring says how far), so on [lo, hi] none exceeds the larger
+    of d(lo, hi) and d(hi, hi), and no right-hand side exceeds K times
+    twice that, as rounded: when that is finite, so is every one.  The
+    largest finite top is found by bisection on the same test, so the
+    next double above it is refused.
+    """
+    lo, hi = space.carrier.lower, space.carrier.sampling_upper
+    factor = _triangle_factor(space.kind, space.k_const)
+
+    def finite(top: float) -> bool:
+        try:
+            far = max(space.dist(lo, top), space.dist(top, top))
+        except OverflowError:  # square_diff's `**`
+            return False
+        return factor * (far + far) < math.inf
+
+    if finite(hi):
+        return space
+    good, bad = lo, hi
+    while (mid := good / 2 + bad / 2) not in (good, bad):
+        good, bad = (mid, bad) if finite(mid) else (good, mid)
+    raise ValueError(
+        f"{field} {hi!r} is above {good!r}, the largest at which every {family} "
+        "distance on the sampling range and every K*(d(x, z) + d(z, y)) is finite"
+    )
+
+
 def sqrt_square_space(k_const: float = 2.0, sample_bound: float = SAMPLE_BOUND) -> Space:
     """(sqrt(x) + sqrt(y))**2 on [0, inf): self-distance 4x, valid with K = 2.
 
-    A square past the largest double is inf, where `**` would raise.
+    On [0, b] a distance is at most d(b, b) = 4b and a right-hand side
+    K * (d(x, z) + d(z, y)) at most 8Kb, so `sample_bound` may reach
+    about M / (8K), M the largest double: 1.12e307 at K = 2.  A mapped
+    point of an audit can lie past b, and a square past M is inf there,
+    where `**` would raise.
     """
 
     def dist(x, y):
@@ -604,13 +746,14 @@ def sqrt_square_space(k_const: float = 2.0, sample_bound: float = SAMPLE_BOUND) 
         except OverflowError:
             return math.inf
 
-    return Space(
+    space = Space(
         IntervalCarrier(0.0, math.inf, sample_bound),
         dist,
         k_const,
         SpaceKind.B_METRIC_LIKE,
         complete=True,
     )
+    return _finite_range(space, "sqrt_square", "sample_bound")
 
 
 def two_point_sigma_space() -> Space:
@@ -625,51 +768,72 @@ def two_point_sigma_space() -> Space:
 def abs_metric_space(
     lower: float = 0.0, upper: float = math.inf, sample_bound: float = SAMPLE_BOUND
 ) -> Space:
-    """|x - y|: a genuine metric, tagged as a b-metric with K = 1."""
-    return Space(
+    """|x - y|: a genuine metric, tagged as a b-metric with K = 1.
+
+    The sampling range is [lower, b], b being `upper` when it is finite
+    and `sample_bound` otherwise.  A distance there is at most b - lower
+    and a right-hand side d(x, z) + d(z, y) at most 2 (b - lower), so
+    b - lower may reach M / 2 = 8.99e307, M the largest double.
+    """
+    space = Space(
         IntervalCarrier(lower, upper, sample_bound),
         lambda x, y: abs(x - y),
         1.0,
         SpaceKind.B_METRIC,
         complete=True,
     )
+    return _finite_range(space, "abs_metric", "upper" if upper < math.inf else "sample_bound")
 
 
 def max_partial_space(sample_bound: float = SAMPLE_BOUND) -> Space:
     """max(x, y) on [0, inf): the standard partial metric with P(x,x) = x.
 
     The conditional is what `max(x, y)` returns, x unless y is strictly
-    greater, without the cost of a builtin call (see `numerics`).
+    greater, without the cost of a builtin call (see `numerics`).  On
+    [0, b] a distance is at most b and d(x, z) + d(z, y) at most 2b, so
+    `sample_bound` may reach M / 2 = 8.99e307, M the largest double.
     """
-    return Space(
+    space = Space(
         IntervalCarrier(0.0, math.inf, sample_bound),
         lambda x, y: float(y if y > x else x),
         1.0,
         SpaceKind.PARTIAL_METRIC,
         complete=True,
     )
+    return _finite_range(space, "max_partial", "sample_bound")
 
 
 def sum_metric_like_space(sample_bound: float = SAMPLE_BOUND) -> Space:
-    """x + y on [0, inf): metric-like with positive self-distances."""
-    return Space(
+    """x + y on [0, inf): metric-like with positive self-distances.
+
+    On [0, b] a distance is at most 2b and d(x, z) + d(z, y) at most 4b,
+    so `sample_bound` may reach M / 4 = 4.49e307, M the largest double.
+    """
+    space = Space(
         IntervalCarrier(0.0, math.inf, sample_bound),
         lambda x, y: float(x + y),
         1.0,
         SpaceKind.METRIC_LIKE,
         complete=True,
     )
+    return _finite_range(space, "sum_metric_like", "sample_bound")
 
 
 def square_diff_space(k_const: float = 2.0, sample_bound: float = SAMPLE_BOUND) -> Space:
-    """(x - y)**2 on [0, inf): a b-metric needing K = 2."""
-    return Space(
+    """(x - y)**2 on [0, inf): a b-metric needing K = 2.
+
+    On [0, b] a distance is at most b**2 and a right-hand side
+    K * (d(x, z) + d(z, y)) at most 2K b**2, so `sample_bound` may reach
+    about sqrt(M / (2K)), M the largest double: 6.70e153 at K = 2.
+    """
+    space = Space(
         IntervalCarrier(0.0, math.inf, sample_bound),
         lambda x, y: (x - y) ** 2,
         k_const,
         SpaceKind.B_METRIC,
         complete=True,
     )
+    return _finite_range(space, "square_diff", "sample_bound")
 
 
 def table_space(

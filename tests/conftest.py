@@ -18,25 +18,34 @@ def cli_env():
 
 
 @pytest.fixture
-def split_traces(monkeypatch):
-    """Have `write_trace_csv` fork its second process for a trace of one
-    computed row or more, as it does from TRACE_SPLIT_ROWS on when two
-    CPUs are usable.  Returns the list of the pids it forks."""
+def forks(monkeypatch):
+    """Two usable CPUs, as `forking._usable_cpus` reads them, and the list
+    of the pids `os.fork` returns to this process from here on."""
     if not hasattr(os, "fork"):
-        pytest.skip("the two-process trace writer needs os.fork")
-    from invorbit import report
+        pytest.skip("the two-process paths need os.fork")
+    from invorbit import forking
 
-    forks, fork = [], os.fork
+    pids, fork = [], os.fork
 
     def counted_fork():
         pid = fork()
         if pid:
-            forks.append(pid)
+            pids.append(pid)
         return pid
 
-    monkeypatch.setattr(report, "TRACE_SPLIT_ROWS", 1)
-    monkeypatch.setattr(report, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(forking, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(os, "fork", counted_fork)
+    return pids
+
+
+@pytest.fixture
+def split_traces(monkeypatch, forks):
+    """Have `write_trace_csv` fork its second process for a trace of one
+    computed row or more, as it does from TRACE_SPLIT_ROWS on when two
+    CPUs are usable.  Returns the list of the pids it forks."""
+    from invorbit import report
+
+    monkeypatch.setattr(report, "TRACE_SPLIT_ROWS", 1)
     return forks
 
 

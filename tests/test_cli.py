@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import invorbit as iv
-from invorbit import cli, report
+from invorbit import cli, forking, report
 from invorbit.cli import COMMANDS, main, run_batch, run_scenario
 from invorbit.report import canonical_json, format_float, write_trace_csv
 from invorbit.analysis import Cycled
@@ -472,7 +472,7 @@ def test_the_trace_writer_stays_in_one_process(tmp_path, monkeypatch, setting):
     # another thread runs (it could hold a lock the child would inherit),
     # one process writes every row.
     points, distances, ratios = _long_float_columns()
-    monkeypatch.setattr(report, "_usable_cpus", lambda: 1 if setting == "one_cpu" else 2)
+    monkeypatch.setattr(forking, "_usable_cpus", lambda: 1 if setting == "one_cpu" else 2)
     if setting == "below_threshold":
         points = points[:-1]
     _forbid_fork(monkeypatch)
@@ -493,7 +493,7 @@ def test_the_trace_writer_stays_in_one_process(tmp_path, monkeypatch, setting):
 def test_the_trace_writer_forks_at_its_threshold(tmp_path, monkeypatch):
     # The control for the test above: TRACE_SPLIT_ROWS computed rows, two
     # CPUs and no other thread make the writer fork.
-    monkeypatch.setattr(report, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(forking, "_usable_cpus", lambda: 2)
     _forbid_fork(monkeypatch)
     with pytest.raises(AssertionError, match="os.fork was called"):
         write_trace_csv(*_long_float_columns(), tmp_path / "trace.csv")
@@ -549,6 +549,28 @@ def test_a_failed_trace_child_leaves_no_earlier_trace_or_report(tmp_path, capsys
     assert os.listdir(out) == []
 
 
+def test_a_trace_child_that_dies_silently_ends_the_run_with_its_exit_code(
+    tmp_path, capsys, split_traces
+):
+    # A child that leaves without sending anything (here by os._exit, as
+    # a kill would) is reported with its exit code.
+    parent, write_rows = os.getpid(), report._write_rows
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return write_rows(*args)
+
+    scenario = _write(tmp_path, "stall.json", _STALL_SOLVE)
+    with mock.patch.object(report, "_write_rows", dying):
+        assert run_scenario(scenario, tmp_path / "out") == 1
+    assert len(split_traces) == 1
+    assert capsys.readouterr().err == (
+        f"error: {scenario}: ChildProcessError: the process writing rows 18713 on exited with 3\n"
+    )
+    assert os.listdir(tmp_path / "out") == []
+
+
 def test_an_interrupted_trace_write_leaves_no_truncated_trace(tmp_path):
     # The trace is written through trace.csv.partial: an interrupt in the
     # middle of a re-run's trace leaves the earlier run's files whole, and
@@ -595,13 +617,109 @@ def test_a_long_solve_writes_its_trace_from_two_processes(tmp_path, monkeypatch)
     forks, fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     for cpus in (1, 2):
-        monkeypatch.setattr(report, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(forking, "_usable_cpus", lambda: cpus)
         assert run_scenario(scenario, tmp_path / f"cpus{cpus}") == 0
     assert len(forks) == 1
     one, two = tmp_path / "cpus1", tmp_path / "cpus2"
     assert (one / "trace.csv").read_bytes() == (two / "trace.csv").read_bytes()
     assert (one / "report.json").read_bytes() == (two / "report.json").read_bytes()
     assert sorted(os.listdir(two)) == ["report.json", "trace.csv"]
+
+
+_K1_FAMILIES = ("abs_metric", "max_partial", "sum_metric_like")
+
+
+def _split_scenarios(family, n, seed):
+    """An axioms run, an rl audit (T = 9x, S = identity, R = 3) and a phi
+    audit (T = S = 3x, phi = 5) of `family`, with `n` samples."""
+    space = {"family": family} if family in _K1_FAMILIES else {"family": family, "k_const": 2.0}
+    run = {"n_samples": n, "seed": seed}
+    linear = lambda a: {"kind": "linear", "a": a}  # noqa: E731
+    assumptions = {"complete": True, "phi_limit_condition_attested": True}
+    return {
+        "axioms": {"space": space, "run": {"command": "axioms", **run}, "assumptions": assumptions},
+        "rl": {
+            "space": space,
+            "maps": {"t": linear(9.0), "s": {"kind": "identity"}},
+            "hypothesis": {"form": "rl", "r_const": 3.0},
+            "run": {"command": "audit", **run},
+            "assumptions": assumptions,
+        },
+        "phi": {
+            "space": space,
+            "maps": {"t": linear(3.0), "s": linear(3.0)},
+            "hypothesis": {"form": "phi", "family": "affine", "a": 5.0, "b": 0.0},
+            "run": {"command": "audit", **run},
+            "assumptions": assumptions,
+        },
+    }
+
+
+@pytest.mark.parametrize(
+    "family", ["sqrt_square", "abs_metric", "max_partial", "sum_metric_like", "square_diff"]
+)
+def test_two_process_checks_write_the_reports_of_one(tmp_path, monkeypatch, capsys, forks, family):
+    # Below SPLIT_ITEMS one process checks every item; from it on a forked
+    # child checks the second half.  Every report is byte for byte the
+    # one a single usable CPU gives.
+    n = iv.spaces.SPLIT_ITEMS
+    for size in (n - 1, n, 3 * n):
+        for seed in (1, 2, 3):
+            for name, doc in _split_scenarios(family, size, seed).items():
+                path = _write(tmp_path, f"{name}.json", doc)
+                reports, before = [], len(forks)
+                for cpus in (2, 1):
+                    monkeypatch.setattr(forking, "_usable_cpus", lambda: cpus)
+                    out = tmp_path / f"cpus{cpus}"
+                    assert run_scenario(path, out) in (0, 2)
+                    reports.append((out / "report.json").read_bytes())
+                assert reports[0] == reports[1], (name, size, seed)
+                assert len(forks) - before == (size >= n), (name, size, seed)
+    assert capsys.readouterr().err == ""
+
+
+def _failing_phi(failing, error):
+    """A phi audit rate of 5 that raises `error` at each distance of `failing`."""
+
+    def phi(t):
+        if t in failing:
+            raise error(f"no rate at {t!r}")
+        return 5.0
+
+    return lambda scenario, space: iv.PhiHypothesis(phi, 1.0)
+
+
+@pytest.mark.parametrize("error", [iv.PhiBelowKSquared, ZeroDivisionError])
+def test_an_error_in_the_childs_half_ends_the_run_as_one_process(
+    tmp_path, monkeypatch, capsys, forks, error
+):
+    # A rate that fails only at the first pair of the child's half ends
+    # the run in exit 1 with the error line of one process: the message,
+    # and the type where the line names it.  With a failing pair in each
+    # half, the parent's, first in pair order, is the one reported, and
+    # the stopped child is reaped.
+    monkeypatch.setattr(iv.spaces, "SPLIT_ITEMS", 16)
+    doc = _split_scenarios("abs_metric", 200, 1)["phi"]
+    doc["maps"] = {"t": {"kind": "identity"}, "s": {"kind": "identity"}}
+    path = _write(tmp_path, "phi.json", doc)
+    pairs = list(iv.sample_pairs(iv.abs_metric_space(), 200, 1))
+    dists = [abs(x - y) for x, y in pairs]
+    child_only = dists[100]
+    assert child_only not in dists[:100]
+    parent_too = dists[40]
+    shown = "" if issubclass(error, iv.InvorbitError) else f"{error.__name__}: "
+    for failing in ({child_only}, {child_only, parent_too}):
+        monkeypatch.setattr(cli, "build_hypothesis", _failing_phi(failing, error))
+        lines = []
+        for cpus in (2, 1):
+            monkeypatch.setattr(forking, "_usable_cpus", lambda: cpus)
+            assert run_scenario(path, tmp_path / "out") == 1
+            lines.append(capsys.readouterr())
+        first = parent_too if parent_too in failing else child_only
+        assert lines == [("", f"error: {path}: {shown}no rate at {first!r}\n")] * 2
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # no child is left unreaped
 
 
 # ---------------------------------------------------------------------------
@@ -726,19 +844,37 @@ def test_axioms_scenario_fails_with_k1(tmp_path):
     assert "D3" in ids
 
 
-def test_sqrt_square_axioms_near_the_largest_float_write_a_report(tmp_path, capsys):
-    # (sqrt(x) + sqrt(y))**2 passes the largest double here; it used to
-    # raise OverflowError, and the run ended in exit 1.
+_PAST_THE_RANGE = {
+    # The two overflow repros: square_diff raised OverflowError (exit 1),
+    # and sqrt_square reported a D3 whose lhs and rhs were both inf.
+    "square_diff": 6.703903964971298e153,
+    "sqrt_square": 1.1235582092889473e307,
+}
+
+
+@pytest.mark.parametrize("family", list(_PAST_THE_RANGE))
+def test_axioms_past_a_familys_finite_range_are_refused(tmp_path, capsys, family):
+    # Past the largest sample_bound at which every distance and every
+    # K*(d(x, z) + d(z, y)) is finite, building the space fails with exit
+    # 1, and the one error line names the field and that bound.
     doc = {
-        "space": {"family": "sqrt_square", "sample_bound": 1.7e308},
+        "space": {"family": family, "k_const": 2.0, "sample_bound": 1.7e308},
         "run": {"command": "axioms", "n_samples": 100, "seed": 1},
         "assumptions": {"complete": True},
     }
-    out = tmp_path / "out"
-    assert run_scenario(_write(tmp_path, "overflow.json", doc), out) in (0, 2)
-    assert capsys.readouterr().err == ""
-    report = json.loads((out / "report.json").read_text())
-    assert report["results"]["checked_triples"] == 100
+    path = _write(tmp_path, "overflow.json", doc)
+    assert run_scenario(path, tmp_path / "out") == 1
+    limit = _PAST_THE_RANGE[family]
+    assert capsys.readouterr() == (
+        "",
+        f"error: {path}: sample_bound 1.7e+308 is above {limit!r}, the largest at which "
+        f"every {family} distance on the sampling range and every K*(d(x, z) + d(z, y)) "
+        "is finite\n",
+    )
+    assert os.listdir(tmp_path / "out") == []
+    doc["space"]["sample_bound"] = limit
+    assert run_scenario(_write(tmp_path, "edge.json", doc), tmp_path / "edge") == 0
+    assert '"inf"' not in (tmp_path / "edge" / "report.json").read_text()
 
 
 def test_oracle_scenario_passes(tmp_path):

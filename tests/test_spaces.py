@@ -2,6 +2,7 @@ import importlib
 import math
 import pkgutil
 import random
+import re
 import struct
 import tracemalloc
 from dataclasses import is_dataclass, replace
@@ -722,6 +723,32 @@ def test_spread_table_draws_match_randrange(monkeypatch, pool_size, arity):
         assert list(lazy) == reference, seed  # a second iteration draws afresh
 
 
+@pytest.mark.parametrize("arity", [1, 2, 3])
+@pytest.mark.parametrize(
+    "pool_size",
+    [5, 1024, 1001, (1 << 16) - 1],
+    ids=["pool5", "pool1024", "pool1001", "pool2^16-1"],
+)
+def test_a_sample_read_from_an_index_is_the_tail_of_the_whole(monkeypatch, pool_size, arity):
+    # Skipped chunks are counted by their words' top bytes where the
+    # spread table has a multiple of 256 entries (5 << 13 and 1024 << 5),
+    # and by their high halves where it has not (1001 << 6, 2**16 - 1).
+    monkeypatch.setattr(iv.spaces, "POOL_SIZE", pool_size)
+    space = _uniform_table(5) if pool_size == 5 else iv.sqrt_square_space()
+    for seed in (0, 7):
+        rng = random.Random(seed)
+        pool, anchors = _pool_and_anchors(space, rng)
+        assert len(pool) == pool_size
+        lead = len(anchors) ** arity
+        # The first item whose draws come from the second chunk of words.
+        edge = lead + len(next(iv.spaces._draws(rng, pool, 1))) // arity
+        n = lead + 3 * iv.spaces.DRAW_CHUNK
+        whole = iv.sample(space, n, seed, arity)
+        listed = list(whole)
+        for k in (0, 1, lead, lead + 1, edge - 1, edge, edge + 1, n // 2, n - 1, n):
+            assert list(whole.iter_from(k)) == listed[k:], (seed, k)
+
+
 @pytest.mark.parametrize("pool_size", [1 << 16, (1 << 16) + 1])
 def test_a_pool_of_2_16_points_or_more_is_refused(monkeypatch, pool_size):
     # The spread table needs each word's high half to decide its draw.
@@ -740,6 +767,65 @@ def test_spread_table_repeats_each_point_in_a_row(pool_size):
     table = iv.spaces._spread_table(pool)
     assert table == expected
     assert 1 << 15 <= len(table) < 1 << 16
+
+
+_M = 1.7976931348623157e308  # the largest double
+# Each interval family at the largest sampling range on which its
+# distances and every K*(d(x, z) + d(z, y)) stay finite, as its docstring
+# derives it: (builder, keyword arguments, the field, its largest value).
+_FINITE_RANGES = {
+    "sqrt_square": (iv.sqrt_square_space, {}, "sample_bound", _M / 16),
+    "sqrt_square_k3": (iv.sqrt_square_space, {"k_const": 3.0}, "sample_bound", None),
+    "abs_metric": (iv.abs_metric_space, {}, "sample_bound", _M / 2),
+    "abs_metric_upper": (iv.abs_metric_space, {"lower": -1e307}, "upper", None),
+    "max_partial": (iv.max_partial_space, {}, "sample_bound", _M / 2),
+    "sum_metric_like": (iv.sum_metric_like_space, {}, "sample_bound", _M / 4),
+    "square_diff": (iv.square_diff_space, {}, "sample_bound", math.sqrt(_M / 4)),
+}
+
+
+@pytest.mark.parametrize("case", list(_FINITE_RANGES))
+def test_each_interval_family_stays_finite_up_to_its_stated_bound(case):
+    # At its bound a family passes axioms, sampled and exhaustively on its
+    # anchors, with no inf or nan anywhere; the next double is refused
+    # with a message that names the field and the bound.
+    build, kwargs, field, bound = _FINITE_RANGES[case]
+    with pytest.raises(ValueError, match=rf"^{field} 1\.7e\+308 is above (\S+), ") as refused:
+        build(**kwargs, **{field: 1.7e308})
+    found = float(refused.value.args[0].split()[4].rstrip(","))
+    if bound is not None:
+        assert found == bound
+    above = math.nextafter(found, math.inf)
+    with pytest.raises(ValueError, match=f"^{field} {re.escape(repr(above))} is above "):
+        build(**kwargs, **{field: above})
+    space = build(**kwargs, **{field: found})
+    anchors = replace(space, carrier=iv.FiniteCarrier(tuple(space.carrier.anchors())))
+    for report in (
+        iv.check_axioms(space, iv.Sampled(3000, 1)),
+        iv.check_axioms(anchors, iv.Exhaustive()),
+    ):
+        assert report.passed
+    for point in iv.sample_points(space, 1100, 1):
+        assert 0.0 <= abs(point) < math.inf
+        assert 0.0 <= space.dist(point, found) < math.inf
+
+
+def test_sqrt_square_audit_reads_inf_past_its_bound():
+    # At the largest accepted sample_bound, T = S = 9x maps sampled points
+    # past it, where (sqrt(Tx) + sqrt(Sy))**2 overflows: the distance's
+    # inf branch, not an OverflowError, is what such an audit reads, so
+    # the branch stays.
+    space = iv.sqrt_square_space(sample_bound=_M / 16)
+    read = []
+
+    def dist(x, y):
+        read.append(space.dist(x, y))
+        return read[-1]
+
+    forward, preimage = iv.linear_map(9.0)
+    maps = iv.MapPair(forward, forward, preimage, preimage)
+    report = iv.audit(replace(space, dist=dist), maps, iv.RLHypothesis(3.0), iv.Sampled(200, 1))
+    assert report.passed and math.inf in read
 
 
 def test_sqrt_square_distance_is_inf_where_its_square_overflows():
@@ -883,6 +969,145 @@ def test_a_streamed_check_matches_the_check_of_its_listed_sample():
         assert any(math.isnan(v[3]) for v in listed if v[0] == "D3")
 
 
+def test_a_two_process_check_matches_the_check_of_its_listed_sample(monkeypatch, forks):
+    # The streamed check above, split at its middle triple: the child's
+    # half holds D1 points, nan legs and triangles as the parent's does.
+    monkeypatch.setattr(iv.spaces, "SPLIT_ITEMS", 1)
+    space = _b_metric_with_self_distances()
+    n = 3 * iv.spaces.DRAW_CHUNK + 5
+    for seed in range(3):
+        report = iv.check_axioms(space, iv.Sampled(n, seed))
+        triples = list(iv.sample_triples(space, n, seed))
+        assert report.checked_pairs == report.checked_triples == n
+        assert repr(_listed(report)) == repr(_bare_sampled_violations(space, triples)), seed
+    assert len(forks) == 3
+
+
+def _late_points(items):
+    """The points that lead an item of the second half of `items` and
+    appear in none of the first half; the leading point of item n // 2 is
+    one of them."""
+    half = len(items) // 2
+    first = set(chain.from_iterable(items[:half]))
+    late = {item[0] for item in items[half:]} - first
+    assert items[half][0] in late  # the seed is chosen for this
+    return late
+
+
+def test_a_two_process_check_reports_the_childs_half(monkeypatch, forks):
+    # Split at 100 of 200 triples, the negative distances lead only
+    # triples of the child's half, from its first one on; the D1 points
+    # of both halves come out in first-occurrence order.
+    monkeypatch.setattr(iv.spaces, "SPLIT_ITEMS", 16)
+    n = 200
+    triples = list(iv.sample_triples(iv.abs_metric_space(), n, 2))
+    late = _late_points(triples)
+
+    def dist(x, y):
+        if x == y:
+            return 0.5 if x > 5.0 else 0.0
+        return -1.0 if x in late else abs(x - y)
+
+    space = iv.Space(iv.IntervalCarrier(0.0, 10.0), dist, 1.0, iv.SpaceKind.B_METRIC)
+    report = iv.check_axioms(space, iv.Sampled(n, 2))
+    assert len(forks) == 1
+    assert report.checked_pairs == report.checked_triples == n
+    negative = [v.witness for v in report.violations if v.axiom_id == "nonneg"]
+    expected = [(x, y) for x, y, _ in triples[n // 2 :] if x in late]
+    assert negative == expected and expected[0] == triples[n // 2][:2]
+    d1 = [v.witness[0] for v in report.violations if v.axiom_id == "D1"]
+    assert d1 == [p for p in dict.fromkeys(chain.from_iterable(triples)) if p > 5.0]
+    first = set(chain.from_iterable(triples[: n // 2]))
+    assert {p in first for p in d1} == {True, False}
+    monkeypatch.setattr(iv.forking, "_usable_cpus", lambda: 1)
+    one = iv.check_axioms(space, iv.Sampled(n, 2))
+    assert len(forks) == 1
+    assert one == report and list(map(type, one.violations)) == list(map(type, report.violations))
+
+
+def test_a_two_process_audit_reports_the_childs_half(monkeypatch, forks):
+    # T = S = 3x expands |x - y| by 3 > R = 2, except where a late point
+    # is ten times as far from every other: those pairs, all in the
+    # child's half, are the violations, in pair order.
+    monkeypatch.setattr(iv.spaces, "SPLIT_ITEMS", 16)
+    n = 200
+    pairs = list(iv.sample_pairs(iv.abs_metric_space(), n, 1))
+    late = _late_points(pairs)
+
+    def dist(x, y):
+        return abs(x - y) * (10.0 if x in late else 1.0)
+
+    space = iv.Space(iv.IntervalCarrier(0.0, 10.0), dist, 1.0, iv.SpaceKind.B_METRIC)
+    forward, preimage = iv.linear_map(3.0)
+    maps = iv.MapPair(forward, forward, preimage, preimage)
+    report = iv.audit(space, maps, iv.RLHypothesis(2.0), iv.Sampled(n, 1))
+    assert len(forks) == 1 and report.checked_pairs == n
+    expected = [(x, y) for x, y in pairs[n // 2 :] if x in late and x != y]
+    assert [(v.x, v.y) for v in report.violations] == expected
+    assert expected[0] == pairs[n // 2]
+    assert {type(v) for v in report.violations} == {iv.AuditViolation}
+
+
+def test_no_check_forks_below_its_threshold_or_on_a_finite_carrier(monkeypatch, forks):
+    n = iv.spaces.SPLIT_ITEMS
+    iv.check_axioms(iv.sqrt_square_space(), iv.Sampled(n - 1, 1))
+    iv.check_axioms(_uniform_table(5), iv.Sampled(n, 1))
+    forward, preimage = iv.identity_map()
+    pair = iv.MapPair(forward, forward, preimage, preimage)
+    iv.audit(_uniform_table(5), pair, iv.RLHypothesis(2.0), iv.Sampled(n, 1))
+    # A limited audit stops at its first violations, in one process.
+    iv.audit(iv.abs_metric_space(), pair, iv.RLHypothesis(2.0), iv.Sampled(n, 1), limit=3)
+    assert forks == []
+    iv.check_axioms(iv.sqrt_square_space(), iv.Sampled(n, 1))
+    assert len(forks) == 1
+
+
+def test_a_childs_records_that_marshal_cannot_write_are_walked_again(
+    monkeypatch, forks, tagged_float
+):
+    # A distance of a float subclass puts values marshal refuses into the
+    # child's records: this process walks the child's half itself, and the
+    # report, its value types included, is the one of one process.
+    monkeypatch.setattr(iv.spaces, "SPLIT_ITEMS", 16)
+
+    def dist(x, y):
+        return tagged_float(abs(x - y), "d")
+
+    space = iv.Space(iv.IntervalCarrier(0.0, 10.0), dist, 1.0, iv.SpaceKind.B_METRIC)
+    forward, preimage = iv.identity_map()
+    maps = iv.MapPair(forward, forward, preimage, preimage)
+    runs = {}
+    for cpus in (2, 1):
+        monkeypatch.setattr(iv.forking, "_usable_cpus", lambda: cpus)
+        runs[cpus] = iv.audit(space, maps, iv.RLHypothesis(2.0), iv.Sampled(200, 1))
+    assert len(forks) == 1
+    assert runs[1] == runs[2] and runs[2].checked_pairs == 200
+    assert {type(v.lhs) for v in runs[2].violations} == {tagged_float}
+
+
+def test_an_error_the_parent_cannot_rebuild_names_its_type(monkeypatch, forks):
+    # An error of a class pickle cannot find by name is raised from the
+    # child's half as a ChildProcessError with the type and message.
+    monkeypatch.setattr(iv.spaces, "SPLIT_ITEMS", 16)
+    pairs = list(iv.sample_pairs(iv.abs_metric_space(), 200, 1))
+    late = _late_points(pairs)
+
+    class LocalError(Exception):
+        pass
+
+    def dist(x, y):
+        if x in late:
+            raise LocalError(f"no distance at {x!r}")
+        return abs(x - y)
+
+    space = iv.Space(iv.IntervalCarrier(0.0, 10.0), dist, 1.0, iv.SpaceKind.B_METRIC)
+    forward, preimage = iv.linear_map(3.0)
+    maps = iv.MapPair(forward, forward, preimage, preimage)
+    with pytest.raises(ChildProcessError, match=rf"^LocalError: no distance at {pairs[100][0]!r}$"):
+        iv.audit(space, maps, iv.RLHypothesis(2.0), iv.Sampled(200, 1))
+    assert len(forks) == 1
+
+
 def _traced_peak(run):
     tracemalloc.start()
     try:
@@ -918,7 +1143,11 @@ def _passing_axioms(family):
     ],
     ids=["sqrt_square", "abs_metric", "max_partial", "phi_audit"],
 )
-def test_a_passing_sampled_run_holds_memory_bounded_in_n(run):
+def test_a_passing_sampled_run_holds_memory_bounded_in_n(run, monkeypatch):
     # A sample is drawn as it is read: ten times the draws may not hold a
     # megabyte more (a listed sample holds about 72 bytes per triple).
-    assert _traced_peak(lambda: run(200_000)) - _traced_peak(lambda: run(20_000)) < 1 << 20
+    # With two usable CPUs a forked child walks half of each sample, out
+    # of this trace; with one, this process walks the whole of it.
+    for cpus in (iv.forking._usable_cpus(), 1):
+        monkeypatch.setattr(iv.forking, "_usable_cpus", lambda: cpus)
+        assert _traced_peak(lambda: run(200_000)) - _traced_peak(lambda: run(20_000)) < 1 << 20
